@@ -17,7 +17,7 @@ import click
 
 from . import cluster as cl
 from . import nof
-from .errors import Error
+from .errors import Error, ParseError
 from .graph import dump_graph, laplacian, load_graph_file, normalized_laplacian
 from .overlap import load_family, overlapping_cardinality_partition
 from .sparsify import SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
@@ -47,6 +47,9 @@ def _report_errors(fn):
             sys.exit(1)
         except OSError as exc:
             _emit({"error": "io", "detail": str(exc)}, None)
+            sys.exit(1)
+        except MemoryError as exc:
+            _emit({"error": "memory", "detail": str(exc)}, None)
             sys.exit(1)
 
     return wrapper
@@ -257,9 +260,17 @@ def cluster_group(ctx, graph_path, k, seed, normalized, out):
 
 def _load_labels(path):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    labels = doc["labels"] if isinstance(doc, dict) else doc
-    labels = [int(x) for x in labels]
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    labels = doc.get("labels") if isinstance(doc, dict) else doc
+    if not isinstance(labels, list):
+        raise ParseError(f"{path}: expected a list of labels or an object with a 'labels' list")
+    try:
+        labels = [int(x) for x in labels]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed label: {exc}") from None
     # compact ids so sparse labelings still form a valid assignment;
     # the ARI is invariant under relabeling
     remap = {lab: i for i, lab in enumerate(sorted(set(labels)))}

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .graph import Edge, WeightedGraph, induced_subgraph
-from .overlap import EdgeFamily
+from .overlap import EdgeFamily, occurrence_counts
 from .sparsify import SparsifierResult, UnionSparsifier, sparsify_er, union_sparsifiers, verify_epsilon
 
 BIT = "bit"
@@ -104,42 +104,97 @@ def bits_per_edge(n: int, weighted: bool = True) -> int:
     return 2 * (n - 1).bit_length() + (64 if weighted else 0)
 
 
-def site_view(f: EdgeFamily, j: int) -> SiteView:
-    """All input sets except site j's own (sites are 1-based)."""
+def _check_site(f: EdgeFamily, j: int) -> None:
     s = f.t
     if s < 2:
         raise PreconditionError("the NOF model needs at least two sites")
     if not (1 <= j <= s):
         raise PreconditionError(f"site id {j} out of range 1..{s}")
-    visible = tuple(f.sets[i] for i in range(s) if i != j - 1)
+
+
+def site_view(f: EdgeFamily, j: int) -> SiteView:
+    """All input sets except site j's own (sites are 1-based)."""
+    _check_site(f, j)
+    visible = tuple(f.sets[i] for i in range(f.t) if i != j - 1)
     return SiteView(site_id=j, visible=visible)
+
+
+def _sunflower_kernel(counts, t: int) -> frozenset | None:
+    """Kernel of a family of t >= 2 sets with these occurrence counts, or
+    None when the family is not a sunflower.
+
+    A family is a sunflower exactly when every element occurs in one set or
+    in all t; its kernel is then the elements that occur in all t.
+    """
+    if any(c != 1 and c != t for c in counts.values()):
+        return None
+    return frozenset(x for x, c in counts.items() if c == t)
 
 
 def is_delta_system(sets) -> DeltaSystemReport:
     """Classify a family: sunflower (all pairwise intersections equal the
     global one), weak sunflower (all pairwise intersection sizes equal),
-    neither."""
+    neither.
+
+    Sunflowers are recognised from occurrence counts; a sunflower is weak
+    with lam = |kernel|, so pairs are intersected only for the other
+    families, and only until two intersection sizes differ.
+    """
     sets = [frozenset(s) for s in sets]
     if len(sets) < 2:
         raise PreconditionError("delta-system check needs at least two sets")
-    kernel = frozenset.intersection(*sets)
-    sizes = set()
-    is_delta = True
-    for a, b in combinations(sets, 2):
-        inter = a & b
-        sizes.add(len(inter))
-        if inter != kernel:
-            is_delta = False
-    is_weak = len(sizes) == 1
-    lam = sizes.pop() if is_weak else None
     ell = max(len(s) for s in sets)
+    kernel = _sunflower_kernel(occurrence_counts(sets), len(sets))
+    if kernel is not None:
+        return DeltaSystemReport(is_delta=True, kernel=kernel, is_weak_delta=True, lam=len(kernel), ell=ell)
+    sizes = set()
+    for a, b in combinations(sets, 2):
+        sizes.add(len(a & b))
+        if len(sizes) > 1:
+            break
+    is_weak = len(sizes) == 1
     return DeltaSystemReport(
-        is_delta=is_delta,
-        kernel=kernel if is_delta else None,
+        is_delta=False,
+        kernel=None,
         is_weak_delta=is_weak,
-        lam=lam,
+        lam=sizes.pop() if is_weak else None,
         ell=ell,
     )
+
+
+def _view_kernels(f: EdgeFamily) -> list[frozenset[Edge] | None]:
+    """Kernel of every site's view (site j at index j-1), None where that
+    view is not a sunflower.
+
+    Site j sees every set but E_j, so element x occurs count(x) - [x in E_j]
+    times in its s-1 sets, and the view is a sunflower exactly when that is
+    0, 1 or s-1 for every x. Elements outside E_j keep their count, so one
+    tally of the counts outside {1, s-1} leaves O(|E_j|) work per site.
+    """
+    s, counts = f.t, f.occurrences
+    if s < 3:
+        raise PreconditionError("delta-system check needs at least two sets")
+    bad = sum(1 for c in counts.values() if c != 1 and c != s - 1)
+    full_elsewhere = frozenset(x for x, c in counts.items() if c == s - 1)
+    kernels = []
+    for own in f.sets:
+        own_counts = [counts[x] for x in own]
+        bad_here = (
+            bad
+            - sum(1 for c in own_counts if c != 1 and c != s - 1)
+            + sum(1 for c in own_counts if c != 1 and c != 2 and c != s)
+        )
+        if bad_here:
+            kernels.append(None)
+        else:
+            kernels.append(frozenset(x for x in own if counts[x] == s) | (full_elsewhere - own))
+    return kernels
+
+
+def _private(f: EdgeFamily, j: int) -> frozenset[Edge]:
+    """Elements of E_j that no other set holds: all that site j cannot see."""
+    counts = f.occurrences
+    return frozenset(x for x in f.sets[j - 1] if counts[x] == 1)
 
 
 def deza_threshold(ell: int) -> int:
@@ -156,11 +211,11 @@ def symmetric_difference_on_site(f: EdgeFamily, j: int) -> frozenset[Edge]:
     Requires the visible family to be a sunflower; matches the accounting
     |union| = |petals| + kernel size.
     """
-    view = site_view(f, j)
-    rep = is_delta_system(view.visible)
-    if not rep.is_delta:
+    _check_site(f, j)
+    kernel = _view_kernels(f)[j - 1]
+    if kernel is None:
         raise PreconditionError(f"the sets visible to site {j} are not a delta-system")
-    return frozenset.union(*view.visible) - rep.kernel
+    return f.union() - _private(f, j) - kernel
 
 
 def lemma2_check(f: EdgeFamily) -> bool:
@@ -168,14 +223,10 @@ def lemma2_check(f: EdgeFamily) -> bool:
     with the same kernel."""
     if f.t < 3:
         raise PreconditionError("need at least three sites")
-    rep = is_delta_system(f.sets)
-    if not rep.is_delta:
+    kernel = _sunflower_kernel(f.occurrences, f.t)
+    if kernel is None:
         raise PreconditionError("family is not a delta-system")
-    for j in range(1, f.t + 1):
-        vrep = is_delta_system(site_view(f, j).visible)
-        if not (vrep.is_delta and vrep.kernel == rep.kernel):
-            return False
-    return True
+    return all(k == kernel for k in _view_kernels(f))
 
 
 def lemma3_check(f: EdgeFamily) -> bool:
@@ -183,12 +234,9 @@ def lemma3_check(f: EdgeFamily) -> bool:
     whole family. Evaluates the implication concretely."""
     if f.t < 4:
         raise PreconditionError("need at least four sites")
-    all_views_delta = all(
-        is_delta_system(site_view(f, j).visible).is_delta for j in range(1, f.t + 1)
-    )
-    if not all_views_delta:
+    if any(k is None for k in _view_kernels(f)):
         return True
-    return is_delta_system(f.sets).is_delta
+    return _sunflower_kernel(f.occurrences, f.t) is not None
 
 
 def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
@@ -197,10 +245,11 @@ def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
     s = f.t
     if s < 4:
         raise PreconditionError("need at least four sites")
+    kernels = _view_kernels(f)
     writes = []
     verdict = True
     for j in range(1, s):
-        bit = 1 if is_delta_system(site_view(f, j).visible).is_delta else 0
+        bit = 0 if kernels[j - 1] is None else 1
         verdict = verdict and bool(bit)
         writes.append(Write(site=j, round=1, kind=BIT, payload=(bit,), bit_cost=1, edge_cost=0))
     return Transcript(tuple(writes)), verdict
@@ -220,34 +269,43 @@ def greatest_overlapping_coefficient(f: EdgeFamily) -> float:
     return max(overlapping_coefficient(f, j) for j in range(1, f.t + 1))
 
 
-def _check_uniform_weak_delta(f: EdgeFamily) -> tuple[DeltaSystemReport, int]:
+def _check_uniform_weak_delta(f: EdgeFamily) -> frozenset[Edge]:
+    """Kernel of a uniform weak delta-system past the Deza threshold.
+
+    Sunflowers are recognised first, from the occurrence counts; pairs are
+    intersected only to word the error for a family that is not one. By
+    Deza's theorem a uniform weak delta-system past the threshold is a
+    sunflower, so a weak non-sunflower always fails the size check.
+    """
     sizes = {len(s) for s in f.sets}
     if len(sizes) != 1:
         raise PreconditionError(f"set sizes are not uniform: {sorted(sizes)}")
     ell = sizes.pop()
-    rep = is_delta_system(f.sets)
-    if not rep.is_weak_delta:
+    kernel = _sunflower_kernel(f.occurrences, f.t)
+    if kernel is None and not is_delta_system(f.sets).is_weak_delta:
         raise PreconditionError("family is not a weak delta-system")
     need = deza_threshold(ell) + 1
-    if f.t < need:
+    if kernel is None or f.t < need:
         raise PreconditionError(
             f"need at least {need} sites for set size {ell}, got {f.t}"
         )
-    if not rep.is_delta:
-        # unreachable for uniform weak systems above the size threshold
-        raise PreconditionError("family is not a delta-system")
-    return rep, ell
+    return kernel
+
+
+def _kernel_and_petals(f: EdgeFamily, j: int) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """The family's kernel and the petal union site j sees, once the
+    broadcast and exchange preconditions hold."""
+    kernel = _check_uniform_weak_delta(f)
+    _check_site(f, j)
+    return kernel, f.union() - _private(f, j) - kernel
 
 
 def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[int, frozenset[Edge]]]:
     """Two-round broadcast: site j writes its petal union, everyone else
     reconstructs the full edge set from it plus the kernel and their own
     view; then one other site writes E_j so site j can finish too."""
-    rep, ell = _check_uniform_weak_delta(f)
+    kernel, delta_j = _kernel_and_petals(f, j)
     s = f.t
-    view_j = site_view(f, j)  # validates j
-    kernel = rep.kernel
-    delta_j = frozenset.union(*view_j.visible) - kernel
 
     weights = f.base.weights()
     n = f.base.n
@@ -264,11 +322,12 @@ def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[in
         )
     ]
 
+    union = f.union()
     reconstructions: dict[int, frozenset[Edge]] = {}
     for i in range(1, s + 1):
         if i == j:
             continue
-        own_view = frozenset.union(*site_view(f, i).visible)
+        own_view = union - _private(f, i)
         reconstructions[i] = delta_j | kernel | own_view
 
     writer = min(i for i in range(1, s + 1) if i != j)
@@ -283,7 +342,7 @@ def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[in
             edge_cost=len(e_j),
         )
     )
-    reconstructions[j] = frozenset.union(*view_j.visible) | e_j
+    reconstructions[j] = delta_j | kernel | e_j
     return Transcript(tuple(writes)), reconstructions
 
 
@@ -300,11 +359,8 @@ def protocol_sparsifier_exchange(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    rep, ell = _check_uniform_weak_delta(f)
+    _, delta_j = _kernel_and_petals(f, j)
     s = f.t
-    view_j = site_view(f, j)
-    kernel = rep.kernel
-    delta_j = frozenset.union(*view_j.visible) - kernel
     e_j = f.sets[j - 1]
     n = f.base.n
     bpe = bits_per_edge(n, weighted=True)

@@ -4,13 +4,18 @@ A family of edge subsets over a shared base graph is grouped by how many
 sets each edge appears in; the resulting partition lets the sum of the
 per-set Laplacians be rewritten as an integer combination of the partition
 classes' Laplacians (checked numerically by `combined_laplacian_residual`).
+Occurrence numbers, cardinalities and the partition all read one
+occurrence count per family, taken once (`EdgeFamily.occurrences`).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +54,16 @@ class EdgeFamily:
     def union(self) -> frozenset[Edge]:
         return self.base.pairs()
 
+    @cached_property
+    def occurrences(self) -> Counter[Edge]:
+        """Occurrence number of every edge of the union, counted once."""
+        return occurrence_counts(self.sets)
+
+
+def occurrence_counts(sets) -> Counter:
+    """How many of the sets contain each element of their union."""
+    return Counter(chain.from_iterable(sets))
+
 
 @dataclass(frozen=True)
 class OverlapPartition:
@@ -64,8 +79,7 @@ class OverlapPartition:
 
 def occurrence_number(f: EdgeFamily, edge) -> int:
     """Number of family sets containing the edge (0 if in none)."""
-    p = norm_pair(*edge)
-    return sum(1 for s in f.sets if p in s)
+    return f.occurrences.get(norm_pair(*edge), 0)
 
 
 def overlapping_cardinality(f: EdgeFamily, subset) -> int:
@@ -76,20 +90,21 @@ def overlapping_cardinality(f: EdgeFamily, subset) -> int:
     pairs = [norm_pair(u, v) for u, v in subset]
     if not pairs:
         raise ValueError("overlapping cardinality is undefined for the empty set")
-    outside = [p for p in pairs if p not in f.union()]
+    counts = f.occurrences
+    outside = [p for p in pairs if p not in counts]
     if outside:
         raise ValueError(f"edges outside the family union: {sorted(outside)}")
-    counts = {occurrence_number(f, p) for p in pairs}
-    if len(counts) == 1:
-        return counts.pop()
+    values = {counts[p] for p in pairs}
+    if len(values) == 1:
+        return values.pop()
     return 0
 
 
 def overlapping_cardinality_partition(f: EdgeFamily) -> OverlapPartition:
     """Group edges by occurrence number, classes ordered by increasing count."""
     by_count: dict[int, set[Edge]] = {}
-    for p in f.union():
-        by_count.setdefault(occurrence_number(f, p), set()).add(p)
+    for p, c in f.occurrences.items():
+        by_count.setdefault(c, set()).add(p)
     classes = tuple((c, frozenset(by_count[c])) for c in sorted(by_count))
     return OverlapPartition(classes)
 

@@ -56,6 +56,15 @@ class TestLaplacianCmd:
         assert result.exit_code == 1
         assert doc["error"] == "io"
 
+    def test_oversized_graph_is_memory_error(self, runner, tmp_path):
+        # numpy refuses the n x n request (6.94 EiB) before allocating anything
+        p = tmp_path / "big.el"
+        p.write_text("n 1000000000\n")
+        result, doc = run_json(runner, ["laplacian", "--graph", str(p)])
+        assert result.exit_code == 1
+        assert doc["error"] == "memory"
+        assert result.output.count("\n") == 1
+
 
 class TestPartitionCmd:
     def test_example_fixture(self, runner, tmp_path):
@@ -173,6 +182,16 @@ class TestClusterCmds:
         result, doc = run_json(runner, ["cluster", "compare", str(a), str(b)])
         assert result.exit_code == 0
         assert doc["ari"] == 1.0
+
+    @pytest.mark.parametrize("bad", ['{"foo": 1}', "[[0, 1]]", '{"labels": 3}', '["x"]', "{not json"])
+    def test_cluster_compare_malformed_labels(self, runner, tmp_path, bad):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(bad)
+        b.write_text(json.dumps([0, 1]))
+        result, doc = run_json(runner, ["cluster", "compare", str(a), str(b)])
+        assert result.exit_code == 1
+        assert doc["error"] == "parse"
 
     def test_cluster_requires_args(self, runner):
         result = runner.invoke(main, ["cluster"])

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsparse import (
     PreconditionError,
@@ -8,6 +12,8 @@ from distsparse import (
     is_delta_system,
     lemma2_check,
     lemma3_check,
+    occurrence_number,
+    overlapping_cardinality_partition,
     overlapping_coefficient,
     protocol_broadcast_graph,
     protocol_sparsifier_exchange,
@@ -27,6 +33,51 @@ from conftest import (
 
 def edges_of(elems):
     return frozenset(elem_edge(e) for e in elems)
+
+
+def reference_delta(sets):
+    """The pairwise definition: a sunflower has every pairwise intersection
+    equal to the global one, a weak sunflower every intersection size equal.
+    Returns (is_delta, kernel, is_weak_delta, lam, ell)."""
+    sets = [frozenset(s) for s in sets]
+    kernel = frozenset.intersection(*sets)
+    inters = [a & b for a, b in combinations(sets, 2)]
+    is_delta = all(x == kernel for x in inters)
+    sizes = {len(x) for x in inters}
+    is_weak = len(sizes) == 1
+    return (
+        is_delta,
+        kernel if is_delta else None,
+        is_weak,
+        sizes.pop() if is_weak else None,
+        max(len(s) for s in sets),
+    )
+
+
+small_sets = st.frozensets(st.integers(1, 6), min_size=1, max_size=4)
+
+
+@st.composite
+def index_families(draw):
+    """Small families of 2..8 nonempty index sets: random ones (duplicates
+    arise often over six elements), all-identical ones, and sunflowers with
+    an optional extra element that may break them."""
+    s = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(("random", "identical", "sunflower")))
+    if kind == "random":
+        return draw(st.lists(small_sets, min_size=s, max_size=s))
+    if kind == "identical":
+        return [draw(small_sets)] * s
+    kernel = set(range(100, 100 + draw(st.integers(0, 2))))
+    sets, nxt = [], 1
+    for _ in range(s):
+        k = draw(st.integers(0 if kernel else 1, 2))
+        sets.append(kernel | set(range(nxt, nxt + k)))
+        nxt += k
+    if draw(st.booleans()):
+        union = sorted(set().union(*sets))
+        sets[draw(st.integers(0, s - 1))].add(draw(st.sampled_from(union)))
+    return sets
 
 
 class TestSiteView:
@@ -80,6 +131,47 @@ class TestDeltaSystem:
     def test_too_few_sets(self):
         with pytest.raises(PreconditionError):
             is_delta_system([{1}])
+
+
+class TestOccurrenceCountsAgainstPairwiseReference:
+    @given(index_families())
+    @settings(max_examples=300, deadline=None)
+    def test_is_delta_system(self, sets):
+        rep = is_delta_system(sets)
+        assert (rep.is_delta, rep.kernel, rep.is_weak_delta, rep.lam, rep.ell) == reference_delta(sets)
+
+    @given(index_families())
+    @settings(max_examples=300, deadline=None)
+    def test_site_views(self, sets):
+        f = family_from_index_sets(sets)
+        views = [site_view(f, j).visible for j in range(1, f.t + 1)]
+        if f.t >= 3:
+            for j, visible in enumerate(views, start=1):
+                is_delta, kernel, *_ = reference_delta(visible)
+                if is_delta:
+                    assert symmetric_difference_on_site(f, j) == frozenset.union(*visible) - kernel
+                else:
+                    with pytest.raises(PreconditionError, match="not a delta-system"):
+                        symmetric_difference_on_site(f, j)
+        if f.t >= 4:
+            transcript, verdict = protocol_verify_sunflower(f)
+            bits = [w.payload[0] for w in transcript.writes]
+            assert bits == [int(reference_delta(v)[0]) for v in views[:-1]]
+            assert verdict == reference_delta(f.sets)[0]
+            all_views = all(reference_delta(v)[0] for v in views)
+            assert lemma3_check(f) == (not all_views or reference_delta(f.sets)[0])
+
+    @given(index_families())
+    @settings(max_examples=300, deadline=None)
+    def test_partition_and_occurrence_numbers(self, sets):
+        f = family_from_index_sets(sets)
+        naive = {p: sum(p in s for s in f.sets) for p in f.union()}
+        by_count = {}
+        for p, c in naive.items():
+            by_count.setdefault(c, set()).add(p)
+        expected = tuple((c, frozenset(by_count[c])) for c in sorted(by_count))
+        assert overlapping_cardinality_partition(f).classes == expected
+        assert all(occurrence_number(f, p) == c for p, c in naive.items())
 
 
 class TestDezaThreshold:
@@ -240,6 +332,21 @@ class TestBroadcastProtocol:
         sets[0].add(999)
         f = family_from_index_sets(sets)
         with pytest.raises(PreconditionError, match="uniform"):
+            protocol_broadcast_graph(f, 1)
+
+    def test_not_weak_precondition(self):
+        # uniform, but E_1 and E_2 meet in two elements and the rest in one
+        f = family_from_index_sets(near_sunflower_index_sets(9, 3, 1))
+        with pytest.raises(PreconditionError, match="not a weak delta-system"):
+            protocol_broadcast_graph(f, 1)
+        with pytest.raises(PreconditionError, match="not a weak delta-system"):
+            protocol_sparsifier_exchange(f, 1, epsilon=0.3, seed=0)
+
+    def test_weak_non_sunflower_fails_size_check(self):
+        # the triangle family is a uniform weak delta-system (lam = 1) but not
+        # a sunflower; Deza allows that only below the size threshold
+        f = family_from_index_sets([{1, 2}, {2, 3}, {1, 3}])
+        with pytest.raises(PreconditionError, match="at least 5 sites for set size 2, got 3"):
             protocol_broadcast_graph(f, 1)
 
     def test_two_rounds(self):

@@ -60,6 +60,13 @@ class TestOverlappingCardinality:
         with pytest.raises(ValueError, match="empty"):
             overlapping_cardinality(example1_family, [])
 
+    def test_edge_outside_union_rejected(self, example1_family):
+        with pytest.raises(ValueError, match=r"outside the family union: \[\(0, 100\)\]"):
+            overlapping_cardinality(example1_family, [elem_edge(1), (100, 0)])
+
+    def test_pair_order_ignored(self, example1_family):
+        assert overlapping_cardinality(example1_family, [(5, 4), (2, 1)]) == 4
+
 
 class TestPartition:
     def test_worked_example(self, example1_family):
