@@ -18,7 +18,7 @@ import click
 from . import cluster as cl
 from . import nof
 from .errors import Error, ParseError
-from .graph import dump_graph, laplacian, load_graph_file, normalized_laplacian
+from .graph import dump_graph, induced_subgraph, laplacian, load_graph_file, normalized_laplacian
 from .overlap import load_family, overlapping_cardinality_partition
 from .sparsify import SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
 
@@ -155,14 +155,13 @@ def verify_cmd(graph_path, sparsifier_path, out):
 @_report_errors
 def union_cmd(family_path, part_paths, output, out):
     """Union of per-set sparsifiers with the certified approximation factor."""
-    from .graph import induced_subgraph
-
     f = load_family(family_path)
+    if len(part_paths) != f.t:
+        raise ValueError(f"got {len(part_paths)} parts for a family of {f.t} sets")
     parts = []
-    for i, path in enumerate(part_paths):
+    for path, edges in zip(part_paths, f.sets):
         h = load_graph_file(path)
-        gi = induced_subgraph(f.base, f.sets[i]) if i < f.t else f.base
-        cert = verify_epsilon(gi, h)
+        cert = verify_epsilon(induced_subgraph(f.base, edges), h)
         parts.append(SparsifierResult(h=h, epsilon_target=cert, epsilon_certified=cert))
     u = union_sparsifiers(parts, f)
     if output:
@@ -267,10 +266,9 @@ def _load_labels(path):
     labels = doc.get("labels") if isinstance(doc, dict) else doc
     if not isinstance(labels, list):
         raise ParseError(f"{path}: expected a list of labels or an object with a 'labels' list")
-    try:
-        labels = [int(x) for x in labels]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed label: {exc}") from None
+    bad = [x for x in labels if type(x) is not int]  # bool is not a label
+    if bad:
+        raise ParseError(f"{path}: labels must be JSON integers, got {json.dumps(bad[0])}")
     # compact ids so sparse labelings still form a valid assignment;
     # the ARI is invariant under relabeling
     remap = {lab: i for i, lab in enumerate(sorted(set(labels)))}

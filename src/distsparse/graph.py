@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,20 @@ class WeightedGraph:
             d[u] += w
             d[v] += w
         return d
+
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(component id of every vertex, the free vertices ascending, C^-1),
+        computed once per graph. The Laplacian's kernel is spanned by the
+        component indicators, so grounding (deleting) the smallest vertex of
+        every component leaves a positive definite L[free, free] = C C^T."""
+        comps = connected_components(self)
+        component = np.empty(self.n, dtype=np.intp)
+        for i, comp in enumerate(comps):
+            component[comp] = i
+        free = np.setdiff1d(np.arange(self.n), [comp[0] for comp in comps])
+        L = laplacian(self).matrix[np.ix_(free, free)]
+        return component, free, np.linalg.inv(np.linalg.cholesky(L))
 
 
 @dataclass(frozen=True)

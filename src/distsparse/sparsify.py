@@ -1,10 +1,11 @@
 """Spectral sparsifiers: construction, exact verification, and unions.
 
 The base construction samples edges by effective resistance; the verifier
-computes the exact approximation factor by a dense eigensolve, so nothing
-downstream relies on the sampler's theory. Unions of per-set sparsifiers
-are combined with explicit weights and an approximation factor driven by
-the extreme overlapping cardinalities of the allocation.
+computes the exact approximation factor, so nothing downstream relies on the
+sampler's theory. Both read one Cholesky factor per graph, taken with a
+vertex per connected component grounded (`WeightedGraph.factor`). Unions of
+per-set sparsifiers are combined with explicit weights and an approximation
+factor driven by the extreme overlapping cardinalities of the allocation.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .graph import Edge, WeightedGraph, laplacian, norm_pair
 from .overlap import EdgeFamily, overlapping_cardinality_partition
-
-# Relative eigenvalue cutoff below which a direction counts as kernel.
-_KERNEL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,16 +37,16 @@ class UnionSparsifier:
 
 
 def effective_resistances(g: WeightedGraph) -> dict[Edge, float]:
-    """Per-edge effective resistance via the Laplacian pseudoinverse.
-
-    Works per connected component since the pseudoinverse is block diagonal.
-    """
-    L = laplacian(g).matrix
-    Lp = np.linalg.pinv(L, hermitian=True)
-    out = {}
-    for u, v, _ in g.edges:
-        out[(u, v)] = float(Lp[u, u] + Lp[v, v] - 2.0 * Lp[u, v])
-    return out
+    """Per-edge effective resistance R(u, v) = X_uu + X_vv - 2 X_uv, with
+    X = C^-T C^-1 the inverse of the grounded Laplacian (`WeightedGraph.factor`)
+    and zero on the grounded vertices, one per component."""
+    _, free, cinv = g.factor
+    X = np.zeros((g.n, g.n))
+    X[np.ix_(free, free)] = cinv.T @ cinv
+    pairs = [(u, v) for u, v, _ in g.edges]
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    r = X[u, u] + X[v, v] - 2.0 * X[u, v]
+    return dict(zip(pairs, r.tolist()))
 
 
 def sparsify_er(
@@ -71,10 +69,8 @@ def sparsify_er(
 
     resist = effective_resistances(g)
     w = np.array([e[2] for e in g.edges])
-    r = np.array([resist[(u, v)] for u, v, _ in g.edges])
+    r = np.fromiter(resist.values(), dtype=float, count=g.m)
     scores = w * np.maximum(r, 0.0)
-    if scores.sum() <= 0:
-        scores = np.ones_like(scores)
     probs = scores / scores.sum()
 
     rng = np.random.default_rng(seed)
@@ -95,38 +91,21 @@ def sparsify_er(
 def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
     """Smallest eps with (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
 
-    Eigensolve of L_H pre/post-multiplied by the pseudo-inverse square root
-    of L_G, restricted to range(L_G). Returns +inf when some kernel vector
-    of L_G is not in the kernel of L_H (then no finite eps satisfies the
-    upper bound).
+    Exact for any positive weights. The kernel of L_G is spanned by the
+    indicators 1_S of G's components S, and 1_S' L_H 1_S is the H weight
+    crossing S: +inf exactly when an H edge joins two components of G.
+    Otherwise max(1 - mu_min, mu_max - 1, 0) over the eigenvalues mu of
+    C^-1 L_H C^-T, both Laplacians grounded as in `WeightedGraph.factor`
+    (grounded L_G = C C').
     """
     if g.n != h.n:
         raise DimensionMismatch(f"vertex counts differ: {g.n} vs {h.n}")
-    Lg = laplacian(g).matrix
+    component, free, cinv = g.factor
     Lh = laplacian(h).matrix
-    evals, U = np.linalg.eigh(Lg)
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    tol = _KERNEL_RTOL * max(lam_max, 1.0)
-    nonzero = evals > tol
-
-    # kernel of L_G must stay inside kernel of L_H
-    U0 = U[:, ~nonzero]
-    if U0.shape[1] > 0:
-        M0 = U0.T @ Lh @ U0
-        scale = max(float(np.max(np.abs(Lh))), 1.0)
-        if float(np.max(np.abs(M0))) > 1e-8 * scale:
-            return math.inf
-
-    if not nonzero.any():
-        # L_G is zero; any surviving L_H mass was caught above
-        return 0.0
-
-    Ur = U[:, nonzero]
-    inv_sqrt = 1.0 / np.sqrt(evals[nonzero])
-    A = Ur * inv_sqrt[None, :]
-    M = A.T @ Lh @ A
-    mu = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return max(1.0 - float(mu[0]), float(mu[-1]) - 1.0, 0.0)
+    if np.any(Lh, where=component[:, None] != component):
+        return math.inf
+    mu = np.linalg.eigvalsh(cinv @ Lh[np.ix_(free, free)] @ cinv.T)
+    return max(1.0 - float(mu.min(initial=1.0)), float(mu.max(initial=1.0)) - 1.0)
 
 
 def epsilon_prime(epsilon: float, c1: int, ck: int) -> float:

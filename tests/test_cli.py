@@ -120,6 +120,18 @@ class TestUnionCmd:
         assert doc["c1"] == 2 and doc["ck"] == 2
         assert doc["epsilon_prime"] == pytest.approx(0.5)
 
+    def test_part_count_checked_before_any_part_is_read(self, runner, tmp_path):
+        f = family_from_index_sets([{1, 2, 3}, {1, 2, 3}])
+        fam = write_family(tmp_path, f)
+        part = write_graph(tmp_path / "p.el", f.base)
+        missing = str(tmp_path / "missing.el")
+        result, doc = run_json(
+            runner, ["union", "--family", fam, "--part", part, "--part", part, "--part", missing]
+        )
+        assert result.exit_code == 1
+        assert doc["error"] == "invalid-value"
+        assert doc["detail"].startswith("got 3 parts")
+
 
 class TestNofCmds:
     def test_verify_sunflower_star(self, runner, tmp_path):
@@ -183,7 +195,9 @@ class TestClusterCmds:
         assert result.exit_code == 0
         assert doc["ari"] == 1.0
 
-    @pytest.mark.parametrize("bad", ['{"foo": 1}', "[[0, 1]]", '{"labels": 3}', '["x"]', "{not json"])
+    @pytest.mark.parametrize(
+        "bad", ['{"foo": 1}', "[[0, 1]]", '{"labels": 3}', '["x"]', "{not json", "[0, 1.7, 1]", '["0", true, "1"]']
+    )
     def test_cluster_compare_malformed_labels(self, runner, tmp_path, bad):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

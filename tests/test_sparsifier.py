@@ -8,6 +8,7 @@ from distsparse import (
     EdgeFamily,
     SparsifierResult,
     WeightedGraph,
+    connected_components,
     effective_resistances,
     epsilon_prime,
     induced_subgraph,
@@ -25,6 +26,62 @@ def scaled(g, alpha):
 
 def complete_graph(n, w=1.0):
     return WeightedGraph(n, tuple((u, v, w) for u in range(n) for v in range(u + 1, n)))
+
+
+# two components whose weights differ by 11 orders of magnitude
+SPLIT = WeightedGraph(4, ((0, 1, 1e8), (2, 3, 1e-3)))
+
+
+def reference_pinv(g):
+    """Oracle for the resistances: the pseudoinverse of L_G from a dense
+    `eigh` of every component's block. Each block's kernel is its constant
+    vector (the smallest eigenpair), so no global cutoff is involved."""
+    L, Lp = laplacian(g).matrix, np.zeros((g.n, g.n))
+    for c in connected_components(g):
+        evals, U = np.linalg.eigh(L[np.ix_(c, c)])
+        Lp[np.ix_(c, c)] = (U[:, 1:] / evals[1:]) @ U[:, 1:].T
+    return Lp
+
+
+def reference_epsilon(g, h):
+    """Oracle for the verifier from the same per-component `eigh`: +inf when
+    an H edge crosses components of G, else the extreme eigenvalues of L_H
+    relative to L_G off the kernel."""
+    comps = connected_components(g)
+    comp_of = {x: i for i, c in enumerate(comps) for x in c}
+    if any(comp_of[u] != comp_of[v] for u, v, _ in h.edges):
+        return math.inf
+    Lg, Lh = laplacian(g).matrix, laplacian(h).matrix
+    mu = [1.0]
+    for c in comps:
+        evals, U = np.linalg.eigh(Lg[np.ix_(c, c)])
+        A = U[:, 1:] / np.sqrt(evals[1:])
+        mu.extend(np.linalg.eigvalsh(A.T @ Lh[np.ix_(c, c)] @ A))
+    return max(1 - min(mu), max(mu) - 1)
+
+
+def random_split_pair(rng):
+    """G: 1-4 connected components of 1-6 vertices (size 1 = isolated), each
+    at its own weight scale in [1e-3, 1e8], vertices shuffled. H: G's edges
+    reweighted, some dropped, and sometimes one edge across components."""
+    sizes = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+    perm = rng.permutation(int(sizes.sum()))
+    edges, start = {}, 0
+    for size in sizes:
+        scale = 10.0 ** rng.uniform(-3, 8)
+        for x in range(1, size):  # random spanning tree, then extra edges
+            edges[(start + int(rng.integers(x)), start + x)] = scale * rng.uniform(0.5, 2)
+        for a in range(size):
+            for b in range(a + 1, size):
+                if rng.random() < 0.3:
+                    edges[(start + a, start + b)] = scale * rng.uniform(0.5, 2)
+        start += size
+    g = WeightedGraph(start, tuple((perm[a], perm[b], w) for (a, b), w in edges.items()))
+    h_edges = [(u, v, w * rng.uniform(0.3, 3)) for u, v, w in g.edges if rng.random() < 0.8]
+    if len(sizes) > 1 and rng.random() < 0.3:
+        a, b = rng.choice(len(sizes), size=2, replace=False)
+        h_edges.append((perm[int(sizes[:a].sum())], perm[int(sizes[:b].sum())], 1.0))
+    return g, WeightedGraph(g.n, tuple(h_edges))
 
 
 class TestEffectiveResistances:
@@ -47,6 +104,21 @@ class TestEffectiveResistances:
         r = effective_resistances(g)
         assert r[(0, 1)] == pytest.approx(0.5)
         assert r[(2, 3)] == pytest.approx(1.0)
+
+    def test_components_at_distant_scales(self):
+        r = effective_resistances(SPLIT)
+        assert r[(0, 1)] == pytest.approx(1e-8, rel=1e-9)
+        assert r[(2, 3)] == pytest.approx(1000.0, rel=1e-9)
+
+    def test_matches_per_component_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            g, _ = random_split_pair(rng)
+            Lp = reference_pinv(g)
+            r = effective_resistances(g)
+            assert list(r) == [(u, v) for u, v, _ in g.edges]
+            for (u, v), got in r.items():
+                assert got == pytest.approx(Lp[u, u] + Lp[v, v] - 2 * Lp[u, v], rel=1e-9)
 
 
 class TestVerifyEpsilon:
@@ -97,6 +169,32 @@ class TestVerifyEpsilon:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             verify_epsilon(complete_graph(3), complete_graph(4))
+
+    def test_light_component_dropped_is_not_kernel(self):
+        # a global kernel cutoff at 1e-10 * lambda_max once took the light
+        # component's spectrum for kernel and certified ~1e-16 here
+        h = WeightedGraph(4, ((0, 1, 1e8),))
+        assert verify_epsilon(SPLIT, h) == pytest.approx(1.0, rel=1e-9)
+
+    def test_light_component_reweighted_is_finite(self):
+        # the same cutoff once returned +inf here
+        h = WeightedGraph(4, ((0, 1, 1e8), (2, 3, 1.0)))
+        assert verify_epsilon(SPLIT, h) == pytest.approx(999.0, rel=1e-9)
+
+    def test_edgeless_graphs(self):
+        empty = WeightedGraph(3, ())
+        assert verify_epsilon(empty, empty) == 0.0
+        assert math.isinf(verify_epsilon(empty, WeightedGraph(3, ((0, 2, 1.0),))))
+
+    def test_matches_per_component_reference(self):
+        rng = np.random.default_rng(2025)
+        crossing = 0
+        for _ in range(300):
+            g, h = random_split_pair(rng)
+            expected = reference_epsilon(g, h)
+            crossing += math.isinf(expected)
+            assert verify_epsilon(g, h) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert 30 <= crossing <= 270
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(9)
