@@ -78,7 +78,8 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
         d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         obj = float(d2[np.arange(n), new_labels].sum())
-        assert obj <= prev_obj + 1e-9, "k-means objective increased"
+        if not obj <= prev_obj + 1e-9:
+            raise RuntimeError("k-means objective increased")
         prev_obj = obj
         if labels is not None and np.array_equal(new_labels, labels):
             break
@@ -111,7 +112,8 @@ def multicut_weight(g: WeightedGraph, a: ClusterAssignment) -> float:
     """Total weight of edges whose endpoints land in different clusters."""
     if len(a.labels) != g.n:
         raise DimensionMismatch(f"{len(a.labels)} labels for n={g.n}")
-    return float(sum(w for u, v, w in g.edges if a.labels[u] != a.labels[v]))
+    labels = np.asarray(a.labels)
+    return float(sum(g.w[labels[g.u] != labels[g.v]].tolist()))
 
 
 def adjusted_rand_index(a: ClusterAssignment, b: ClusterAssignment) -> float:

@@ -2,12 +2,22 @@
 
 The graph type is the substrate for everything else: immutable, dense-matrix
 oriented, intended for desk scale (n up to a couple thousand vertices).
+
+A graph is stored as one structured array of (u, v, w) records
+(`EDGE_DTYPE`), u < v, sorted by (u, v) and validated once in vectorised
+form; every operation here reads that array, and `edges` is a tuple view of
+it built on first use. An edge list in plain ASCII is parsed by one
+`np.loadtxt` pass. Any other text, and any file that pass or the graph's
+validation rejects, is read again by the line-by-line rules, which word
+every parse error with its line number.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import io
+import re
+import warnings
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -16,75 +26,174 @@ from .errors import DimensionMismatch, ParseError
 
 Edge = tuple[int, int]
 
+EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
 
 def norm_pair(u: int, v: int) -> Edge:
     """Canonical unordered-pair form (smaller id first)."""
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _ids(col) -> np.ndarray:
+    """Vertex ids as int64, or as Python ints (object array) when one does
+    not fit in 64 bits."""
+    try:
+        return np.array(col, dtype=np.int64)
+    except OverflowError:
+        return np.array(list(map(int, col)), dtype=object)
+
+
+def _columns(edges):
+    """(u, v, w) arrays, in input order, of an EDGE_DTYPE array or of
+    (u, v, w) triples."""
+    if isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE:
+        return edges["u"], edges["v"], edges["w"]
+    us, vs, ws = zip(*edges) if len(edges) else ((), (), ())
+    return _ids(us), _ids(vs), np.array(ws, dtype=np.float64)
+
+
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1.
 
-    Edges are stored as canonically ordered (u, v, w) triples with u < v,
-    sorted, no self-loops, no duplicates, strictly positive weights.
+    `edges` is an iterable of (u, v, w) triples or an `EDGE_DTYPE` array.
+    The graph keeps them as `records`, a read-only `EDGE_DTYPE` array with
+    u < v, sorted, no self-loops, no duplicates, strictly positive weights.
+    Graphs are immutable and compare and hash by content.
     """
 
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
+    def __init__(self, n: int, edges):
+        if not hasattr(edges, "__len__"):
+            edges = tuple(edges)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_input", edges)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate and store the input. The first offending edge in input
+        order is reported, checked for a self-loop, then its range, then its
+        weight, then whether an earlier edge has the same pair. Every
+        construction runs this hook, which perfbench's tracer times as the
+        graph's validation, reading `len(self.edges)` on entry."""
         if self.n < 1:
             raise ValueError("vertex count must be positive")
-        seen = set()
-        norm = []
-        for u, v, w in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"vertex id out of range: ({u}, {v}) with n={self.n}")
-            w = float(w)
-            if not w > 0:
-                raise ValueError(f"non-positive weight {w} on edge ({u}, {v})")
-            p = norm_pair(u, v)
-            if p in seen:
-                raise ValueError(f"duplicate edge {p}")
-            seen.add(p)
-            norm.append((p[0], p[1], w))
-        norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
+        u, v, w = _columns(self.__dict__.pop("_input"))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        dup = np.zeros(len(w), dtype=bool)
+        ordered = ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()
+        if not ordered:
+            order = np.lexsort((hi, lo))  # stable: a pair's first edge comes first
+            lo, hi = lo[order], hi[order]
+            same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+            dup[order[1:][same]] = True
+        loop = u == v
+        out_of_range = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
+        bad = loop | out_of_range | ~(w > 0) | dup
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if loop[i]:
+                raise ValueError(f"self-loop at vertex {a}")
+            if out_of_range[i]:
+                raise ValueError(f"vertex id out of range: ({a}, {b}) with n={self.n}")
+            if not w[i] > 0:
+                raise ValueError(f"non-positive weight {float(w[i])} on edge ({a}, {b})")
+            raise ValueError(f"duplicate edge {norm_pair(a, b)}")
+        if u.dtype == object or v.dtype == object:
+            raise ValueError(f"vertex id {max(u.max(), v.max())} does not fit in 64 bits")
+        records = np.empty(len(w), dtype=EDGE_DTYPE)
+        records["u"], records["v"] = lo, hi
+        records["w"] = w if ordered else w[order]
+        records.flags.writeable = False
+        object.__setattr__(self, "records", records)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.records, other.records)
+
+    def __hash__(self):
+        return hash((self.n, self.records.tobytes()))
+
+    def __repr__(self):
+        return f"WeightedGraph(n={self.n!r}, edges={self.edges!r})"
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.records["u"]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.records["v"]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.records["w"]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as sorted (u, v, w) tuples, built on first use. While
+        the constructor validates, this is its input as given (never cached)."""
+        if "_input" in self.__dict__:
+            return self._input
+        if "_edges" not in self.__dict__:
+            self.__dict__["_edges"] = tuple(self.records.tolist())
+        return self.__dict__["_edges"]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.records)
 
     def pairs(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u, v, _ in self.edges)
+        return frozenset(zip(self.u.tolist(), self.v.tolist()))
 
     def weights(self) -> dict[Edge, float]:
-        return {(u, v): w for u, v, w in self.edges}
+        return dict(zip(zip(self.u.tolist(), self.v.tolist()), self.w.tolist()))
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        return d
+        """Weighted degrees. Every vertex x sums its edges' weights in edge
+        order, as a per-edge loop would: in (u, v) order each edge (a, x)
+        comes before each (x, b), so all v ends are counted before all u
+        ends."""
+        both = np.concatenate([self.v, self.u])
+        # astype: bincount of no edges is an integer array
+        return np.bincount(both, np.concatenate([self.w, self.w]), self.n).astype(float)
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(component id of every vertex, the free vertices ascending, C^-1),
         computed once per graph. The Laplacian's kernel is spanned by the
         component indicators, so grounding (deleting) the smallest vertex of
-        every component leaves a positive definite L[free, free] = C C^T."""
+        every component leaves a positive definite L[free, free] = C C^T.
+        The n x n Laplacian comes first, so that a vertex count no dense
+        matrix can hold fails before any per-vertex work."""
+        L = laplacian(self).matrix
         comps = connected_components(self)
         component = np.empty(self.n, dtype=np.intp)
         for i, comp in enumerate(comps):
             component[comp] = i
         free = np.setdiff1d(np.arange(self.n), [comp[0] for comp in comps])
-        L = laplacian(self).matrix[np.ix_(free, free)]
+        L = L[np.ix_(free, free)]
         return component, free, np.linalg.inv(np.linalg.cholesky(L))
+
+    @cached_property
+    def resistances(self) -> np.ndarray:
+        """Effective resistance of every edge, in edge order, computed once
+        per graph: R(u, v) = X_uu + X_vv - 2 X_uv, with X = C^-T C^-1 the
+        inverse of the grounded Laplacian (`factor`) and zero on the grounded
+        vertices, one per component."""
+        _, free, cinv = self.factor
+        X = np.zeros((self.n, self.n))
+        X[np.ix_(free, free)] = cinv.T @ cinv
+        u, v = self.u, self.v
+        r = X[u, u] + X[v, v] - 2.0 * X[u, v]
+        r.flags.writeable = False
+        return r
 
 
 @dataclass(frozen=True)
@@ -102,11 +211,9 @@ class LaplacianMatrix:
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     """Combinatorial Laplacian: degree matrix minus weighted adjacency."""
     L = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        L[u, v] -= w
-        L[v, u] -= w
-        L[u, u] += w
-        L[v, v] += w
+    L[g.u, g.v] = -g.w
+    L[g.v, g.u] = -g.w
+    np.fill_diagonal(L, g.degrees())
     return LaplacianMatrix(L, normalized=False)
 
 
@@ -131,42 +238,76 @@ def quadratic_form(L: LaplacianMatrix, x) -> float:
 def induced_subgraph(g: WeightedGraph, pairs) -> WeightedGraph:
     """Subgraph on the full vertex set with edge set restricted to `pairs`."""
     wanted = {norm_pair(u, v) for u, v in pairs}
-    have = g.pairs()
-    missing = wanted - have
-    if missing:
-        raise ValueError(f"edges not present in graph: {sorted(missing)}")
-    edges = tuple(e for e in g.edges if (e[0], e[1]) in wanted)
-    return WeightedGraph(g.n, edges)
+    keep = np.fromiter(map(wanted.__contains__, zip(g.u.tolist(), g.v.tolist())), dtype=bool, count=g.m)
+    if keep.sum() < len(wanted):
+        raise ValueError(f"edges not present in graph: {sorted(wanted - g.pairs())}")
+    return WeightedGraph(g.n, g.records[keep])
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
-    """Maximal connected vertex sets, each sorted, ordered by smallest member."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    """Maximal connected vertex sets, each sorted, ordered by smallest member.
+
+    Every vertex points at a smaller one or at itself. Each round hooks the
+    larger root of every edge whose ends have different roots onto the
+    smaller, then jumps pointers until each vertex points at its root, so
+    every root ends as the smallest vertex of its component."""
+    root = np.arange(g.n)
+    while True:
+        ru, rv = root[g.u], root[g.v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    order = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    return [comp.tolist() for comp in np.split(order, cuts)]
+
+
+# tab, newline and printable ASCII: the only text `np.loadtxt` reads here
+_PLAIN = bytes([9, 10, *range(32, 127)])
+_DATA_LINE = re.compile(r"^[ \t]*([^ \t\n#].*)$", re.MULTILINE)
+_TRAILING_COMMENT = re.compile(r"^[ \t]*[^ \t\n#][^\n#]*#", re.MULTILINE)
 
 
 def load_graph(text: str) -> WeightedGraph:
     """Parse the edge-list format: one `u v w` per line, `#` comments,
     optional leading `n <count>` header fixing the vertex count."""
+    g = _load_plain(text)
+    return g if g is not None else _load_lines(text)
+
+
+def _load_plain(text: str) -> WeightedGraph | None:
+    """The graph of a valid edge list in plain ASCII, read by one
+    `np.loadtxt` pass; None for text that pass or the graph rejects."""
+    if not text.isascii() or text.encode().translate(None, _PLAIN):
+        return None
+    # np.loadtxt drops a comment after data; the line rules reject it
+    if "#" in text and _TRAILING_COMMENT.search(text):
+        return None
+    n, body = None, text
+    first = _DATA_LINE.search(text)
+    if first is not None and first.group(1).split()[0] == "n":
+        parts = first.group(1).split()
+        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            return None
+        n, body = int(parts[1]), text[first.end() :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data" included
+        try:
+            records = np.loadtxt(io.StringIO(body), dtype=EDGE_DTYPE, comments="#", ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if n is None:
+        n = int(max(records["u"].max(), records["v"].max())) + 1
+    try:
+        return WeightedGraph(n, records)
+    except ValueError:
+        return None
+
+
+def _load_lines(text: str) -> WeightedGraph:
+    """The line-by-line reading of an edge list, which words every error."""
     n_header = None
     triples: list[tuple[int, int, float]] = []
     seen: dict[Edge, int] = {}
@@ -224,6 +365,5 @@ def load_graph_file(path) -> WeightedGraph:
 
 
 def dump_graph(g: WeightedGraph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v} {w!r}" for u, v, w in g.edges)
+    lines = [f"n {g.n}", *map("{} {} {!r}".format, g.u.tolist(), g.v.tolist(), g.w.tolist())]
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import Edge, WeightedGraph, laplacian, norm_pair
+from .graph import Edge, WeightedGraph, laplacian
 from .overlap import EdgeFamily, overlapping_cardinality_partition
 
 
@@ -37,16 +37,10 @@ class UnionSparsifier:
 
 
 def effective_resistances(g: WeightedGraph) -> dict[Edge, float]:
-    """Per-edge effective resistance R(u, v) = X_uu + X_vv - 2 X_uv, with
-    X = C^-T C^-1 the inverse of the grounded Laplacian (`WeightedGraph.factor`)
-    and zero on the grounded vertices, one per component."""
-    _, free, cinv = g.factor
-    X = np.zeros((g.n, g.n))
-    X[np.ix_(free, free)] = cinv.T @ cinv
-    pairs = [(u, v) for u, v, _ in g.edges]
-    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    r = X[u, u] + X[v, v] - 2.0 * X[u, v]
-    return dict(zip(pairs, r.tolist()))
+    """Per-edge effective resistance R(u, v), keyed by edge in edge order:
+    `WeightedGraph.resistances`, computed once per graph from its grounded
+    factor."""
+    return dict(zip(zip(g.u.tolist(), g.v.tolist()), g.resistances.tolist()))
 
 
 def sparsify_er(
@@ -67,10 +61,7 @@ def sparsify_er(
     q = math.ceil(constant * g.n * math.log(g.n) / epsilon**2) if g.n > 1 else 1
     q = max(q, 1)
 
-    resist = effective_resistances(g)
-    w = np.array([e[2] for e in g.edges])
-    r = np.fromiter(resist.values(), dtype=float, count=g.m)
-    scores = w * np.maximum(r, 0.0)
+    scores = g.w * np.maximum(g.resistances, 0.0)
     probs = scores / scores.sum()
 
     rng = np.random.default_rng(seed)
@@ -79,11 +70,9 @@ def sparsify_er(
     if int(support.sum()) >= g.m:
         return SparsifierResult(h=g, epsilon_target=epsilon, epsilon_certified=0.0, seed=seed)
 
-    new_edges = []
-    for (u, v, we), c, p in zip(g.edges, counts, probs):
-        if c > 0:
-            new_edges.append((u, v, c * we / (q * p)))
-    h = WeightedGraph(g.n, tuple(new_edges))
+    kept = g.records[support]
+    kept["w"] = counts[support] * kept["w"] / (q * probs[support])
+    h = WeightedGraph(g.n, kept)
     cert = verify_epsilon(g, h)
     return SparsifierResult(h=h, epsilon_target=epsilon, epsilon_certified=cert, seed=seed)
 
@@ -139,14 +128,18 @@ def union_sparsifiers(parts, f: EdgeFamily) -> UnionSparsifier:
     cards = partition.cardinalities
     c1, ck = cards[0], cards[-1]
 
-    acc: dict[Edge, float] = {}
-    for p in parts:
-        for u, v, w in p.h.edges:
-            key = norm_pair(u, v)
-            acc[key] = acc.get(key, 0.0) + w
-    scale = 1.0 / (c1 * ck)
-    edges = tuple((u, v, w * scale) for (u, v), w in sorted(acc.items()))
-    h = WeightedGraph(n, edges)
+    # a stable sort keeps each pair's copies part after part, each part in
+    # edge order, and np.add.at adds them in that order
+    records = np.concatenate([p.h.records for p in parts])
+    records = records[np.lexsort((records["v"], records["u"]))]
+    u, v = records["u"], records["v"]
+    first = np.ones(len(records), dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    acc = np.zeros(np.count_nonzero(first))
+    np.add.at(acc, np.cumsum(first) - 1, records["w"])
+    records = records[first]
+    records["w"] = acc * (1.0 / (c1 * ck))
+    h = WeightedGraph(n, records)
 
     eps = max(p.epsilon_certified for p in parts)
     return UnionSparsifier(h=h, epsilon_prime=epsilon_prime(eps, c1, ck), c1=c1, ck=ck)

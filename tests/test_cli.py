@@ -101,6 +101,27 @@ class TestSparsifyVerifyCmds:
         assert result.exit_code == 0
         assert doc["epsilon_certified"] <= 1e-9
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("0 99999999999999999999 1.0\n", "vertex id 99999999999999999999 does not fit in 64 bits"),
+            # no n x n matrix has this many rows: refused before any per-vertex work
+            ("n 99999999999999999999\n0 1 1.0\n", "Maximum allowed dimension exceeded"),
+        ],
+    )
+    @pytest.mark.parametrize("cmd", ["sparsify", "verify"])
+    def test_huge_vertex_ids_fail_at_once(self, runner, tmp_path, cmd, text, detail):
+        p = tmp_path / "huge.el"
+        p.write_text(text)
+        if cmd == "sparsify":
+            args = ["sparsify", "--graph", str(p), "--epsilon", "0.5"]
+        else:
+            args = ["verify", "--graph", str(p), "--sparsifier", str(p)]
+        result, doc = run_json(runner, args)
+        assert result.exit_code == 1
+        assert doc == {"error": "invalid-value", "detail": detail}
+        assert result.output.count("\n") == 1
+
     def test_bad_epsilon(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
         result, doc = run_json(runner, ["sparsify", "--graph", gp, "--epsilon", "2.0"])
