@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Every subcommand emits one JSON report (schema 1) to stdout or ``--out``.
-Failures named in the library's error clauses become structured
-``{"error": kind, "detail": ...}`` objects with exit status 1; usage errors
-exit with status 2.
+Failures named in the library's error clauses, and numpy overflow, divide
+and invalid-value errors (raised, not warned, while a command runs), become
+structured ``{"error": kind, "detail": ...}`` objects with exit status 1;
+usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from . import cluster as cl
 from . import nof
 from .errors import Error, ParseError
 from .graph import dump_graph, induced_subgraph, laplacian, load_graph_file, normalized_laplacian
-from .overlap import load_family, overlapping_cardinality_partition
+from .overlap import load_family, load_json, overlapping_cardinality_partition
 from .sparsify import SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
 
 SCHEMA = 1
@@ -38,12 +40,17 @@ def _report_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            # overflow, 0/0 and x/0 raise here instead of printing a warning
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
         except Error as exc:
             _emit({"error": exc.kind, "detail": str(exc)}, None)
             sys.exit(1)
         except ValueError as exc:
             _emit({"error": "invalid-value", "detail": str(exc)}, None)
+            sys.exit(1)
+        except FloatingPointError as exc:
+            _emit({"error": "invalid-value", "detail": f"floating-point {exc}"}, None)
             sys.exit(1)
         except OSError as exc:
             _emit({"error": "io", "detail": str(exc)}, None)
@@ -258,11 +265,7 @@ def cluster_group(ctx, graph_path, k, seed, normalized, out):
 
 
 def _load_labels(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    doc = load_json(path)
     labels = doc.get("labels") if isinstance(doc, dict) else doc
     if not isinstance(labels, list):
         raise ParseError(f"{path}: expected a list of labels or an object with a 'labels' list")

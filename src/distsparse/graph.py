@@ -165,31 +165,36 @@ class WeightedGraph:
         return np.bincount(both, np.concatenate([self.w, self.w]), self.n).astype(float)
 
     @cached_property
-    def factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(component id of every vertex, the free vertices ascending, C^-1),
-        computed once per graph. The Laplacian's kernel is spanned by the
-        component indicators, so grounding (deleting) the smallest vertex of
-        every component leaves a positive definite L[free, free] = C C^T.
-        The n x n Laplacian comes first, so that a vertex count no dense
-        matrix can hold fails before any per-vertex work."""
+    def factor(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """(component id of every vertex, blocks), computed once per graph.
+        The Laplacian's kernel is spanned by the component indicators and L
+        is block-diagonal on the components, so grounding (deleting) the
+        smallest vertex of every component S leaves one positive definite
+        block per component: `blocks` holds a (free vertices of S ascending,
+        C_S^-1) pair with L[free, free] = C_S C_S^T for every S with at least
+        two vertices, ordered by smallest member; one Cholesky factor per
+        component. The n x n Laplacian comes first, so that a vertex count no
+        dense matrix can hold fails before any per-vertex work."""
         L = laplacian(self).matrix
-        comps = connected_components(self)
         component = np.empty(self.n, dtype=np.intp)
-        for i, comp in enumerate(comps):
+        blocks = []
+        for i, comp in enumerate(connected_components(self)):
             component[comp] = i
-        free = np.setdiff1d(np.arange(self.n), [comp[0] for comp in comps])
-        L = L[np.ix_(free, free)]
-        return component, free, np.linalg.inv(np.linalg.cholesky(L))
+            if len(comp) > 1:
+                free = np.array(comp[1:])
+                blocks.append((free, np.linalg.inv(np.linalg.cholesky(L[np.ix_(free, free)]))))
+        return component, tuple(blocks)
 
     @cached_property
     def resistances(self) -> np.ndarray:
         """Effective resistance of every edge, in edge order, computed once
-        per graph: R(u, v) = X_uu + X_vv - 2 X_uv, with X = C^-T C^-1 the
-        inverse of the grounded Laplacian (`factor`) and zero on the grounded
-        vertices, one per component."""
-        _, free, cinv = self.factor
+        per graph: R(u, v) = X_uu + X_vv - 2 X_uv, with X the inverse of the
+        grounded Laplacian, filled block by block (X[S', S'] = C_S^-T C_S^-1
+        on the free vertices S' of each component, `factor`) and zero on the
+        grounded vertices and between components."""
         X = np.zeros((self.n, self.n))
-        X[np.ix_(free, free)] = cinv.T @ cinv
+        for free, cinv in self.factor[1]:
+            X[np.ix_(free, free)] = cinv.T @ cinv
         u, v = self.u, self.v
         r = X[u, u] + X[v, v] - 2.0 * X[u, v]
         r.flags.writeable = False

@@ -128,28 +128,45 @@ def family_from_dict(doc: dict, base_dir=".") -> EdgeFamily:
     """Build a family from the JSON document format
     `{"graph": <path>, "sets": [[[u, v], ...], ...]}`.
 
-    The graph path is resolved relative to `base_dir`.
+    The graph path is a string resolved relative to `base_dir`; every edge
+    is a [u, v] pair of JSON integers (bool excluded).
     """
     if not isinstance(doc, dict) or "graph" not in doc or "sets" not in doc:
         raise ParseError("family document must have 'graph' and 'sets' keys")
-    graph_path = os.path.join(base_dir, doc["graph"])
-    base = load_graph_file(graph_path)
-    try:
-        sets = tuple(
-            frozenset((int(u), int(v)) for u, v in s) for s in doc["sets"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed 'sets' entry: {exc}") from None
+    if not isinstance(doc["graph"], str):
+        raise ParseError(f"'graph' must be a path string, got {type(doc['graph']).__name__}")
+    sets = doc["sets"]
+    if not (isinstance(sets, list) and set(map(type, sets)) <= {list}):
+        raise ParseError("'sets' must be a list of edge lists")
+    # sets of types over the whole document, not a loop per edge or per set
+    edges = list(chain.from_iterable(sets))
+    if not (
+        set(map(type, edges)) <= {list}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, chain.from_iterable(edges))) <= {int}
+    ):
+        raise ParseError("malformed 'sets' entry: every edge must be a [u, v] pair of integers")
+    base = load_graph_file(os.path.join(base_dir, doc["graph"]))
+    sets = tuple(frozenset(map(tuple, s)) for s in sets)
     try:
         return EdgeFamily(base, sets)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def load_family(path) -> EdgeFamily:
+def load_json(path):
+    """The JSON document in a file. Text that is not UTF-8, not JSON, holds
+    an integer past Python's digit limit or nests too deeply is a
+    `ParseError`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise ParseError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
+
+
+def load_family(path) -> EdgeFamily:
+    doc = load_json(path)
     return family_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -2,8 +2,9 @@
 
 The base construction samples edges by effective resistance; the verifier
 computes the exact approximation factor, so nothing downstream relies on the
-sampler's theory. Both read one Cholesky factor per graph, taken with a
-vertex per connected component grounded (`WeightedGraph.factor`). Unions of
+sampler's theory. Both read one Cholesky factor per connected component,
+taken with the component's smallest vertex grounded (`WeightedGraph.factor`),
+so their cost is the sum of the cubed component sizes. Unions of
 per-set sparsifiers are combined with explicit weights and an approximation
 factor driven by the extreme overlapping cardinalities of the allocation.
 """
@@ -17,7 +18,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .graph import Edge, WeightedGraph, laplacian
-from .overlap import EdgeFamily, overlapping_cardinality_partition
+from .overlap import EdgeFamily
+
+# the most samples `Generator.multinomial` can draw (its count is an int64)
+_MAX_DRAWS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class UnionSparsifier:
 def effective_resistances(g: WeightedGraph) -> dict[Edge, float]:
     """Per-edge effective resistance R(u, v), keyed by edge in edge order:
     `WeightedGraph.resistances`, computed once per graph from its grounded
-    factor."""
+    per-component factors."""
     return dict(zip(zip(g.u.tolist(), g.v.tolist()), g.resistances.tolist()))
 
 
@@ -56,13 +60,24 @@ def sparsify_er(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not (0.0 < constant < math.inf):
+        raise ValueError(f"constant must be finite and positive, got {constant}")
     if g.m == 0:
         raise ValueError("cannot sparsify an edgeless graph")
-    q = math.ceil(constant * g.n * math.log(g.n) / epsilon**2) if g.n > 1 else 1
-    q = max(q, 1)
 
     scores = g.w * np.maximum(g.resistances, 0.0)
     probs = scores / scores.sum()
+
+    try:
+        draws = constant * g.n * math.log(g.n) / epsilon**2
+    except ZeroDivisionError:  # epsilon**2 underflows to 0
+        draws = math.inf
+    if not draws <= _MAX_DRAWS:
+        raise ValueError(
+            f"C n ln(n) / eps^2 = {draws:.3g} samples with C={constant}, eps={epsilon}; "
+            f"at most {_MAX_DRAWS} can be drawn"
+        )
+    q = max(math.ceil(draws), 1)
 
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(q, probs)
@@ -83,18 +98,20 @@ def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
     Exact for any positive weights. The kernel of L_G is spanned by the
     indicators 1_S of G's components S, and 1_S' L_H 1_S is the H weight
     crossing S: +inf exactly when an H edge joins two components of G.
-    Otherwise max(1 - mu_min, mu_max - 1, 0) over the eigenvalues mu of
-    C^-1 L_H C^-T, both Laplacians grounded as in `WeightedGraph.factor`
-    (grounded L_G = C C').
+    Otherwise L_H, grounded as in `WeightedGraph.factor`, is block-diagonal
+    on G's components, and the answer is max(1 - mu_min, mu_max - 1, 0) over
+    the eigenvalues mu of C_S^-1 L_H[S', S'] C_S^-T of every block (grounded
+    L_G[S', S'] = C_S C_S'), one Cholesky factor per component.
     """
     if g.n != h.n:
         raise DimensionMismatch(f"vertex counts differ: {g.n} vs {h.n}")
-    component, free, cinv = g.factor
-    Lh = laplacian(h).matrix
-    if np.any(Lh, where=component[:, None] != component):
+    component, blocks = g.factor
+    if np.any(component[h.u] != component[h.v]):
         return math.inf
-    mu = np.linalg.eigvalsh(cinv @ Lh[np.ix_(free, free)] @ cinv.T)
-    return max(1.0 - float(mu.min(initial=1.0)), float(mu.max(initial=1.0)) - 1.0)
+    Lh = laplacian(h).matrix
+    mu = [np.linalg.eigvalsh(cinv @ Lh[np.ix_(free, free)] @ cinv.T) for free, cinv in blocks]
+    mu = np.concatenate([[1.0], *mu])  # a NaN from overflowing weights stays NaN
+    return max(1.0 - float(mu.min()), float(mu.max()) - 1.0)
 
 
 def epsilon_prime(epsilon: float, c1: int, ck: int) -> float:
@@ -113,7 +130,8 @@ def epsilon_prime(epsilon: float, c1: int, ck: int) -> float:
 
 def union_sparsifiers(parts, f: EdgeFamily) -> UnionSparsifier:
     """Union of per-set sparsifiers with weights summed and rescaled by
-    1/(c1*ck); the certified part factors feed the union's factor."""
+    1/(c1*ck), c1 and ck the smallest and largest occurrence numbers of the
+    family; the certified part factors feed the union's factor."""
     parts = list(parts)
     if not parts:
         raise ValueError("empty parts list")
@@ -124,9 +142,8 @@ def union_sparsifiers(parts, f: EdgeFamily) -> UnionSparsifier:
         if p.h.n != n:
             raise DimensionMismatch(f"part {i} has n={p.h.n}, base has n={n}")
 
-    partition = overlapping_cardinality_partition(f)
-    cards = partition.cardinalities
-    c1, ck = cards[0], cards[-1]
+    counts = f.occurrences.values()
+    c1, ck = min(counts), max(counts)
 
     # a stable sort keeps each pair's copies part after part, each part in
     # edge order, and np.add.at adds them in that order

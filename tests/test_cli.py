@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distsparse import WeightedGraph, dump_graph
 from distsparse.cli import main
@@ -80,6 +83,26 @@ class TestPartitionCmd:
         r2 = runner.invoke(main, ["partition", "--family", fam])
         assert r1.output == r2.output
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"graph": "g.el", "sets": [[[0.9, 1]], [[1, 2]]]}',
+            '{"graph": "g.el", "sets": [[[1e400, 1]], [[1, 2]]]}',
+            '{"graph": "g.el", "sets": [[[true, 1]], [[1, 2]]]}',
+            '{"graph": "g.el", "sets": [[["0", "1"]], [[1, 2]]]}',
+            '{"graph": 5, "sets": [[[0, 1]], [[1, 2]]]}',
+            '{"graph": ["g.el"], "sets": [[[0, 1]], [[1, 2]]]}',
+            pytest.param("[" * 100000, id="deep-nesting"),
+        ],
+    )
+    @pytest.mark.parametrize("cmd", [["partition"], ["nof", "verify-sunflower"]])
+    def test_malformed_family_is_parse_error(self, tmp_path, text, cmd):
+        (tmp_path / "g.el").write_text("0 1 1.0\n1 2 1.0\n")
+        (tmp_path / "fam.json").write_text(text)
+        result = invoke([*cmd, "--family", str(tmp_path / "fam.json")])
+        check_contract(result)
+        assert json.loads(result.stdout)["error"] == "parse"
+
 
 class TestSparsifyVerifyCmds:
     def test_sparsify_writes_sidecar(self, runner, tmp_path):
@@ -127,6 +150,13 @@ class TestSparsifyVerifyCmds:
         result, doc = run_json(runner, ["sparsify", "--graph", gp, "--epsilon", "2.0"])
         assert result.exit_code == 1
         assert doc["error"] == "invalid-value"
+
+    @pytest.mark.parametrize("constant", ["-1", "0", "inf", "nan", "1e300"])
+    def test_bad_constant(self, tmp_path, constant):
+        gp = write_graph(tmp_path / "g.el", TRIANGLE)
+        result = invoke(["sparsify", "--graph", gp, "--epsilon", "0.5", "--constant", constant])
+        check_contract(result)
+        assert json.loads(result.stdout)["error"] == "invalid-value"
 
 
 class TestUnionCmd:
@@ -217,7 +247,11 @@ class TestClusterCmds:
         assert doc["ari"] == 1.0
 
     @pytest.mark.parametrize(
-        "bad", ['{"foo": 1}', "[[0, 1]]", '{"labels": 3}', '["x"]', "{not json", "[0, 1.7, 1]", '["0", true, "1"]']
+        "bad",
+        [
+            '{"foo": 1}', "[[0, 1]]", '{"labels": 3}', '["x"]', "{not json", "[0, 1.7, 1]", '["0", true, "1"]',
+            pytest.param("[" * 100000, id="deep-nesting"),
+        ],
     )
     def test_cluster_compare_malformed_labels(self, runner, tmp_path, bad):
         a = tmp_path / "a.json"
@@ -245,3 +279,117 @@ class TestUsageErrors:
 
     def test_missing_required_option(self, runner):
         assert runner.invoke(main, ["partition"]).exit_code == 2
+
+
+# --- the error contract: every failure is one JSON line, exit 1, no stderr
+
+CONTRACT = settings(max_examples=60, deadline=None)
+
+VALID_GRAPH = "n 4\n0 1 1.0\n1 2 2.0\n2 3 0.5\n0 3 1.5\n"
+
+_token = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(
+        ["n", "#", "0.5", "-0.0", "nan", "inf", "1e400", "1_0", "٣", "+2", "x", "1.0#c", "99999999999999999999"]
+    ),
+    st.floats().map(repr),
+)
+_edge_list = st.one_of(
+    st.lists(st.lists(_token, max_size=4).map(" ".join), max_size=6).map("\n".join),
+    st.text(max_size=30),
+)
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=12,
+)
+_edge_id = st.one_of(st.integers(-1, 4), st.floats(), st.booleans())
+_sets = st.lists(st.lists(st.lists(_edge_id, max_size=3), max_size=3), max_size=3)
+_family_doc = st.one_of(
+    _json_value,
+    st.fixed_dictionaries(
+        {"graph": st.one_of(st.just("g.el"), st.just("missing.el"), _json_value), "sets": _json_value}
+    ),
+    st.fixed_dictionaries({"graph": st.just("g.el"), "sets": _sets}),
+)
+_labels_doc = st.one_of(_json_value, st.fixed_dictionaries({"labels": _json_value}))
+DEEP = "[" * 100000  # nested past the recursion limit
+
+
+def check_contract(result):
+    """A failure is exactly one JSON object with an "error" key on stdout and
+    exit status 1; nothing reaches stderr either way."""
+    assert result.stderr == ""
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    if result.exit_code != 0:
+        assert result.exit_code == 1
+        assert result.stdout.count("\n") == 1
+        doc = json.loads(result.stdout)
+        assert isinstance(doc, dict) and "error" in doc
+
+
+def invoke(args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, args)
+    assert not caught, [str(w.message) for w in caught]  # a warning would reach stderr
+    return result
+
+
+def json_text(doc):
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+class TestErrorContract:
+    @CONTRACT
+    @given(text=_edge_list, cmd=st.sampled_from(["laplacian", "sparsify", "verify"]))
+    @example(text="n 3\n0 1 0.5\n0 1 2\n", cmd="verify")
+    @example(text="0 1 1e-300\n1 2 1e300\n", cmd="sparsify")
+    def test_edge_lists(self, tmp_path_factory, text, cmd):
+        d = tmp_path_factory.mktemp("el")
+        g = d / "g.el"
+        g.write_text(text, encoding="utf-8")
+        args = {
+            "laplacian": ["laplacian", "--graph", str(g)],
+            "sparsify": ["sparsify", "--graph", str(g), "--epsilon", "0.5", "--output", str(d / "h.el")],
+            "verify": ["verify", "--graph", str(g), "--sparsifier", str(g)],
+        }[cmd]
+        check_contract(invoke(args))
+
+    @CONTRACT
+    @given(text=_edge_list)
+    def test_sparsifier_files(self, tmp_path_factory, text):
+        d = tmp_path_factory.mktemp("h")
+        (d / "g.el").write_text(VALID_GRAPH)
+        (d / "h.el").write_text(text, encoding="utf-8")
+        check_contract(invoke(["verify", "--graph", str(d / "g.el"), "--sparsifier", str(d / "h.el")]))
+
+    @CONTRACT
+    @given(
+        doc=_family_doc,
+        cmd=st.sampled_from([["partition"], ["nof", "verify-sunflower"]]),
+    )
+    @example(doc={"graph": "g.el", "sets": [[[0.9, 1]], [[1, 2], [2, 3], [0, 3]]]}, cmd=["partition"])
+    @example(doc='{"graph": "g.el", "sets": [[[1e400, 1]]]}', cmd=["partition"])
+    @example(doc={"graph": 5, "sets": [[[0, 1]]]}, cmd=["partition"])
+    @example(doc={"graph": ["g.el"], "sets": [[[0, 1]]]}, cmd=["nof", "verify-sunflower"])
+    @example(doc={"graph": "g.el", "sets": [[[True, 1]], [[1, 2], [2, 3], [0, 3]]]}, cmd=["partition"])
+    @example(doc='{"graph": "g.el", "sets": [[[1' + "0" * 5000 + ', 1]]]}', cmd=["partition"])
+    @example(doc=DEEP, cmd=["partition"])
+    @example(doc=DEEP, cmd=["nof", "verify-sunflower"])
+    def test_family_documents(self, tmp_path_factory, doc, cmd):
+        d = tmp_path_factory.mktemp("fam")
+        (d / "g.el").write_text(VALID_GRAPH)
+        (d / "fam.json").write_text(json_text(doc))
+        check_contract(invoke([*cmd, "--family", str(d / "fam.json")]))
+
+    @CONTRACT
+    @given(doc=_labels_doc)
+    @example(doc=DEEP)
+    @example(doc=[0, 1, 1e400])
+    def test_label_files(self, tmp_path_factory, doc):
+        d = tmp_path_factory.mktemp("labels")
+        (d / "a.json").write_text(json_text(doc))
+        (d / "b.json").write_text("[0, 1, 1, 0]")
+        check_contract(invoke(["cluster", "compare", str(d / "a.json"), str(d / "b.json")]))
+

@@ -206,6 +206,80 @@ class TestVerifyEpsilon:
         assert verify_epsilon(gp, hp) == pytest.approx(verify_epsilon(g, h), abs=1e-9)
 
 
+class TestComponentFactor:
+    def test_one_block_per_component(self):
+        # components {0, 3, 5} and {1, 4, 6}; 2 and 7 are isolated
+        g = WeightedGraph(8, ((0, 3, 1.0), (3, 5, 2.0), (1, 4, 1.0), (4, 6, 3.0), (1, 6, 0.5)))
+        component, blocks = g.factor
+        assert [free.tolist() for free, _ in blocks] == [[3, 5], [4, 6]]
+        assert component.tolist() == [0, 1, 2, 0, 1, 0, 1, 3]
+        L = laplacian(g).matrix
+        for free, cinv in blocks:
+            assert cinv.shape == (len(free), len(free))
+            C = np.linalg.inv(cinv)
+            assert np.allclose(C @ C.T, L[np.ix_(free, free)])
+
+    def test_edgeless_graph_has_no_blocks(self):
+        component, blocks = WeightedGraph(3, ()).factor
+        assert component.tolist() == [0, 1, 2] and blocks == ()
+
+    def test_interleaved_components(self):
+        # evens and odds form two components, one at weight 1e8 and one at
+        # 1e-3, their vertices interleaved
+        rng = np.random.default_rng(5)
+        n = 40
+        edges = {}
+        for parity, scale in ((0, 1e8), (1, 1e-3)):
+            members = list(range(parity, n, 2))
+            for x in range(1, len(members)):  # spanning path, then chords
+                edges[(members[x - 1], members[x])] = scale * rng.uniform(0.5, 2)
+            for a, b in rng.choice(members, size=(15, 2)):
+                if a != b:
+                    edges[(min(a, b), max(a, b))] = scale * rng.uniform(0.5, 2)
+        g = WeightedGraph(n, tuple((a, b, w) for (a, b), w in edges.items()))
+        _, blocks = g.factor
+        assert [free.tolist() for free, _ in blocks] == [list(range(2, n, 2)), list(range(3, n, 2))]
+        Lp = reference_pinv(g)
+        u, v = g.u, g.v
+        np.testing.assert_allclose(g.resistances, Lp[u, u] + Lp[v, v] - 2 * Lp[u, v], rtol=1e-9)
+        for keep in (0.6, 1.0):
+            kept = [(a, b, w * rng.uniform(0.3, 3)) for a, b, w in g.edges if rng.random() < keep]
+            h = WeightedGraph(n, tuple(kept))
+            assert verify_epsilon(g, h) == pytest.approx(reference_epsilon(g, h), rel=1e-9)
+        crossing = WeightedGraph(n, g.edges + ((0, 1, 1.0),))
+        assert math.isinf(verify_epsilon(g, crossing))
+
+    def test_many_two_vertex_components(self):
+        # 300 disjoint edges, then 100 isolated vertices
+        rng = np.random.default_rng(6)
+        w = 10.0 ** rng.uniform(-3, 8, size=300)
+        g = WeightedGraph(700, tuple((2 * i, 2 * i + 1, float(w[i])) for i in range(300)))
+        _, blocks = g.factor
+        assert [free.tolist() for free, _ in blocks] == [[2 * i + 1] for i in range(300)]
+        np.testing.assert_allclose(g.resistances, 1 / w, rtol=1e-12)
+        ratio = rng.uniform(0.5, 1.8, size=300)
+        h = WeightedGraph(700, tuple((2 * i, 2 * i + 1, float(w[i] * ratio[i])) for i in range(300)))
+        expected = max(1 - ratio.min(), ratio.max() - 1)
+        assert verify_epsilon(g, h) == pytest.approx(expected, rel=1e-9)
+        assert verify_epsilon(g, h) == pytest.approx(reference_epsilon(g, h), rel=1e-9)
+
+    def test_connected_graph_is_the_whole_grounded_matrix(self):
+        # one component: resistances and certificate are bitwise those of
+        # one Cholesky factor of L_G with vertex 0 grounded
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, 30, p=0.3)
+        assert len(connected_components(g)) == 1
+        h = WeightedGraph(g.n, tuple((u, v, w * rng.uniform(0.5, 2)) for u, v, w in g.edges))
+        Lg, Lh = laplacian(g).matrix, laplacian(h).matrix
+        cinv = np.linalg.inv(np.linalg.cholesky(Lg[1:, 1:]))
+        X = np.zeros((g.n, g.n))
+        X[1:, 1:] = cinv.T @ cinv
+        u, v = g.u, g.v
+        assert np.array_equal(g.resistances, X[u, u] + X[v, v] - 2.0 * X[u, v])
+        mu = np.linalg.eigvalsh(cinv @ Lh[1:, 1:] @ cinv.T)
+        assert verify_epsilon(g, h) == max(1.0 - mu.min(initial=1.0), mu.max(initial=1.0) - 1.0)
+
+
 class TestSparsifyEr:
     def test_small_graph_returned_verbatim(self):
         g = WeightedGraph(2, ((0, 1, 1.0),))
@@ -217,6 +291,25 @@ class TestSparsifyEr:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 sparsify_er(g, bad, seed=0)
+
+    @pytest.mark.parametrize(
+        "constant, detail",
+        [
+            (-1.0, "constant must be finite and positive"),
+            (0.0, "constant must be finite and positive"),
+            (math.inf, "constant must be finite and positive"),
+            (math.nan, "constant must be finite and positive"),
+            # finite, but q overflows the sampler's int64 count
+            (1e300, "at most 9223372036854775807 can be drawn"),
+        ],
+    )
+    def test_constant_out_of_range(self, constant, detail):
+        with pytest.raises(ValueError, match=detail):
+            sparsify_er(complete_graph(4), 0.5, seed=0, constant=constant)
+
+    def test_epsilon_whose_square_underflows(self):
+        with pytest.raises(ValueError, match="inf samples"):
+            sparsify_er(complete_graph(4), 1e-200, seed=0)
 
     def test_edgeless_rejected(self):
         g = induced_subgraph(complete_graph(3), [])
