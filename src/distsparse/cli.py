@@ -4,7 +4,9 @@ Every subcommand emits one JSON report (schema 1) to stdout or ``--out``.
 Failures named in the library's error clauses, and numpy overflow, divide
 and invalid-value errors (raised, not warned, while a command runs), become
 structured ``{"error": kind, "detail": ...}`` objects with exit status 1;
-usage errors exit with status 2.
+usage errors exit with status 2. Reports are strict JSON: an infinite
+certificate is reported as null with ``"kernel_violation": true``, and any
+other value that is not finite is an ``invalid-value`` error.
 """
 
 from __future__ import annotations
@@ -27,13 +29,29 @@ from .sparsify import SparsifierResult, sparsify_er, union_sparsifiers, verify_e
 SCHEMA = 1
 
 
+def _json_line(doc: dict) -> str:
+    """`doc` as one line of strict JSON: a NaN or infinite value raises
+    `ValueError`, which the command reports as `invalid-value`."""
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc) + "\n"
+    text = _json_line(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _flag_kernel_violation(doc: dict, key: str) -> dict:
+    """`doc` with an infinite `doc[key]` reported as null plus
+    `"kernel_violation": true`: an edge joins two components of the graph it
+    is measured against, so no finite factor exists."""
+    if math.isinf(doc[key]):
+        doc[key] = None
+        doc["kernel_violation"] = True
+    return doc
 
 
 def _report_errors(fn):
@@ -131,10 +149,11 @@ def sparsify_cmd(graph_path, epsilon, seed, constant, output, out):
         "seed": res.seed,
     }
     if output:
+        sidecar = _json_line(doc)
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(dump_graph(res.h))
         with open(output + ".json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc) + "\n")
+            fh.write(sidecar)
     _emit(doc, out)
 
 
@@ -147,11 +166,8 @@ def verify_cmd(graph_path, sparsifier_path, out):
     """Exact approximation factor between a graph and a candidate sparsifier."""
     g = load_graph_file(graph_path)
     h = load_graph_file(sparsifier_path)
-    eps = verify_epsilon(g, h)
-    doc = {"schema": SCHEMA, "epsilon_certified": None if math.isinf(eps) else eps}
-    if math.isinf(eps):
-        doc["kernel_violation"] = True
-    _emit(doc, out)
+    doc = {"schema": SCHEMA, "epsilon_certified": verify_epsilon(g, h)}
+    _emit(_flag_kernel_violation(doc, "epsilon_certified"), out)
 
 
 @main.command("union")
@@ -174,16 +190,8 @@ def union_cmd(family_path, part_paths, output, out):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(dump_graph(u.h))
-    _emit(
-        {
-            "schema": SCHEMA,
-            "c1": u.c1,
-            "ck": u.ck,
-            "epsilon_prime": u.epsilon_prime,
-            "edges": u.h.m,
-        },
-        out,
-    )
+    doc = {"schema": SCHEMA, "c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
+    _emit(_flag_kernel_violation(doc, "epsilon_prime"), out)
 
 
 @main.group("nof")

@@ -5,6 +5,10 @@ shared transcript with exact bit and edge cost accounting. The three
 protocols: sunflower verification (one bit per site), whole-graph broadcast
 exploiting the sunflower kernel, and a two-round sparsifier exchange that
 leaves every site with a spectral sparsifier of the full graph.
+
+Every edge-set write is one `_edge_write`: the sorted (u, v, w) edges of an
+induced subgraph or of a sparsifier, at `bits_per_edge(n)` =
+2 ceil(log2 n) + 64 bits per edge.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import Edge, WeightedGraph, induced_subgraph
+from .graph import Edge, induced_subgraph
 from .overlap import EdgeFamily, occurrence_counts
-from .sparsify import SparsifierResult, UnionSparsifier, sparsify_er, union_sparsifiers, verify_epsilon
+from .sparsify import UnionSparsifier, sparsify_er, union_sparsifiers
 
 BIT = "bit"
 EDGE_SET = "edge-set"
@@ -96,12 +100,18 @@ class DeltaSystemReport:
     ell: int
 
 
-def bits_per_edge(n: int, weighted: bool = True) -> int:
-    """Encoding cost of one edge write: two vertex ids at ceil(log2 n) bits
-    each, plus 64 bits for a weight when present."""
+def bits_per_edge(n: int) -> int:
+    """Encoding cost of one weighted edge write: two vertex ids at
+    ceil(log2 n) bits each, plus a fixed 64 bits for the weight."""
     if n < 2:
         raise ValueError("need at least two vertices to encode an edge")
-    return 2 * (n - 1).bit_length() + (64 if weighted else 0)
+    return 2 * (n - 1).bit_length() + 64
+
+
+def _edge_write(site: int, round: int, edges: tuple, n: int) -> Write:
+    """A weighted edge-set write of (u, v, w) edges, in the order given:
+    `bits_per_edge(n)` bits and one unit of edge cost per edge."""
+    return Write(site, round, WEIGHTED_EDGE_SET, edges, len(edges) * bits_per_edge(n), len(edges))
 
 
 def _check_site(f: EdgeFamily, j: int) -> None:
@@ -242,17 +252,11 @@ def lemma3_check(f: EdgeFamily) -> bool:
 def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
     """Sites 1..s-1 each write one bit saying whether their view is a
     sunflower; the family is a sunflower iff all bits are 1. Cost s-1 bits."""
-    s = f.t
-    if s < 4:
+    if f.t < 4:
         raise PreconditionError("need at least four sites")
-    kernels = _view_kernels(f)
-    writes = []
-    verdict = True
-    for j in range(1, s):
-        bit = 0 if kernels[j - 1] is None else 1
-        verdict = verdict and bool(bit)
-        writes.append(Write(site=j, round=1, kind=BIT, payload=(bit,), bit_cost=1, edge_cost=0))
-    return Transcript(tuple(writes)), verdict
+    bits = [int(k is not None) for k in _view_kernels(f)[:-1]]
+    writes = tuple(Write(site=j, round=1, kind=BIT, payload=(b,), bit_cost=1, edge_cost=0) for j, b in enumerate(bits, 1))
+    return Transcript(writes), all(bits)
 
 
 def overlapping_coefficient(f: EdgeFamily, j: int) -> float:
@@ -305,45 +309,16 @@ def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[in
     reconstructs the full edge set from it plus the kernel and their own
     view; then one other site writes E_j so site j can finish too."""
     kernel, delta_j = _kernel_and_petals(f, j)
-    s = f.t
-
-    weights = f.base.weights()
-    n = f.base.n
-    bpe = bits_per_edge(n, weighted=True)
-
-    writes = [
-        Write(
-            site=j,
-            round=1,
-            kind=WEIGHTED_EDGE_SET,
-            payload=tuple((u, v, weights[(u, v)]) for u, v in sorted(delta_j)),
-            bit_cost=len(delta_j) * bpe,
-            edge_cost=len(delta_j),
-        )
-    ]
-
-    union = f.union()
-    reconstructions: dict[int, frozenset[Edge]] = {}
-    for i in range(1, s + 1):
-        if i == j:
-            continue
-        own_view = union - _private(f, i)
-        reconstructions[i] = delta_j | kernel | own_view
-
-    writer = min(i for i in range(1, s + 1) if i != j)
     e_j = f.sets[j - 1]
-    writes.append(
-        Write(
-            site=writer,
-            round=2,
-            kind=WEIGHTED_EDGE_SET,
-            payload=tuple((u, v, weights[(u, v)]) for u, v in sorted(e_j)),
-            bit_cost=len(e_j) * bpe,
-            edge_cost=len(e_j),
-        )
-    )
+    writer = 2 if j == 1 else 1  # the lowest-numbered other site
+    union = f.union()
+    reconstructions = {i: delta_j | kernel | (union - _private(f, i)) for i in range(1, f.t + 1) if i != j}
     reconstructions[j] = delta_j | kernel | e_j
-    return Transcript(tuple(writes)), reconstructions
+    writes = (
+        _edge_write(j, 1, induced_subgraph(f.base, delta_j).edges, f.base.n),
+        _edge_write(writer, 2, induced_subgraph(f.base, e_j).edges, f.base.n),
+    )
+    return Transcript(writes), reconstructions
 
 
 def protocol_sparsifier_exchange(
@@ -355,64 +330,28 @@ def protocol_sparsifier_exchange(
     Round 1: site j sparsifies the subgraph on its petal union and writes
     the weighted result. Every other site sparsifies (V, E_j) locally and
     unions the two parts. Round 2: the lowest-numbered other site writes its
-    local sparsifier of (V, E_j) so site j can union as well.
+    local sparsifier of (V, E_j) so site j can union as well. An empty petal
+    union drops out: site j writes no edge, and each site's union has the
+    one part E_j.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     _, delta_j = _kernel_and_petals(f, j)
-    s = f.t
     e_j = f.sets[j - 1]
-    n = f.base.n
-    bpe = bits_per_edge(n, weighted=True)
-
+    others = [i for i in range(1, f.t + 1) if i != j]
     rng = np.random.default_rng(seed)
-    others = [i for i in range(1, s + 1) if i != j]
-    site_seeds = {j: int(rng.integers(2**63))}
-    for i in others:
-        site_seeds[i] = int(rng.integers(2**63))
+    seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
 
     # the two-part allocation the union theorem is applied to
-    if delta_j:
-        two_part = EdgeFamily(f.base, (delta_j, e_j))
-        g_delta = induced_subgraph(f.base, delta_j)
-        part_delta = sparsify_er(g_delta, epsilon, site_seeds[j])
-    else:
-        two_part = EdgeFamily(f.base, (e_j,))
-        part_delta = None
-
+    two_part = EdgeFamily(f.base, (delta_j, e_j) if delta_j else (e_j,))
+    shared = [sparsify_er(induced_subgraph(f.base, delta_j), epsilon, seeds[j])] if delta_j else []
     g_ej = induced_subgraph(f.base, e_j)
+    local = {i: sparsify_er(g_ej, epsilon, seeds[i]) for i in others}
+    writer = others[0]
+    local[j] = local[writer]
 
-    writes = [
-        Write(
-            site=j,
-            round=1,
-            kind=WEIGHTED_EDGE_SET,
-            payload=tuple(part_delta.h.edges) if part_delta is not None else (),
-            bit_cost=(part_delta.h.m if part_delta is not None else 0) * bpe,
-            edge_cost=part_delta.h.m if part_delta is not None else 0,
-        )
-    ]
-
-    results: dict[int, UnionSparsifier] = {}
-    local_ej_parts: dict[int, SparsifierResult] = {}
-    for i in others:
-        part_ej = sparsify_er(g_ej, epsilon, site_seeds[i])
-        local_ej_parts[i] = part_ej
-        parts = [part_delta, part_ej] if part_delta is not None else [part_ej]
-        results[i] = union_sparsifiers(parts, two_part)
-
-    writer = min(others)
-    round2_part = local_ej_parts[writer]
-    writes.append(
-        Write(
-            site=writer,
-            round=2,
-            kind=WEIGHTED_EDGE_SET,
-            payload=tuple(round2_part.h.edges),
-            bit_cost=round2_part.h.m * bpe,
-            edge_cost=round2_part.h.m,
-        )
+    writes = (
+        _edge_write(j, 1, shared[0].h.edges if shared else (), f.base.n),
+        _edge_write(writer, 2, local[writer].h.edges, f.base.n),
     )
-    parts_j = [part_delta, round2_part] if part_delta is not None else [round2_part]
-    results[j] = union_sparsifiers(parts_j, two_part)
-    return Transcript(tuple(writes)), results
+    return Transcript(writes), {i: union_sparsifiers([*shared, local[i]], two_part) for i in local}

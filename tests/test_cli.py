@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -6,7 +7,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distsparse import WeightedGraph, dump_graph
+from distsparse import SparsifierResult, WeightedGraph, dump_graph
+from distsparse import cli
 from distsparse.cli import main
 from conftest import EXAMPLE1_SETS, family_from_index_sets, uniform_star_index_sets
 
@@ -88,6 +90,7 @@ class TestPartitionCmd:
         [
             '{"graph": "g.el", "sets": [[[0.9, 1]], [[1, 2]]]}',
             '{"graph": "g.el", "sets": [[[1e400, 1]], [[1, 2]]]}',
+            '{"graph": "g.el", "sets": [[[18446744073709551616, 1]], [[0, 1], [1, 2]]]}',
             '{"graph": "g.el", "sets": [[[true, 1]], [[1, 2]]]}',
             '{"graph": "g.el", "sets": [[["0", "1"]], [[1, 2]]]}',
             '{"graph": 5, "sets": [[[0, 1]], [[1, 2]]]}',
@@ -151,6 +154,21 @@ class TestSparsifyVerifyCmds:
         assert result.exit_code == 1
         assert doc["error"] == "invalid-value"
 
+    def test_non_finite_report_value_is_invalid_value(self, monkeypatch, tmp_path):
+        gp = write_graph(tmp_path / "g.el", TRIANGLE)
+        nan = SparsifierResult(h=TRIANGLE, epsilon_target=0.5, epsilon_certified=math.nan)
+        monkeypatch.setattr(cli, "verify_epsilon", lambda g, h: math.nan)
+        monkeypatch.setattr(cli, "sparsify_er", lambda *args, **kwargs: nan)
+        out = tmp_path / "h.el"
+        for args in (
+            ["verify", "--graph", gp, "--sparsifier", gp],
+            ["sparsify", "--graph", gp, "--epsilon", "0.5", "--output", str(out)],
+        ):
+            result = invoke(args)
+            check_contract(result)
+            assert json.loads(result.stdout)["error"] == "invalid-value"
+        assert not (tmp_path / "h.el.json").exists()
+
     @pytest.mark.parametrize("constant", ["-1", "0", "inf", "nan", "1e300"])
     def test_bad_constant(self, tmp_path, constant):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
@@ -182,6 +200,21 @@ class TestUnionCmd:
         assert result.exit_code == 1
         assert doc["error"] == "invalid-value"
         assert doc["detail"].startswith("got 3 parts")
+
+    def test_component_joining_part(self, tmp_path):
+        # the 4-cycle 0-1-2-3; the first part's edge 2-3 joins the component
+        # {0, 1, 2} of its set's subgraph to the isolated vertex 3
+        (tmp_path / "g.el").write_text(VALID_GRAPH)
+        (tmp_path / "p1.el").write_text("n 4\n2 3 0.5\n")
+        (tmp_path / "p2.el").write_text("n 4\n2 3 0.5\n0 3 1.5\n")
+        (tmp_path / "fam.json").write_text(json.dumps(CYCLE_FAMILY))
+        result = invoke(["union", "--family", str(tmp_path / "fam.json"),
+                         "--part", str(tmp_path / "p1.el"), "--part", str(tmp_path / "p2.el")])
+        check_contract(result)
+        assert result.exit_code == 0
+        assert strict_json(result.stdout) == {
+            "schema": 1, "c1": 1, "ck": 1, "epsilon_prime": None, "edges": 2, "kernel_violation": True
+        }
 
 
 class TestNofCmds:
@@ -314,17 +347,36 @@ _family_doc = st.one_of(
 )
 _labels_doc = st.one_of(_json_value, st.fixed_dictionaries({"labels": _json_value}))
 DEEP = "[" * 100000  # nested past the recursion limit
+CYCLE_FAMILY = {"graph": "g.el", "sets": [[[0, 1], [1, 2]], [[2, 3], [0, 3]]]}  # over VALID_GRAPH
+FAMILY_COMMANDS = [
+    ["partition"],
+    ["nof", "verify-sunflower"],
+    ["union", "--part", "g.el"],
+    ["union", "--part", "g.el", "--part", "g.el"],
+    ["nof", "broadcast", "--site", "1"],
+    ["nof", "exchange", "--site", "2", "--epsilon", "0.3"],
+]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text):
+    """The JSON document in `text`; NaN and +-Infinity are rejected."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 def check_contract(result):
     """A failure is exactly one JSON object with an "error" key on stdout and
-    exit status 1; nothing reaches stderr either way."""
+    exit status 1; a report is strict JSON; nothing reaches stderr either
+    way."""
     assert result.stderr == ""
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    doc = strict_json(result.stdout)
     if result.exit_code != 0:
         assert result.exit_code == 1
         assert result.stdout.count("\n") == 1
-        doc = json.loads(result.stdout)
         assert isinstance(doc, dict) and "error" in doc
 
 
@@ -365,10 +417,7 @@ class TestErrorContract:
         check_contract(invoke(["verify", "--graph", str(d / "g.el"), "--sparsifier", str(d / "h.el")]))
 
     @CONTRACT
-    @given(
-        doc=_family_doc,
-        cmd=st.sampled_from([["partition"], ["nof", "verify-sunflower"]]),
-    )
+    @given(doc=_family_doc, cmd=st.sampled_from(FAMILY_COMMANDS))
     @example(doc={"graph": "g.el", "sets": [[[0.9, 1]], [[1, 2], [2, 3], [0, 3]]]}, cmd=["partition"])
     @example(doc='{"graph": "g.el", "sets": [[[1e400, 1]]]}', cmd=["partition"])
     @example(doc={"graph": 5, "sets": [[[0, 1]]]}, cmd=["partition"])
@@ -377,11 +426,14 @@ class TestErrorContract:
     @example(doc='{"graph": "g.el", "sets": [[[1' + "0" * 5000 + ', 1]]]}', cmd=["partition"])
     @example(doc=DEEP, cmd=["partition"])
     @example(doc=DEEP, cmd=["nof", "verify-sunflower"])
+    @example(doc=CYCLE_FAMILY, cmd=["union", "--part", "g.el", "--part", "g.el"])
+    @example(doc='{"graph": "g.el", "sets": [[[18446744073709551616, 1]], [[0, 1], [1, 2]]]}', cmd=["partition"])
     def test_family_documents(self, tmp_path_factory, doc, cmd):
         d = tmp_path_factory.mktemp("fam")
         (d / "g.el").write_text(VALID_GRAPH)
         (d / "fam.json").write_text(json_text(doc))
-        check_contract(invoke([*cmd, "--family", str(d / "fam.json")]))
+        args = [str(d / a) if a == "g.el" else a for a in cmd]
+        check_contract(invoke([*args, "--family", str(d / "fam.json")]))
 
     @CONTRACT
     @given(doc=_labels_doc)
