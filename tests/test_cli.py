@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -445,3 +446,49 @@ class TestErrorContract:
         (d / "b.json").write_text("[0, 1, 1, 0]")
         check_contract(invoke(["cluster", "compare", str(d / "a.json"), str(d / "b.json")]))
 
+
+
+# --- --out: every command writes its report there instead of stdout
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+G_EL, STAR_EL, LOOP_EL, P1_EL, P2_EL = (str(GOLDEN / f"{name}.el") for name in ("g", "star", "loop", "cycle-p1", "cycle-p2"))
+STAR_FAM, TWIN_FAM, CYCLE_FAM = (str(GOLDEN / f"{name}.fam.json") for name in ("star", "twin", "cycle"))
+LABELS_A, LABELS_B, LABELS_SHORT = (str(GOLDEN / f"labels-{name}.json") for name in ("a", "b", "short"))
+OUT_COMMANDS = {  # command: (arguments of a report, arguments of a failure)
+    "laplacian": (["laplacian", "--graph", STAR_EL], ["laplacian", "--graph", LOOP_EL]),
+    "partition": (["partition", "--family", STAR_FAM], ["partition", "--family", LOOP_EL]),
+    "sparsify": (["sparsify", "--graph", G_EL, "--epsilon", "0.5"], ["sparsify", "--graph", G_EL, "--epsilon", "2.0"]),
+    "verify": (["verify", "--graph", G_EL, "--sparsifier", G_EL], ["verify", "--graph", G_EL, "--sparsifier", LOOP_EL]),
+    "union": (
+        ["union", "--family", CYCLE_FAM, "--part", P1_EL, "--part", P2_EL],
+        ["union", "--family", CYCLE_FAM, "--part", P1_EL],
+    ),
+    "nof verify-sunflower": (
+        ["nof", "verify-sunflower", "--family", TWIN_FAM],
+        ["nof", "verify-sunflower", "--family", LOOP_EL],
+    ),
+    "nof broadcast": (
+        ["nof", "broadcast", "--family", STAR_FAM, "--site", "1"],
+        ["nof", "broadcast", "--family", TWIN_FAM, "--site", "1"],
+    ),
+    "nof exchange": (
+        ["nof", "exchange", "--family", STAR_FAM, "--site", "2", "--epsilon", "0.3"],
+        ["nof", "exchange", "--family", TWIN_FAM, "--site", "2", "--epsilon", "0.3"],
+    ),
+    "cluster": (["cluster", "--graph", G_EL, "--k", "3"], ["cluster", "--graph", LOOP_EL, "--k", "3"]),
+    "cluster compare": (["cluster", "compare", LABELS_A, LABELS_B], ["cluster", "compare", LABELS_A, LABELS_SHORT]),
+}
+
+
+@pytest.mark.parametrize("report, failure", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_out_writes_the_printed_report(tmp_path, report, failure):
+    printed = invoke(report)
+    assert printed.exit_code == 0
+    out = tmp_path / "report.json"
+    written = invoke([*report, "--out", str(out)])
+    assert (written.exit_code, written.stdout) == (0, "")
+    assert out.read_bytes() == printed.stdout_bytes
+    failed = invoke([*failure, "--out", str(tmp_path / "failed.json")])
+    check_contract(failed)
+    assert failed.exit_code == 1
+    assert not (tmp_path / "failed.json").exists()

@@ -13,7 +13,20 @@ The three families realise element e as the path edge (e, e+1), weighted
 copies of one 3-edge set, on which the exchange's petal union is empty.
 Their `partition` and `nof` reports were written by the implementation in
 which the broadcast and exchange protocols built each edge-set write by
-hand. Each command is rerun here and its output compared byte for byte.
+hand.
+
+`cycle.el` is the 4-cycle 0-1-2-3 and `cycle.fam.json` splits it into the
+sets {01, 12} and {23, 03}. `cycle-p1.el` and `cycle-p2.el` are those sets'
+exact subgraphs; `cycle-join.el` holds the edge 2-3 alone, which joins two
+components of the first set's subgraph (a kernel violation). `loop.el` is a
+self-loop, and the `labels-*.json` files are two six-vertex labelings and a
+three-vertex one. Their reports (the `laplacian`, `cluster --normalized`,
+`union`, `verify` and `cluster compare` rows and the four error objects,
+none of whose details holds a file path) were written by the implementation
+in which every command built and emitted its own report envelope.
+
+Each command is rerun here and its output and exit status compared byte for
+byte.
 """
 
 from pathlib import Path
@@ -25,12 +38,14 @@ from distsparse.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden"
 G, H = str(DATA / "g.el"), str(DATA / "h.el")
-STAR, TWIN, SAME = (str(DATA / f"{name}.fam.json") for name in ("star", "twin", "same"))
+STAR, TWIN, SAME, CYCLE = (str(DATA / f"{name}.fam.json") for name in ("star", "twin", "same", "cycle"))
+STAR_EL, LOOP, P1, P2, JOIN = (str(DATA / f"{name}.el") for name in ("star", "loop", "cycle-p1", "cycle-p2", "cycle-join"))
+LABELS_A, LABELS_B, LABELS_SHORT = (str(DATA / f"labels-{name}.json") for name in ("a", "b", "short"))
 
 
-def run(args) -> bytes:
+def run(args, status=0) -> bytes:
     result = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 0
+    assert result.exit_code == status
     return result.stdout_bytes
 
 
@@ -55,7 +70,19 @@ def test_sparsify_report_and_edge_list(tmp_path):
         ("broadcast-site5", ["nof", "broadcast", "--family", STAR, "--site", "5"]),
         ("exchange-star", ["nof", "exchange", "--family", STAR, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
         ("exchange-same", ["nof", "exchange", "--family", SAME, "--site", "1", "--epsilon", "0.3", "--seed", "3"]),
+        ("laplacian-star", ["laplacian", "--graph", STAR_EL]),
+        ("laplacian-star-normalized", ["laplacian", "--graph", STAR_EL, "--normalized"]),
+        ("cluster-normalized", ["cluster", "--graph", H, "--k", "3", "--seed", "3", "--normalized"]),
+        ("union-exact", ["union", "--family", CYCLE, "--part", P1, "--part", P2]),
+        ("union-kernel-violation", ["union", "--family", CYCLE, "--part", JOIN, "--part", P2]),
+        ("verify-kernel-violation", ["verify", "--graph", P1, "--sparsifier", JOIN]),
+        ("cluster-compare", ["cluster", "compare", LABELS_A, LABELS_B]),
+        ("error-parse", ["laplacian", "--graph", LOOP]),
+        ("error-invalid-value", ["sparsify", "--graph", G, "--epsilon", "2.0"]),
+        ("error-precondition", ["nof", "broadcast", "--family", TWIN, "--site", "1"]),
+        ("error-dimension-mismatch", ["cluster", "compare", LABELS_A, LABELS_SHORT]),
     ],
 )
 def test_report(name, args):
-    assert run(args) == (DATA / f"{name}.json").read_bytes()
+    status = 1 if name.startswith("error-") else 0
+    assert run(args, status) == (DATA / f"{name}.json").read_bytes()
