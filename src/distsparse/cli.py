@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-Every subcommand emits one JSON report (schema 1) to stdout or ``--out``.
-Failures named in the library's error clauses, and numpy overflow, divide
-and invalid-value errors (raised, not warned, while a command runs), become
-structured ``{"error": kind, "detail": ...}`` objects with exit status 1;
-usage errors exit with status 2. Reports are strict JSON: an infinite
-certificate is reported as null with ``"kernel_violation": true``, and any
-other value that is not finite is an ``invalid-value`` error.
+Every subcommand loads its inputs, computes, and returns its report as a
+dict; the `_command` decorator is the one path that emits it. It adds
+``--out``, runs the command with numpy's overflow, divide and invalid-value
+checks raising instead of warning, puts ``"schema": 1`` first and writes one
+line of strict JSON to stdout or ``--out``. An infinite top-level value (an
+edge joins two components of the graph it is measured against, so no finite
+factor exists) is reported as null with ``"kernel_violation": true``; any
+other value that is not finite is an ``invalid-value`` error. A failure is
+one ``{"error": kind, "detail": ...}`` line on stdout with exit status 1;
+usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ def _json_line(doc: dict) -> str:
     return json.dumps(doc, allow_nan=False) + "\n"
 
 
-def _emit(doc: dict, out: str | None):
-    text = _json_line(doc)
+def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -44,43 +46,46 @@ def _emit(doc: dict, out: str | None):
         click.echo(text, nl=False)
 
 
-def _flag_kernel_violation(doc: dict, key: str) -> dict:
-    """`doc` with an infinite `doc[key]` reported as null plus
-    `"kernel_violation": true`: an edge joins two components of the graph it
-    is measured against, so no finite factor exists."""
-    if math.isinf(doc[key]):
-        doc[key] = None
-        doc["kernel_violation"] = True
-    return doc
+def _report(doc: dict) -> dict:
+    """`doc` under the schema. An infinite top-level value is reported as
+    null plus `"kernel_violation": true`: an edge joins two components of
+    the graph it is measured against, so no finite factor exists."""
+    report = {"schema": SCHEMA, **doc}
+    for key, value in doc.items():
+        if isinstance(value, float) and math.isinf(value):
+            report[key] = None
+            report["kernel_violation"] = True
+    return report
 
 
-def _report_errors(fn):
+def _command(fn):
+    """A command with `--out` that emits the report `fn` returns (nothing
+    when it returns None) or the error object of its failure."""
+
+    @click.option("--out", type=click.Path(), default=None, help="Write the JSON report here instead of stdout.")
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args, out, **kwargs):
         try:
             # overflow, 0/0 and x/0 raise here instead of printing a warning
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return fn(*args, **kwargs)
+                doc = fn(*args, **kwargs)
+                if doc is not None:
+                    _emit(_json_line(_report(doc)), out)
+                return
         except Error as exc:
-            _emit({"error": exc.kind, "detail": str(exc)}, None)
-            sys.exit(1)
+            error = {"error": exc.kind, "detail": str(exc)}
         except ValueError as exc:
-            _emit({"error": "invalid-value", "detail": str(exc)}, None)
-            sys.exit(1)
+            error = {"error": "invalid-value", "detail": str(exc)}
         except FloatingPointError as exc:
-            _emit({"error": "invalid-value", "detail": f"floating-point {exc}"}, None)
-            sys.exit(1)
+            error = {"error": "invalid-value", "detail": f"floating-point {exc}"}
         except OSError as exc:
-            _emit({"error": "io", "detail": str(exc)}, None)
-            sys.exit(1)
+            error = {"error": "io", "detail": str(exc)}
         except MemoryError as exc:
-            _emit({"error": "memory", "detail": str(exc)}, None)
-            sys.exit(1)
+            error = {"error": "memory", "detail": str(exc)}
+        _emit(_json_line(error), None)
+        sys.exit(1)
 
     return wrapper
-
-
-out_option = click.option("--out", type=click.Path(), default=None, help="Write the JSON report here instead of stdout.")
 
 
 @click.group()
@@ -91,42 +96,24 @@ def main():
 @main.command("laplacian")
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 @click.option("--normalized", is_flag=True, default=False)
-@out_option
-@_report_errors
-def laplacian_cmd(graph_path, normalized, out):
+@_command
+def laplacian_cmd(graph_path, normalized):
     """Print the (optionally normalized) Laplacian of an edge-list graph."""
     g = load_graph_file(graph_path)
     L = normalized_laplacian(g) if normalized else laplacian(g)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "n": g.n,
-            "normalized": L.normalized,
-            "matrix": [[float(x) for x in row] for row in L.matrix],
-        },
-        out,
-    )
+    return {"n": g.n, "normalized": L.normalized, "matrix": L.matrix.tolist()}
 
 
 @main.command("partition")
 @click.option("--family", "family_path", required=True, type=click.Path())
-@out_option
-@_report_errors
-def partition_cmd(family_path, out):
+@_command
+def partition_cmd(family_path):
     """Overlapping-cardinality partition of a family file."""
-    f = load_family(family_path)
-    part = overlapping_cardinality_partition(f)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "cardinalities": list(part.cardinalities),
-            "classes": [
-                {"cardinality": c, "edges": [list(e) for e in sorted(cls)]}
-                for c, cls in part.classes
-            ],
-        },
-        out,
-    )
+    part = overlapping_cardinality_partition(load_family(family_path))
+    return {
+        "cardinalities": list(part.cardinalities),
+        "classes": [{"cardinality": c, "edges": [list(e) for e in sorted(cls)]} for c, cls in part.classes],
+    }
 
 
 @main.command("sparsify")
@@ -135,48 +122,40 @@ def partition_cmd(family_path, out):
 @click.option("--seed", type=int, default=0)
 @click.option("--constant", type=float, default=9.0, help="Oversampling constant C in q = ceil(C n ln n / eps^2).")
 @click.option("--output", type=click.Path(), default=None, help="Write the sparsifier edge list here (JSON sidecar alongside).")
-@out_option
-@_report_errors
-def sparsify_cmd(graph_path, epsilon, seed, constant, output, out):
+@_command
+def sparsify_cmd(graph_path, epsilon, seed, constant, output):
     """Effective-resistance sparsifier of an edge-list graph."""
     g = load_graph_file(graph_path)
     res = sparsify_er(g, epsilon, seed, constant=constant)
     doc = {
-        "schema": SCHEMA,
         "epsilon_target": res.epsilon_target,
         "epsilon_certified": res.epsilon_certified,
         "edges": res.h.m,
         "seed": res.seed,
     }
     if output:
-        sidecar = _json_line(doc)
+        sidecar = _json_line(_report(doc))  # a report that is not JSON writes no file
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(dump_graph(res.h))
-        with open(output + ".json", "w", encoding="utf-8") as fh:
-            fh.write(sidecar)
-    _emit(doc, out)
+        _emit(sidecar, output + ".json")
+    return doc
 
 
 @main.command("verify")
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 @click.option("--sparsifier", "sparsifier_path", required=True, type=click.Path())
-@out_option
-@_report_errors
-def verify_cmd(graph_path, sparsifier_path, out):
+@_command
+def verify_cmd(graph_path, sparsifier_path):
     """Exact approximation factor between a graph and a candidate sparsifier."""
-    g = load_graph_file(graph_path)
-    h = load_graph_file(sparsifier_path)
-    doc = {"schema": SCHEMA, "epsilon_certified": verify_epsilon(g, h)}
-    _emit(_flag_kernel_violation(doc, "epsilon_certified"), out)
+    return {"epsilon_certified": verify_epsilon(load_graph_file(graph_path), load_graph_file(sparsifier_path))}
 
 
 @main.command("union")
 @click.option("--family", "family_path", required=True, type=click.Path())
 @click.option("--part", "part_paths", multiple=True, required=True, type=click.Path(), help="Per-set sparsifier edge lists, in family order.")
 @click.option("--output", type=click.Path(), default=None, help="Write the union graph edge list here.")
-@out_option
-@_report_errors
-def union_cmd(family_path, part_paths, output, out):
+@_command
+def union_cmd(family_path, part_paths, output):
     """Union of per-set sparsifiers with the certified approximation factor."""
     f = load_family(family_path)
     if len(part_paths) != f.t:
@@ -190,8 +169,7 @@ def union_cmd(family_path, part_paths, output, out):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(dump_graph(u.h))
-    doc = {"schema": SCHEMA, "c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
-    _emit(_flag_kernel_violation(doc, "epsilon_prime"), out)
+    return {"c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
 
 
 @main.group("nof")
@@ -201,33 +179,22 @@ def nof_group():
 
 @nof_group.command("verify-sunflower")
 @click.option("--family", "family_path", required=True, type=click.Path())
-@out_option
-@_report_errors
-def nof_verify_cmd(family_path, out):
-    f = load_family(family_path)
-    transcript, verdict = nof.protocol_verify_sunflower(f)
-    doc = transcript.to_dict()
-    doc = {"schema": SCHEMA, "verdict": verdict, **doc}
-    _emit(doc, out)
+@_command
+def nof_verify_cmd(family_path):
+    transcript, verdict = nof.protocol_verify_sunflower(load_family(family_path))
+    return {"verdict": verdict, **transcript.to_dict()}
 
 
 @nof_group.command("broadcast")
 @click.option("--family", "family_path", required=True, type=click.Path())
 @click.option("--site", required=True, type=int)
-@out_option
-@_report_errors
-def nof_broadcast_cmd(family_path, site, out):
-    f = load_family(family_path)
-    transcript, recon = nof.protocol_broadcast_graph(f, site)
-    doc = transcript.to_dict()
-    doc = {
-        "schema": SCHEMA,
-        **doc,
-        "reconstructions": [
-            {"site": i, "edges": [list(e) for e in sorted(recon[i])]} for i in sorted(recon)
-        ],
+@_command
+def nof_broadcast_cmd(family_path, site):
+    transcript, recon = nof.protocol_broadcast_graph(load_family(family_path), site)
+    return {
+        **transcript.to_dict(),
+        "reconstructions": [{"site": i, "edges": [list(e) for e in sorted(recon[i])]} for i in sorted(recon)],
     }
-    _emit(doc, out)
 
 
 @nof_group.command("exchange")
@@ -235,22 +202,16 @@ def nof_broadcast_cmd(family_path, site, out):
 @click.option("--site", required=True, type=int)
 @click.option("--epsilon", required=True, type=float)
 @click.option("--seed", type=int, default=0)
-@out_option
-@_report_errors
-def nof_exchange_cmd(family_path, site, epsilon, seed, out):
-    f = load_family(family_path)
-    transcript, results = nof.protocol_sparsifier_exchange(f, site, epsilon, seed)
-    doc = transcript.to_dict()
-    doc = {
-        "schema": SCHEMA,
-        **doc,
+@_command
+def nof_exchange_cmd(family_path, site, epsilon, seed):
+    transcript, results = nof.protocol_sparsifier_exchange(load_family(family_path), site, epsilon, seed)
+    return {
+        **transcript.to_dict(),
         "epsilon_prime": max(r.epsilon_prime for r in results.values()),
         "sites": [
-            {"site": i, "epsilon_prime": results[i].epsilon_prime, "edges": results[i].h.m}
-            for i in sorted(results)
+            {"site": i, "epsilon_prime": results[i].epsilon_prime, "edges": results[i].h.m} for i in sorted(results)
         ],
     }
-    _emit(doc, out)
 
 
 @main.group("cluster", invoke_without_command=True)
@@ -258,18 +219,16 @@ def nof_exchange_cmd(family_path, site, epsilon, seed, out):
 @click.option("--k", type=int, default=None)
 @click.option("--seed", type=int, default=0)
 @click.option("--normalized", is_flag=True, default=False)
-@out_option
 @click.pass_context
-@_report_errors
-def cluster_group(ctx, graph_path, k, seed, normalized, out):
+@_command
+def cluster_group(ctx, graph_path, k, seed, normalized):
     """Spectral clustering of an edge-list graph (or `cluster compare`)."""
     if ctx.invoked_subcommand is not None:
         return
     if graph_path is None or k is None:
         raise click.UsageError("cluster requires --graph and --k")
-    g = load_graph_file(graph_path)
-    a = cl.spectral_clustering(g, k, seed, normalized=normalized)
-    _emit({"schema": SCHEMA, "k": a.k, "labels": list(a.labels)}, out)
+    a = cl.spectral_clustering(load_graph_file(graph_path), k, seed, normalized=normalized)
+    return {"k": a.k, "labels": list(a.labels)}
 
 
 def _load_labels(path):
@@ -290,13 +249,10 @@ def _load_labels(path):
 @cluster_group.command("compare")
 @click.argument("labels_a", type=click.Path())
 @click.argument("labels_b", type=click.Path())
-@out_option
-@_report_errors
-def cluster_compare_cmd(labels_a, labels_b, out):
+@_command
+def cluster_compare_cmd(labels_a, labels_b):
     """Adjusted Rand index between two label files."""
-    a = _load_labels(labels_a)
-    b = _load_labels(labels_b)
-    _emit({"schema": SCHEMA, "ari": cl.adjusted_rand_index(a, b)}, out)
+    return {"ari": cl.adjusted_rand_index(_load_labels(labels_a), _load_labels(labels_b))}
 
 
 if __name__ == "__main__":

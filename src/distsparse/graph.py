@@ -15,6 +15,7 @@ every parse error with its line number.
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
@@ -57,7 +58,8 @@ class WeightedGraph:
 
     `edges` is an iterable of (u, v, w) triples or an `EDGE_DTYPE` array.
     The graph keeps them as `records`, a read-only `EDGE_DTYPE` array with
-    u < v, sorted, no self-loops, no duplicates, strictly positive weights.
+    u < v, sorted, no self-loops, no duplicates, strictly positive finite
+    weights.
     Graphs are immutable and compare and hash by content.
     """
 
@@ -87,7 +89,7 @@ class WeightedGraph:
             dup[order[1:][same]] = True
         loop = u == v
         out_of_range = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
-        bad = loop | out_of_range | ~(w > 0) | dup
+        bad = loop | out_of_range | ~(w > 0) | np.isinf(w) | dup
         if bad.any():
             i = int(np.argmax(bad))
             a, b = int(u[i]), int(v[i])
@@ -97,6 +99,8 @@ class WeightedGraph:
                 raise ValueError(f"vertex id out of range: ({a}, {b}) with n={self.n}")
             if not w[i] > 0:
                 raise ValueError(f"non-positive weight {float(w[i])} on edge ({a}, {b})")
+            if np.isinf(w[i]):
+                raise ValueError(f"non-finite weight {float(w[i])} on edge ({a}, {b})")
             raise ValueError(f"duplicate edge {norm_pair(a, b)}")
         if u.dtype == object or v.dtype == object:
             raise ValueError(f"vertex id {max(u.max(), v.max())} does not fit in 64 bits")
@@ -347,6 +351,8 @@ def _load_lines(text: str) -> WeightedGraph:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         if not w > 0:
             raise ParseError(f"line {lineno}: weight must be strictly positive, got {w}")
+        if math.isinf(w):
+            raise ParseError(f"line {lineno}: weight must be finite, got {w}")
         p = norm_pair(u, v)
         if p in seen:
             raise ParseError(f"line {lineno}: duplicate edge {p} (first at line {seen[p]})")
@@ -365,8 +371,14 @@ def _load_lines(text: str) -> WeightedGraph:
 
 
 def load_graph_file(path) -> WeightedGraph:
+    """The graph in an edge-list file. Text that is not UTF-8 is a
+    `ParseError`."""
     with open(path, encoding="utf-8") as fh:
-        return load_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid edge list in {path}: {exc}") from None
+    return load_graph(text)
 
 
 def dump_graph(g: WeightedGraph) -> str:

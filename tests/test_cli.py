@@ -57,6 +57,23 @@ class TestLaplacianCmd:
         assert doc["error"] == "parse"
         assert "self-loop" in doc["detail"]
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            (b"0 1 inf\n", "line 1: weight must be finite, got inf"),
+            (b"0 1 1e999\n", "line 1: weight must be finite, got inf"),
+            (b"n 3\n0 1 1.0\n1 2 Infinity\n", "line 3: weight must be finite, got inf"),
+            (b"0 1 1.0\n1 2 \xff\n", "invalid edge list in {path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+        ],
+    )
+    @pytest.mark.parametrize("cmd", [["laplacian"], ["cluster", "--k", "2"], ["sparsify", "--epsilon", "0.5"]])
+    def test_edge_list_parse_errors(self, tmp_path, cmd, text, detail):
+        p = tmp_path / "bad.el"
+        p.write_bytes(text)
+        result = invoke([*cmd, "--graph", str(p)])
+        check_contract(result)
+        assert json.loads(result.stdout) == {"error": "parse", "detail": detail.format(path=p)}
+
     def test_missing_file_is_io_error(self, runner):
         result, doc = run_json(runner, ["laplacian", "--graph", "/nonexistent.el"])
         assert result.exit_code == 1

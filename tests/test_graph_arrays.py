@@ -7,6 +7,7 @@ array code must give the same graph (bit for bit), or the same error
 message for the same first offending edge or line.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distsparse.graph as graph_mod
@@ -51,6 +52,8 @@ def reference_graph(n, edges):
         w = float(w)
         if not w > 0:
             raise ValueError(f"non-positive weight {w} on edge ({u}, {v})")
+        if math.isinf(w):
+            raise ValueError(f"non-finite weight {w} on edge ({u}, {v})")
         p = (u, v) if u < v else (v, u)
         if p in seen:
             raise ValueError(f"duplicate edge {p}")
@@ -146,6 +149,8 @@ def reference_load(text):
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         if not w > 0:
             raise ParseError(f"line {lineno}: weight must be strictly positive, got {w}")
+        if math.isinf(w):
+            raise ParseError(f"line {lineno}: weight must be finite, got {w}")
         p = (u, v) if u < v else (v, u)
         if p in seen:
             raise ParseError(f"line {lineno}: duplicate edge {p} (first at line {seen[p]})")
@@ -244,6 +249,8 @@ def edge_list_texts(draw):
 class TestValidation:
     @given(raw_graphs())
     @settings(max_examples=400, deadline=None)
+    @example((2, ((0, 1, math.inf),)))
+    @example((3, ((0, 1, 1.0), (1, 2, -math.inf))))
     def test_same_graph_or_same_first_offence(self, case):
         n, triples = case
         assert outcome(lambda: as_pair(WeightedGraph(n, triples))) == outcome(reference_graph, n, triples)
@@ -354,6 +361,10 @@ class TestLoadGraph:
             ("n 3\n0 1 1.0\n0 7 1.0\n", "vertex id 7 exceeds declared count 3"),
             ("0 1 1.0\r\n1 2 2.0\r\n", (3, ((0, 1, 1.0), (1, 2, 2.0)))),
             ("0\x0b1 2\n", "line 1: expected 'u v w', got '0'"),
+            ("0 1 inf\n", "line 1: weight must be finite, got inf"),
+            ("n 3\n0 1 1.0\n1 2 1e999\n", "line 3: weight must be finite, got inf"),
+            ("0 1 Infinity\n", "line 1: weight must be finite, got inf"),
+            ("0 1 -inf\n", "line 1: weight must be strictly positive, got -inf"),
         ],
     )
     def test_examples(self, text, expected):
