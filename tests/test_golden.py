@@ -25,6 +25,12 @@ three-vertex one. Their reports (the `laplacian`, `cluster --normalized`,
 none of whose details holds a file path) were written by the implementation
 in which every command built and emitted its own report envelope.
 
+The four multi-component `cluster` rows (`cycle-join.el`, whose components
+are {0}, {1} and {2, 3}, at k = 2 and k = 3; `cycle-p1.el`, whose components
+are {0, 1, 2} and {3}, at k = 3 plain and normalized) were written by the
+implementation whose spectral embedding took one `np.linalg.eigh` of the
+whole Laplacian, before the embedding was built per connected component.
+
 Each command is rerun here and its output and exit status compared byte for
 byte.
 """
@@ -77,6 +83,10 @@ def test_sparsify_report_and_edge_list(tmp_path):
         ("union-kernel-violation", ["union", "--family", CYCLE, "--part", JOIN, "--part", P2]),
         ("verify-kernel-violation", ["verify", "--graph", P1, "--sparsifier", JOIN]),
         ("cluster-compare", ["cluster", "compare", LABELS_A, LABELS_B]),
+        ("cluster-join-k2", ["cluster", "--graph", JOIN, "--k", "2", "--seed", "1"]),
+        ("cluster-join-k3", ["cluster", "--graph", JOIN, "--k", "3", "--seed", "1"]),
+        ("cluster-p1-k3", ["cluster", "--graph", P1, "--k", "3", "--seed", "0"]),
+        ("cluster-p1-k3-normalized", ["cluster", "--graph", P1, "--k", "3", "--seed", "0", "--normalized"]),
         ("error-parse", ["laplacian", "--graph", LOOP]),
         ("error-invalid-value", ["sparsify", "--graph", G, "--epsilon", "2.0"]),
         ("error-precondition", ["nof", "broadcast", "--family", TWIN, "--site", "1"]),
