@@ -21,6 +21,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import cluster as cl
 from . import nof
@@ -224,6 +225,13 @@ def nof_exchange_cmd(family_path, site, epsilon, seed):
 def cluster_group(ctx, graph_path, k, seed, normalized):
     """Spectral clustering of an edge-list graph (or `cluster compare`)."""
     if ctx.invoked_subcommand is not None:
+        # these options belong to the clustering run, which does not happen
+        given = [p.opts[0] for p in ctx.command.params if ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(
+                f"{', '.join(given)}: only for `cluster` without a subcommand;"
+                " `cluster compare` takes its own: `cluster compare --out <path> LABELS_A LABELS_B`"
+            )
         return
     if graph_path is None or k is None:
         raise click.UsageError("cluster requires --graph and --k")

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import WeightedGraph, laplacian, normalized_laplacian
+from .graph import WeightedGraph, connected_components, laplacian, normalized_laplacian
 
 _MAX_KMEANS_ITERS = 100
 
@@ -28,17 +28,44 @@ class ClusterAssignment:
 
 
 def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np.ndarray:
-    """Columns are eigenvectors for the k smallest Laplacian eigenvalues,
-    eigenvalues ascending, each column's first nonzero entry made positive."""
+    """Columns are orthonormal eigenvectors for the k smallest eigenvalues
+    of the Laplacian (or the normalized Laplacian), eigenvalues ascending.
+
+    The Laplacian is block-diagonal on the connected components, and its
+    kernel is spanned by one unit vector per component S: the indicator
+    1_S/sqrt|S|, or D^1/2 1_S/||D^1/2 1_S|| for the normalized Laplacian
+    (e_v for an isolated vertex, whose normalized row is zero). The first
+    min(c, k) columns are these kernel vectors of the first components in
+    component order (by smallest member), so a graph with c >= k components
+    needs no eigensolve, and the basis of the degenerate kernel is fixed by
+    definition rather than chosen by LAPACK. When c < k, each component of
+    at least two vertices takes one `np.linalg.eigh` of its block L[S, S];
+    its eigenpairs 1, 2, ... (pair 0 is its kernel vector) are merged across
+    components by (eigenvalue, component order), and the k - c smallest fill
+    the remaining columns, each made positive at its first nonzero entry."""
     if not (1 <= k <= g.n):
         raise ValueError(f"k must lie in [1, {g.n}], got {k}")
+    comps = connected_components(g)
+    X = np.zeros((g.n, k))
+    d = g.degrees() if normalized else None
+    for col, comp in enumerate(comps[:k]):
+        mass = d[comp] if normalized and len(comp) > 1 else np.ones(len(comp))
+        X[comp, col] = np.sqrt(mass / mass.sum())
+    rest = k - len(comps)
+    if rest <= 0:
+        return X
     L = (normalized_laplacian(g) if normalized else laplacian(g)).matrix
-    _, vecs = np.linalg.eigh(L)
-    X = vecs[:, :k].copy()
-    for col in range(k):
-        nz = np.nonzero(np.abs(X[:, col]) > 1e-12)[0]
-        if nz.size and X[nz[0], col] < 0:
-            X[:, col] = -X[:, col]
+    values, vectors = [], []  # nonzero spectra, in component order
+    for comp in comps:
+        if len(comp) > 1:
+            lam, vecs = np.linalg.eigh(L if len(comp) == g.n else L[np.ix_(comp, comp)])
+            kept = min(rest, len(comp) - 1)
+            values.append(lam[1 : kept + 1])
+            vectors += [(comp, vecs[:, j]) for j in range(1, kept + 1)]
+    order = np.argsort(np.concatenate(values), kind="stable")[:rest]
+    for col, (comp, vec) in enumerate((vectors[i] for i in order), start=len(comps)):
+        nz = np.nonzero(np.abs(vec) > 1e-12)[0]
+        X[comp, col] = -vec if nz.size and vec[nz[0]] < 0 else vec
     return X
 
 

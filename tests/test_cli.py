@@ -317,6 +317,21 @@ class TestClusterCmds:
         result = runner.invoke(main, ["cluster"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "group_opts, named",
+        [(["--out", "r.json"], "--out"), (["--graph", "g.el", "--seed", "1"], "--graph, --seed")],
+    )
+    def test_group_options_refused_with_subcommand(self, runner, tmp_path, group_opts, named):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps([0, 0, 1, 1]))
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, ["cluster", *group_opts, "compare", str(a), str(a)])
+            assert result.exit_code == 2
+            assert f"{named}: only for `cluster` without a subcommand" in result.stderr
+            assert "cluster compare --out <path>" in result.stderr
+            assert result.stdout == ""
+            assert not Path("r.json").exists()
+
     def test_deterministic_output(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
         r1 = runner.invoke(main, ["cluster", "--graph", gp, "--k", "2", "--seed", "3"])

@@ -2,14 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsparse import (
     ClusterAssignment,
     DimensionMismatch,
     WeightedGraph,
     adjusted_rand_index,
+    connected_components,
     kmeans,
+    laplacian,
     multicut_weight,
+    normalized_laplacian,
     spectral_clustering,
     spectral_embedding,
 )
@@ -44,8 +49,6 @@ class TestSpectralEmbedding:
     def test_planted_blocks_eigengap_and_grouping(self):
         rng = np.random.default_rng(7)
         g, labels = planted_three_block_graph(rng)
-        from distsparse import laplacian
-
         evals = np.linalg.eigvalsh(laplacian(g).matrix)
         assert evals[3] - evals[2] > 1.5 * evals[2]
         X = spectral_embedding(g, 3)
@@ -84,6 +87,96 @@ class TestSpectralEmbedding:
             spectral_embedding(two_triangles(), 0)
         with pytest.raises(ValueError):
             spectral_embedding(two_triangles(), 7)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """(graph, component count c, k, normalized): a disjoint union of small
+    connected weighted graphs, singletons included, with its vertices
+    shuffled, and a k above, at or below c."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    n, c = sum(sizes), len(sizes)
+    perm = draw(st.permutations(range(n)))
+    weight = st.floats(0.01, 100.0)
+    edges, start = {}, 0
+    for size in sizes:
+        # a random spanning tree keeps each part connected; extras add cycles
+        for i in range(1, size):
+            edges[(start + draw(st.integers(0, i - 1)), start + i)] = draw(weight)
+        for a, b in itertools.combinations(range(start, start + size), 2):
+            if (a, b) not in edges and draw(st.booleans()):
+                edges[(a, b)] = draw(weight)
+        start += size
+    g = WeightedGraph(n, tuple((min(perm[a], perm[b]), max(perm[a], perm[b]), w) for (a, b), w in edges.items()))
+    regime = draw(st.sampled_from(["c<k", "c=k", "c>k"]))
+    lo, hi = {"c<k": (c + 1, n), "c=k": (c, c), "c>k": (1, c - 1)}[regime]
+    if lo > hi:  # regime impossible for this union: take k = c
+        lo = hi = c
+    return g, c, draw(st.integers(lo, hi)), draw(st.booleans())
+
+
+def kernel_vector(g, comp, normalized):
+    """1_S/sqrt|S|, or D^1/2 1_S/||D^1/2 1_S|| (e_v for an isolated vertex)."""
+    x = np.zeros(g.n)
+    x[comp] = np.sqrt(g.degrees()[comp]) if normalized and len(comp) > 1 else 1.0
+    return x / np.linalg.norm(x)
+
+
+class TestEmbeddingAgainstFullEigh:
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_unions())
+    def test_matches_reference(self, case):
+        g, c, k, normalized = case
+        L = (normalized_laplacian(g) if normalized else laplacian(g)).matrix
+        X = spectral_embedding(g, k, normalized)
+        assert X.shape == (g.n, k)
+        np.testing.assert_allclose(X.T @ X, np.eye(k), atol=1e-10)
+        reference = np.linalg.eigh(L)[0][:k]
+        np.testing.assert_allclose(np.diag(X.T @ L @ X), reference, rtol=1e-8, atol=1e-8)
+        for col in range(k):
+            assert X[np.flatnonzero(np.abs(X[:, col]) > 1e-12)[0], col] > 0
+        comps = connected_components(g)
+        assert len(comps) == c
+        for col, comp in enumerate(comps[:k]):
+            np.testing.assert_allclose(X[:, col], kernel_vector(g, comp, normalized), rtol=1e-14, atol=0)
+
+
+class TestEigensolveCount:
+    """Components of sizes 3, 1, 4 and 2 with their vertices interleaved."""
+
+    G = WeightedGraph(
+        10,
+        (
+            (0, 4, 1.0), (4, 8, 2.0), (0, 8, 0.5),  # {0, 4, 8}
+            (2, 5, 1.0), (5, 6, 1.5), (6, 9, 0.7),  # {2, 5, 6, 9}
+            (3, 7, 2.5),  # {3, 7}; {1} is isolated
+        ),
+    )
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        return seen
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_none_when_components_cover_k(self, shapes, k, normalized):
+        assert len(connected_components(self.G)) == 4
+        spectral_clustering(self.G, k, seed=0, normalized=normalized)
+        assert shapes == []
+
+    @pytest.mark.parametrize("k", [5, 7, 10])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_one_per_component_of_two_or_more(self, shapes, k, normalized):
+        spectral_clustering(self.G, k, seed=0, normalized=normalized)
+        assert shapes == [(3, 3), (4, 4), (2, 2)]
 
 
 class TestKmeans:
