@@ -3,10 +3,11 @@
 The base construction samples edges by effective resistance; the verifier
 computes the exact approximation factor, so nothing downstream relies on the
 sampler's theory. Both read one Cholesky factor per connected component,
-taken with the component's smallest vertex grounded (`WeightedGraph.factor`),
-so their cost is the sum of the cubed component sizes. Unions of
-per-set sparsifiers are combined with explicit weights and an approximation
-factor driven by the extreme overlapping cardinalities of the allocation.
+taken with the component's smallest vertex grounded and inverted as a
+triangle by blocks (`WeightedGraph.factor`), so their cost is the sum of the
+cubed component sizes. Unions of per-set sparsifiers are combined with
+explicit weights and an approximation factor driven by the extreme
+overlapping cardinalities of the allocation.
 """
 
 from __future__ import annotations
@@ -101,10 +102,14 @@ def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
     Otherwise L_H, grounded as in `WeightedGraph.factor`, is block-diagonal
     on G's components, and the answer is max(1 - mu_min, mu_max - 1, 0) over
     the eigenvalues mu of C_S^-1 L_H[S', S'] C_S^-T of every block (grounded
-    L_G[S', S'] = C_S C_S'), one Cholesky factor per component.
+    L_G[S', S'] = C_S C_S'), one Cholesky factor per component. An H equal
+    to G gives exactly 0.0 before any factor or eigensolve, as `sparsify_er`
+    certifies the graph it returns verbatim.
     """
     if g.n != h.n:
         raise DimensionMismatch(f"vertex counts differ: {g.n} vs {h.n}")
+    if h == g:
+        return 0.0
     component, blocks = g.factor
     if np.any(component[h.u] != component[h.v]):
         return math.inf

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distsparse import SparsifierResult, WeightedGraph, dump_graph
-from distsparse import cli
+from distsparse import cli, graph
 from distsparse.cli import main
 from conftest import EXAMPLE1_SETS, family_from_index_sets, uniform_star_index_sets
 
@@ -80,13 +83,38 @@ class TestLaplacianCmd:
         assert doc["error"] == "io"
 
     def test_oversized_graph_is_memory_error(self, runner, tmp_path):
-        # numpy refuses the n x n request (6.94 EiB) before allocating anything
+        # the dense-size check refuses 4 n x n arrays (27.8 EiB) before allocating anything
         p = tmp_path / "big.el"
         p.write_text("n 1000000000\n")
         result, doc = run_json(runner, ["laplacian", "--graph", str(p)])
         assert result.exit_code == 1
         assert doc["error"] == "memory"
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["laplacian"],
+            ["laplacian", "--normalized"],
+            ["sparsify", "--epsilon", "0.5"],
+            ["verify", "--sparsifier", "half.el"],
+            ["cluster", "--k", "2"],
+        ],
+    )
+    def test_graph_beyond_physical_memory_is_memory_error(self, runner, tmp_path, monkeypatch, args):
+        # four 101 x 101 float64 arrays (326 432 bytes) do not fit in 320 000
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
+        monkeypatch.chdir(tmp_path)
+        # the path on 101 vertices: one component, so `cluster` needs the Laplacian
+        path = [f"{x} {x + 1} 1.0\n" for x in range(100)]
+        (tmp_path / "g.el").write_text("".join(path))
+        (tmp_path / "half.el").write_text("".join(["0 1 0.5\n", *path[1:]]))
+        result, doc = run_json(runner, [args[0], "--graph", "g.el", *args[1:]])
+        assert result.exit_code == 1
+        assert doc == {
+            "error": "memory",
+            "detail": "n=101 needs 326432 bytes for 4 dense n x n float64 arrays; physical memory is 320000 bytes",
+        }
 
 
 class TestPartitionCmd:
@@ -146,25 +174,47 @@ class TestSparsifyVerifyCmds:
         assert doc["epsilon_certified"] <= 1e-9
 
     @pytest.mark.parametrize(
-        "text, detail",
+        "text, error, detail",
         [
-            ("0 99999999999999999999 1.0\n", "vertex id 99999999999999999999 does not fit in 64 bits"),
-            # no n x n matrix has this many rows: refused before any per-vertex work
-            ("n 99999999999999999999\n0 1 1.0\n", "Maximum allowed dimension exceeded"),
+            ("0 99999999999999999999 1.0\n", "invalid-value", "vertex id 99999999999999999999 does not fit in 64 bits"),
+            # no n x n matrix of this many rows fits: refused before any per-vertex work
+            (
+                "n 99999999999999999999\n0 1 1.0\n",
+                "memory",
+                "n=99999999999999999999 needs 319999999999999999993600000000000000000032 bytes "
+                "for 4 dense n x n float64 arrays; physical memory is 1073741824 bytes",
+            ),
         ],
+        ids=["id-beyond-64-bits", "n-beyond-memory"],
     )
     @pytest.mark.parametrize("cmd", ["sparsify", "verify"])
-    def test_huge_vertex_ids_fail_at_once(self, runner, tmp_path, cmd, text, detail):
-        p = tmp_path / "huge.el"
+    def test_huge_vertex_ids_fail_at_once(self, runner, tmp_path, monkeypatch, cmd, text, error, detail):
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
+        p, q = tmp_path / "huge.el", tmp_path / "half.el"
         p.write_text(text)
+        q.write_text(text.replace("1.0", "0.5"))  # a sparsifier equal to the graph needs no dense work
         if cmd == "sparsify":
             args = ["sparsify", "--graph", str(p), "--epsilon", "0.5"]
         else:
-            args = ["verify", "--graph", str(p), "--sparsifier", str(p)]
+            args = ["verify", "--graph", str(p), "--sparsifier", str(q)]
         result, doc = run_json(runner, args)
         assert result.exit_code == 1
-        assert doc == {"error": "invalid-value", "detail": detail}
+        assert doc == {"error": error, "detail": detail}
         assert result.output.count("\n") == 1
+
+    def test_cli_import_leaves_scipy_out(self):
+        # importing scipy takes longer than importing the whole CLI
+        code = "import sys, distsparse.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_huge_graph_against_itself_is_zero(self, runner, tmp_path):
+        p = tmp_path / "huge.el"
+        p.write_text("n 99999999999999999999\n0 1 1.0\n")
+        result, doc = run_json(runner, ["verify", "--graph", str(p), "--sparsifier", str(p)])
+        assert result.exit_code == 0
+        assert doc["epsilon_certified"] == 0.0
 
     def test_bad_epsilon(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)

@@ -30,6 +30,10 @@ are {0}, {1} and {2, 3}, at k = 2 and k = 3; `cycle-p1.el`, whose components
 are {0, 1, 2} and {3}, at k = 3 plain and normalized) were written by the
 implementation whose spectral embedding took one `np.linalg.eigh` of the
 whole Laplacian, before the embedding was built per connected component.
+The `union` row of the 4-cycle with its exact parts (`union-exact.json`) was
+rewritten when `verify_epsilon` began to return exactly 0 for a candidate
+equal to its graph: each part certifies 0, so the union's factor is 0.0
+rather than eigensolver roundoff.
 
 Each command is rerun here and its output and exit status compared byte for
 byte.

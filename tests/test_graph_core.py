@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from distsparse import (
     normalized_laplacian,
     quadratic_form,
 )
+from distsparse import graph
 from conftest import random_graph
 
 
@@ -93,6 +96,19 @@ class TestLaplacian:
         g = WeightedGraph(3, ((0, 1, 1.0),))
         N = normalized_laplacian(g).matrix
         assert np.all(N[2, :] == 0) and np.all(N[:, 2] == 0)
+
+    def test_physical_memory_is_read(self):
+        assert graph._physical_memory() > 0
+
+    def test_dense_size_guard(self, monkeypatch):
+        # four n x n float64 arrays take 32 n^2 bytes: 320 000 for n=100
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
+        assert laplacian(WeightedGraph(100, ((0, 1, 1.0),))).n == 100
+        big = WeightedGraph(101, ((0, 1, 1.0),))
+        detail = "n=101 needs 326432 bytes for 4 dense n x n float64 arrays; physical memory is 320000 bytes"
+        for dense in (laplacian, normalized_laplacian, lambda g: g.factor, lambda g: g.resistances):
+            with pytest.raises(MemoryError, match=re.escape(detail)):
+                dense(big)
 
 
 class TestQuadraticForm:

@@ -205,6 +205,17 @@ class TestVerifyEpsilon:
         hp = WeightedGraph(10, tuple((perm[u], perm[v], w) for u, v, w in h.edges))
         assert verify_epsilon(gp, hp) == pytest.approx(verify_epsilon(g, h), abs=1e-9)
 
+    def test_identical_graphs_are_exactly_zero(self):
+        # equal graphs, also as distinct objects and with several components,
+        # certify exactly 0 and build no factor
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            g = random_split_pair(rng)[0] if rng.random() < 0.5 else random_graph(rng, int(rng.integers(2, 15)))
+            copy = WeightedGraph(g.n, g.records)
+            assert verify_epsilon(g, g) == 0.0
+            assert verify_epsilon(g, copy) == 0.0
+            assert "factor" not in g.__dict__ and "factor" not in copy.__dict__
+
 
 class TestComponentFactor:
     def test_one_block_per_component(self):
@@ -278,6 +289,61 @@ class TestComponentFactor:
         assert np.array_equal(g.resistances, X[u, u] + X[v, v] - 2.0 * X[u, v])
         mu = np.linalg.eigvalsh(cinv @ Lh[1:, 1:] @ cinv.T)
         assert verify_epsilon(g, h) == max(1.0 - mu.min(initial=1.0), mu.max(initial=1.0) - 1.0)
+
+
+def random_component(rng, size, scale):
+    """Edges of a connected graph on 0..size-1: a random spanning tree, then
+    chords with probability 0.1, weights `scale` times uniform in [0.5, 2)."""
+    edges = {(int(rng.integers(x)), x): scale * rng.uniform(0.5, 2) for x in range(1, size)}
+    for a, b in zip(*np.nonzero(np.triu(rng.random((size, size)) < 0.1, 1))):
+        edges[(int(a), int(b))] = scale * rng.uniform(0.5, 2)
+    return edges
+
+
+def components_graph(rng, sizes, scales):
+    """Disjoint random components of the given sizes and weight scales, their
+    vertices shuffled over 0..sum(sizes)-1."""
+    perm = rng.permutation(sum(sizes))
+    edges, start = [], 0
+    for size, scale in zip(sizes, scales):
+        edges += [(perm[start + a], perm[start + b], w) for (a, b), w in random_component(rng, size, scale).items()]
+        start += size
+    return WeightedGraph(start, tuple(edges))
+
+
+class TestTriangularInverse:
+    """Blocks of more than 64 rows (`graph._LEAF_ROWS`) are inverted by the
+    blocked triangular recursion, smaller ones by one `np.linalg.inv`."""
+
+    # an isolated vertex (no block), then blocks of 1, 63, 64, 65, 128, 129 and 299 rows
+    SIZES = (1, 2, 64, 65, 66, 129, 130, 300)
+
+    def test_blocks_are_the_inverse_triangle(self):
+        rng = np.random.default_rng(13)
+        g = components_graph(rng, self.SIZES, [1.0] * len(self.SIZES))
+        L = laplacian(g).matrix
+        _, blocks = g.factor
+        assert sorted(len(free) for free, _ in blocks) == [s - 1 for s in self.SIZES if s > 1]
+        for free, cinv in blocks:
+            expected = np.linalg.inv(np.linalg.cholesky(L[np.ix_(free, free)]))
+            assert not np.triu(cinv, 1).any()
+            assert np.linalg.norm(cinv - expected) <= 1e-12 * np.linalg.norm(expected)
+            if len(free) <= 64:
+                assert np.array_equal(cinv, expected)
+
+    def test_components_at_distant_scales_match_reference(self):
+        # one block above the leaf and one below, each at its own weight
+        # scale, next to an isolated vertex
+        rng = np.random.default_rng(14)
+        g = components_graph(rng, (150, 40, 1), (1e3, 1e-3, 1.0))
+        assert sorted(len(free) for free, _ in g.factor[1]) == [39, 149]
+        Lp = reference_pinv(g)
+        u, v = g.u, g.v
+        np.testing.assert_allclose(g.resistances, Lp[u, u] + Lp[v, v] - 2 * Lp[u, v], rtol=1e-9)
+        for keep in (0.6, 1.0):
+            kept = [(a, b, w * rng.uniform(0.3, 3)) for a, b, w in g.edges if rng.random() < keep]
+            h = WeightedGraph(g.n, tuple(kept))
+            assert verify_epsilon(g, h) == pytest.approx(reference_epsilon(g, h), rel=1e-9)
 
 
 class TestSparsifyEr:
