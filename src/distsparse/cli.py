@@ -192,9 +192,13 @@ def nof_verify_cmd(family_path):
 @_command
 def nof_broadcast_cmd(family_path, site):
     transcript, recon = nof.protocol_broadcast_graph(load_family(family_path), site)
+    rendered = {}  # edge set -> its sorted [u, v] list, shared by the sites that hold it
+    for edges in recon.values():
+        if edges not in rendered:
+            rendered[edges] = [list(e) for e in sorted(edges)]
     return {
         **transcript.to_dict(),
-        "reconstructions": [{"site": i, "edges": [list(e) for e in sorted(recon[i])]} for i in sorted(recon)],
+        "reconstructions": [{"site": i, "edges": rendered[recon[i]]} for i in sorted(recon)],
     }
 
 

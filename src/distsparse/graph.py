@@ -39,6 +39,17 @@ def norm_pair(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def norm_pairs(pairs) -> frozenset[Edge]:
+    """The canonical forms (`norm_pair`) of some unordered pairs, as one
+    frozenset. Only the pairs with u > v are rebuilt, so a frozenset of
+    canonical pairs comes back as the same object."""
+    pairs = frozenset(pairs)
+    flipped = {(v, u) for u, v in pairs if u > v}
+    if not flipped:
+        return pairs
+    return frozenset({(u, v) for u, v in pairs if not u > v} | flipped)
+
+
 def _ids(col) -> np.ndarray:
     """Vertex ids as int64, or as Python ints (object array) when one does
     not fit in 64 bits."""
@@ -158,7 +169,11 @@ class WeightedGraph:
         return len(self.records)
 
     def pairs(self) -> frozenset[Edge]:
-        return frozenset(zip(self.u.tolist(), self.v.tolist()))
+        """The edges as (u, v) pairs, built on first use: every call
+        returns the same frozenset."""
+        if "_pairs" not in self.__dict__:
+            self.__dict__["_pairs"] = frozenset(zip(self.u.tolist(), self.v.tolist()))
+        return self.__dict__["_pairs"]
 
     def weights(self) -> dict[Edge, float]:
         return dict(zip(zip(self.u.tolist(), self.v.tolist()), self.w.tolist()))
@@ -209,6 +224,17 @@ class WeightedGraph:
         r = X[u, u] + X[v, v] - 2.0 * X[u, v]
         r.flags.writeable = False
         return r
+
+    @cached_property
+    def sampling_probs(self) -> np.ndarray:
+        """Effective-resistance sampling distribution, in edge order,
+        computed once per graph: p_e proportional to w_e R_e (`resistances`,
+        roundoff below 0 clipped), summing to 1. Only the draw from it
+        depends on the seed (`sparsify_er`)."""
+        scores = self.w * np.maximum(self.resistances, 0.0)
+        probs = scores / scores.sum()
+        probs.flags.writeable = False
+        return probs
 
 
 def _tril_inv(C: np.ndarray) -> np.ndarray:
@@ -294,7 +320,7 @@ def quadratic_form(L: LaplacianMatrix, x) -> float:
 
 def induced_subgraph(g: WeightedGraph, pairs) -> WeightedGraph:
     """Subgraph on the full vertex set with edge set restricted to `pairs`."""
-    wanted = {norm_pair(u, v) for u, v in pairs}
+    wanted = norm_pairs(pairs)
     keep = np.fromiter(map(wanted.__contains__, zip(g.u.tolist(), g.v.tolist())), dtype=bool, count=g.m)
     if keep.sum() < len(wanted):
         raise ValueError(f"edges not present in graph: {sorted(wanted - g.pairs())}")

@@ -9,6 +9,15 @@ leaves every site with a spectral sparsifier of the full graph.
 Every edge-set write is one `_edge_write`: the sorted (u, v, w) edges of an
 induced subgraph or of a sparsifier, at `bits_per_edge(n)` =
 2 ceil(log2 n) + 64 bits per edge.
+
+The simulator does once what is the same at every site. Each site's draw
+of its local sparsifier stays its own, from its own seed; the sampling
+distribution of a graph is computed once (`WeightedGraph.sampling_probs`),
+each distinct local part is unioned with the shared part once, and every
+broadcast site whose private edges the written petals and the kernel cover
+holds the family's one union object, so the CLI renders each distinct
+reconstruction once. Transcripts, bit and edge costs, per-site results and
+reports are those of computing every site on its own.
 """
 
 from __future__ import annotations
@@ -312,8 +321,15 @@ def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[in
     e_j = f.sets[j - 1]
     writer = 2 if j == 1 else 1  # the lowest-numbered other site
     union = f.union()
-    reconstructions = {i: delta_j | kernel | (union - _private(f, i)) for i in range(1, f.t + 1) if i != j}
-    reconstructions[j] = delta_j | kernel | e_j
+    known = delta_j | kernel
+    reconstructions = {}
+    for i in range(1, f.t + 1):
+        if i != j:
+            # site i sees all of the union but its private edges; once the
+            # written petals and the kernel cover them, it holds the union
+            private = _private(f, i)
+            reconstructions[i] = union if private <= known else known | (union - private)
+    reconstructions[j] = known | e_j
     writes = (
         _edge_write(j, 1, induced_subgraph(f.base, delta_j).edges, f.base.n),
         _edge_write(writer, 2, induced_subgraph(f.base, e_j).edges, f.base.n),
@@ -354,4 +370,13 @@ def protocol_sparsifier_exchange(
         _edge_write(j, 1, shared[0].h.edges if shared else (), f.base.n),
         _edge_write(writer, 2, local[writer].h.edges, f.base.n),
     )
-    return Transcript(writes), {i: union_sparsifiers([*shared, local[i]], two_part) for i in local}
+    # a union reads only its parts' graphs and certificates, so sites whose
+    # local parts agree in both hold one union, formed once
+    unions = {}
+    results = {}
+    for i, part in local.items():
+        key = (part.h, part.epsilon_certified)
+        if key not in unions:
+            unions[key] = union_sparsifiers([*shared, part], two_part)
+        results[i] = unions[key]
+    return Transcript(writes), results

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError
-from .graph import Edge, WeightedGraph, induced_subgraph, laplacian, load_graph_file, norm_pair
+from .graph import Edge, WeightedGraph, induced_subgraph, laplacian, load_graph_file, norm_pair, norm_pairs
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,11 @@ class EdgeFamily:
         base_pairs = self.base.pairs()
         norm_sets = []
         for i, s in enumerate(self.sets):
-            pairs = frozenset(norm_pair(u, v) for u, v in s)
+            pairs = norm_pairs(s)
             if not pairs:
                 raise ValueError(f"set {i} is empty")
-            extra = pairs - base_pairs
-            if extra:
-                raise ValueError(f"set {i} contains edges not in the base graph: {sorted(extra)}")
+            if not pairs <= base_pairs:
+                raise ValueError(f"set {i} contains edges not in the base graph: {sorted(pairs - base_pairs)}")
             norm_sets.append(pairs)
         covered = frozenset().union(*norm_sets)
         if covered != base_pairs:

@@ -66,8 +66,7 @@ def sparsify_er(
     if g.m == 0:
         raise ValueError("cannot sparsify an edgeless graph")
 
-    scores = g.w * np.maximum(g.resistances, 0.0)
-    probs = scores / scores.sum()
+    probs = g.sampling_probs
 
     try:
         draws = constant * g.n * math.log(g.n) / epsilon**2

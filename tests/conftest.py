@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from distsparse import EdgeFamily, WeightedGraph
+from distsparse import EdgeFamily, WeightedGraph, induced_subgraph, sparsify_er, union_sparsifiers
 
 # --- element-indexed families -------------------------------------------
 # Set-system examples use abstract elements 1..N; we realize element e as
@@ -185,3 +185,46 @@ def block_star_family(rng, n=30, s=9, ell=3) -> tuple[EdgeFamily, list[int]]:
 def planted_blocks():
     rng = np.random.default_rng(7)
     return planted_three_block_graph(rng)
+
+
+# --- unshared references for the broadcast and exchange protocols -------
+
+
+def _view_petals(f: EdgeFamily, j: int) -> frozenset:
+    """Union minus intersection of the sets site j sees: its petal union
+    when that view is a sunflower."""
+    view = [s for k, s in enumerate(f.sets, 1) if k != j]
+    return frozenset.union(*view) - frozenset.intersection(*view)
+
+
+def reference_broadcast(f: EdgeFamily, j: int) -> dict[int, frozenset]:
+    """Every site's broadcast reconstruction, each set built on its own:
+    site i != j joins the petals site j writes, the kernel and the union
+    less the edges only E_i holds; site j joins the petals, the kernel and
+    E_j."""
+    known = _view_petals(f, j) | frozenset.intersection(*f.sets)
+    union = frozenset.union(*f.sets)
+    recon = {}
+    for i, own in enumerate(f.sets, 1):
+        others = [s for k, s in enumerate(f.sets, 1) if k != i]
+        recon[i] = known | own if i == j else known | (union - (own - frozenset.union(*others)))
+    return recon
+
+
+def reference_exchange(f: EdgeFamily, j: int, epsilon: float, seed: int) -> dict:
+    """Every site's exchange union, each formed on its own: site j's
+    sparsifier of its petal union (left out when that is empty) with the
+    site's own sparsifier of (V, E_j), drawn from the seeds the protocol
+    draws (site j first, then the others in order); site j takes the part
+    of the lowest-numbered other site."""
+    delta_j, e_j = _view_petals(f, j), f.sets[j - 1]
+    others = [i for i in range(1, f.t + 1) if i != j]
+    rng = np.random.default_rng(seed)
+    seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
+    two_part = EdgeFamily(f.base, (delta_j, e_j) if delta_j else (e_j,))
+    shared = [sparsify_er(induced_subgraph(f.base, delta_j), epsilon, seeds[j])] if delta_j else []
+    results = {}
+    for i in [*others, j]:
+        local = sparsify_er(induced_subgraph(f.base, e_j), epsilon, seeds[others[0] if i == j else i])
+        results[i] = union_sparsifiers([*shared, local], two_part)
+    return results

@@ -11,10 +11,16 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distsparse import SparsifierResult, WeightedGraph, dump_graph
+from distsparse import SparsifierResult, WeightedGraph, deza_threshold, dump_graph
 from distsparse import cli, graph
 from distsparse.cli import main
-from conftest import EXAMPLE1_SETS, family_from_index_sets, uniform_star_index_sets
+from conftest import (
+    EXAMPLE1_SETS,
+    family_from_index_sets,
+    reference_broadcast,
+    reference_exchange,
+    uniform_star_index_sets,
+)
 
 
 @pytest.fixture
@@ -285,6 +291,14 @@ class TestUnionCmd:
         }
 
 
+@st.composite
+def _past_deza(draw):
+    """(s, ell, lam) of a uniform star family with one to three sites more
+    than Deza's threshold, kernel size 0..ell."""
+    ell = draw(st.integers(1, 3))
+    return deza_threshold(ell) + draw(st.integers(1, 3)), ell, draw(st.integers(0, ell))
+
+
 class TestNofCmds:
     def test_verify_sunflower_star(self, runner, tmp_path):
         f = family_from_index_sets(uniform_star_index_sets(5, 3, 1))
@@ -312,6 +326,22 @@ class TestNofCmds:
         assert result.exit_code == 0
         assert len(doc["rounds"]) == 2
         assert doc["epsilon_prime"] < 1
+
+    @given(shape=_past_deza(), epsilon=st.sampled_from([0.3, 0.9]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_every_site_matches_unshared_reference(self, tmp_path_factory, shape, epsilon, seed):
+        f = family_from_index_sets(uniform_star_index_sets(*shape))
+        fam = write_family(tmp_path_factory.mktemp("star"), f)
+        runner = CliRunner()
+        for j in range(1, f.t + 1):
+            _, doc = run_json(runner, ["nof", "broadcast", "--family", fam, "--site", str(j)])
+            recon = reference_broadcast(f, j)
+            assert doc["reconstructions"] == [{"site": i, "edges": [list(e) for e in sorted(recon[i])]} for i in sorted(recon)]
+            args = ["nof", "exchange", "--family", fam, "--site", str(j), "--epsilon", str(epsilon), "--seed", str(seed)]
+            _, doc = run_json(runner, args)
+            unions = reference_exchange(f, j, epsilon, seed)
+            assert doc["sites"] == [{"site": i, "epsilon_prime": unions[i].epsilon_prime, "edges": unions[i].h.m} for i in sorted(unions)]
+            assert doc["epsilon_prime"] == max(u.epsilon_prime for u in unions.values())
 
     def test_precondition_error_object(self, runner, tmp_path):
         f = family_from_index_sets(uniform_star_index_sets(8, 3, 1))

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsparse import (
+    EdgeFamily,
     PreconditionError,
+    WeightedGraph,
     deza_threshold,
     greatest_overlapping_coefficient,
     is_delta_system,
@@ -27,6 +29,7 @@ from conftest import (
     family_from_index_sets,
     near_sunflower_index_sets,
     random_delta_family,
+    reference_exchange,
     uniform_star_index_sets,
 )
 
@@ -383,6 +386,32 @@ class TestExchangeProtocol:
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
             protocol_sparsifier_exchange(self.star9(), 1, epsilon=1.5, seed=0)
+
+    def nine_triangles(self):
+        """Nine disjoint triangles on n = 27, one per set, each weighted
+        (1, 1, 1e-6): the sampler keeps the light edge so rarely that every
+        site's local sparsifier of (V, E_j) reweights the two heavy edges by
+        its own draw, and no two draws give the same local part."""
+        edges = [e for k in range(0, 27, 3) for e in ((k, k + 1, 1.0), (k + 1, k + 2, 1.0), (k, k + 2, 1e-6))]
+        sets = tuple(frozenset({(k, k + 1), (k + 1, k + 2), (k, k + 2)}) for k in range(0, 27, 3))
+        return EdgeFamily(WeightedGraph(27, edges), sets)
+
+    @pytest.mark.parametrize("j, seed", [(1, 0), (5, 3), (9, 11)])
+    def test_distinct_local_parts_match_reference(self, j, seed):
+        f = self.nine_triangles()
+        _, results = protocol_sparsifier_exchange(f, j, epsilon=0.3, seed=seed)
+        assert results == reference_exchange(f, j, 0.3, seed)
+        # site j holds the union of the lowest-numbered other site
+        assert len({r.h for r in results.values()}) == 8
+
+    @pytest.mark.parametrize("s, ell, lam", [(9, 3, 1), (15, 4, 2), (5, 2, 0), (9, 3, 3)])
+    def test_coinciding_local_parts_match_reference(self, s, ell, lam):
+        f = family_from_index_sets(uniform_star_index_sets(s, ell, lam))
+        for j in (1, 2, s):
+            _, results = protocol_sparsifier_exchange(f, j, epsilon=0.3, seed=j)
+            assert results == reference_exchange(f, j, 0.3, j)
+            # q >> |E_j|: every local part is E_j verbatim
+            assert len({r.h for r in results.values()}) == 1
 
     def test_bit_accounting(self):
         f = self.star9()
