@@ -40,14 +40,12 @@ def norm_pair(u: int, v: int) -> Edge:
 
 
 def norm_pairs(pairs) -> frozenset[Edge]:
-    """The canonical forms (`norm_pair`) of some unordered pairs, as one
-    frozenset. Only the pairs with u > v are rebuilt, so a frozenset of
-    canonical pairs comes back as the same object."""
-    pairs = frozenset(pairs)
-    flipped = {(v, u) for u, v in pairs if u > v}
-    if not flipped:
+    """The canonical forms (`norm_pair`) of some unordered pairs, each any
+    2-element iterable, as one frozenset. A frozenset of canonical pairs
+    comes back as the same object."""
+    if isinstance(pairs, frozenset) and not any(u > v for u, v in pairs):
         return pairs
-    return frozenset({(u, v) for u, v in pairs if not u > v} | flipped)
+    return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
 
 
 def _ids(col) -> np.ndarray:

@@ -13,11 +13,11 @@ induced subgraph or of a sparsifier, at `bits_per_edge(n)` =
 The simulator does once what is the same at every site. Each site's draw
 of its local sparsifier stays its own, from its own seed; the sampling
 distribution of a graph is computed once (`WeightedGraph.sampling_probs`),
-each distinct local part is unioned with the shared part once, and every
-broadcast site whose private edges the written petals and the kernel cover
-holds the family's one union object, so the CLI renders each distinct
-reconstruction once. Transcripts, bit and edge costs, per-site results and
-reports are those of computing every site on its own.
+and each distinct local part is unioned with the shared part once. In the
+broadcast every site rebuilds the whole union (the family is a sunflower),
+so all sites hold the family's one union object and the CLI renders it
+once. Transcripts, bit and edge costs, per-site results and reports are
+those of computing every site on its own.
 """
 
 from __future__ import annotations
@@ -320,16 +320,10 @@ def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[in
     kernel, delta_j = _kernel_and_petals(f, j)
     e_j = f.sets[j - 1]
     writer = 2 if j == 1 else 1  # the lowest-numbered other site
-    union = f.union()
-    known = delta_j | kernel
-    reconstructions = {}
-    for i in range(1, f.t + 1):
-        if i != j:
-            # site i sees all of the union but its private edges; once the
-            # written petals and the kernel cover them, it holds the union
-            private = _private(f, i)
-            reconstructions[i] = union if private <= known else known | (union - private)
-    reconstructions[j] = known | e_j
+    # in a sunflower every edge outside the kernel lies in exactly one set,
+    # so site i's private edges E_i - kernel lie in delta_j for every i != j,
+    # and site j's are E_j: every site rebuilds the whole union
+    reconstructions = dict.fromkeys(range(1, f.t + 1), f.union())
     writes = (
         _edge_write(j, 1, induced_subgraph(f.base, delta_j).edges, f.base.n),
         _edge_write(writer, 2, induced_subgraph(f.base, e_j).edges, f.base.n),
@@ -370,13 +364,13 @@ def protocol_sparsifier_exchange(
         _edge_write(j, 1, shared[0].h.edges if shared else (), f.base.n),
         _edge_write(writer, 2, local[writer].h.edges, f.base.n),
     )
-    # a union reads only its parts' graphs and certificates, so sites whose
-    # local parts agree in both hold one union, formed once
+    # every local part is drawn from g_ej and certified against it, so its
+    # graph fixes its certificate too: sites whose local parts have equal
+    # graphs hold one union, formed once
     unions = {}
     results = {}
     for i, part in local.items():
-        key = (part.h, part.epsilon_certified)
-        if key not in unions:
-            unions[key] = union_sparsifiers([*shared, part], two_part)
-        results[i] = unions[key]
+        if part.h not in unions:
+            unions[part.h] = union_sparsifiers([*shared, part], two_part)
+        results[i] = unions[part.h]
     return Transcript(writes), results

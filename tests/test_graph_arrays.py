@@ -319,6 +319,10 @@ class TestArrayOperations:
         chosen = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
         if data.draw(st.booleans()):
             chosen.append(data.draw(st.sampled_from([(0, g.n), (g.n + 3, 1), (0, 0)])))
+        # pairs may come as any 2-element iterables: lists (say, from JSON)
+        # or numpy rows
+        forms = [list, frozenset, lambda c: [list(p) for p in c], lambda c: np.array(c).reshape(-1, 2)]
+        chosen = data.draw(st.sampled_from(forms))(chosen)
         got = outcome(lambda: as_pair(induced_subgraph(g, chosen)))
         assert got == outcome(reference_induced, g, chosen)
 
