@@ -113,7 +113,7 @@ def partition_cmd(family_path):
     part = overlapping_cardinality_partition(load_family(family_path))
     return {
         "cardinalities": list(part.cardinalities),
-        "classes": [{"cardinality": c, "edges": [list(e) for e in sorted(cls)]} for c, cls in part.classes],
+        "classes": [{"cardinality": c, "edges": sorted(cls)} for c, cls in part.classes],
     }
 
 
@@ -192,10 +192,10 @@ def nof_verify_cmd(family_path):
 @_command
 def nof_broadcast_cmd(family_path, site):
     transcript, recon = nof.protocol_broadcast_graph(load_family(family_path), site)
-    rendered = {}  # edge set -> its sorted [u, v] list, shared by the sites that hold it
+    rendered = {}  # edge set -> its sorted edges, shared by the sites that hold it
     for edges in recon.values():
         if edges not in rendered:
-            rendered[edges] = [list(e) for e in sorted(edges)]
+            rendered[edges] = sorted(edges)
     return {
         **transcript.to_dict(),
         "reconstructions": [{"site": i, "edges": rendered[recon[i]]} for i in sorted(recon)],
@@ -255,7 +255,7 @@ def _load_labels(path):
     # the ARI is invariant under relabeling
     remap = {lab: i for i, lab in enumerate(sorted(set(labels)))}
     labels = [remap[x] for x in labels]
-    return cl.ClusterAssignment(labels=tuple(labels), k=max(len(remap), 1))
+    return cl.ClusterAssignment(labels=tuple(labels), k=len(remap))
 
 
 @cluster_group.command("compare")

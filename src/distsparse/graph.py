@@ -204,7 +204,15 @@ class WeightedGraph:
             component[comp] = i
             if len(comp) > 1:
                 free = np.array(comp[1:])
-                blocks.append((free, _tril_inv(np.linalg.cholesky(L[np.ix_(free, free)]))))
+                try:
+                    C = np.linalg.cholesky(L[np.ix_(free, free)])
+                except np.linalg.LinAlgError:
+                    # the block is positive definite in exact arithmetic, so
+                    # only roundoff can make the factorisation fail
+                    raise ValueError(
+                        f"the component of vertex {comp[0]} has a weight range beyond what float64 can factor"
+                    ) from None
+                blocks.append((free, _tril_inv(C)))
         return component, tuple(blocks)
 
     @cached_property

@@ -10,6 +10,10 @@ Every edge-set write is one `_edge_write`: the sorted (u, v, w) edges of an
 induced subgraph or of a sparsifier, at `bits_per_edge(n)` =
 2 ceil(log2 n) + 64 bits per edge.
 
+Broadcast and exchange split the family at site j the same way
+(`_star_split`): in a sunflower E_j is site j's private edges plus the
+kernel, so its petal union is δ_j = union - E_j.
+
 The simulator does once what is the same at every site. Each site's draw
 of its local sparsifier stays its own, from its own seed; the sampling
 distribution of a graph is computed once (`WeightedGraph.sampling_probs`),
@@ -28,12 +32,11 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import Edge, induced_subgraph
+from .graph import Edge, WeightedGraph, induced_subgraph
 from .overlap import EdgeFamily, occurrence_counts
 from .sparsify import UnionSparsifier, sparsify_er, union_sparsifiers
 
 BIT = "bit"
-EDGE_SET = "edge-set"
 WEIGHTED_EDGE_SET = "weighted-edge-set"
 
 
@@ -76,7 +79,7 @@ class Transcript:
                         {
                             "site": w.site,
                             "kind": w.kind,
-                            "payload": _payload_to_json(w),
+                            "payload": w.payload[0] if w.kind == BIT else w.payload,
                             "bit_cost": w.bit_cost,
                             "edge_cost": w.edge_cost,
                         }
@@ -86,12 +89,6 @@ class Transcript:
                 }
             )
         return {"rounds": rounds, "bit_cost": self.bit_cost, "edge_cost": self.edge_cost}
-
-
-def _payload_to_json(w: Write):
-    if w.kind == BIT:
-        return w.payload[0]
-    return [list(item) for item in w.payload]
 
 
 @dataclass(frozen=True)
@@ -210,12 +207,6 @@ def _view_kernels(f: EdgeFamily) -> list[frozenset[Edge] | None]:
     return kernels
 
 
-def _private(f: EdgeFamily, j: int) -> frozenset[Edge]:
-    """Elements of E_j that no other set holds: all that site j cannot see."""
-    counts = f.occurrences
-    return frozenset(x for x in f.sets[j - 1] if counts[x] == 1)
-
-
 def deza_threshold(ell: int) -> int:
     """Family size at which a weak sunflower of max set size ell is forced
     to be a sunflower."""
@@ -234,7 +225,7 @@ def symmetric_difference_on_site(f: EdgeFamily, j: int) -> frozenset[Edge]:
     kernel = _view_kernels(f)[j - 1]
     if kernel is None:
         raise PreconditionError(f"the sets visible to site {j} are not a delta-system")
-    return f.union() - _private(f, j) - kernel
+    return f.union() - {x for x in f.sets[j - 1] if f.occurrences[x] == 1} - kernel
 
 
 def lemma2_check(f: EdgeFamily) -> bool:
@@ -282,51 +273,46 @@ def greatest_overlapping_coefficient(f: EdgeFamily) -> float:
     return max(overlapping_coefficient(f, j) for j in range(1, f.t + 1))
 
 
-def _check_uniform_weak_delta(f: EdgeFamily) -> frozenset[Edge]:
-    """Kernel of a uniform weak delta-system past the Deza threshold.
+def _star_split(f: EdgeFamily, j: int) -> tuple[tuple[frozenset[Edge], WeightedGraph], ...]:
+    """Site j's petal union δ_j with its subgraph (V, δ_j), then E_j with
+    (V, E_j), once the broadcast and exchange preconditions hold: uniform
+    set sizes, a weak delta-system past the Deza threshold, a site in range.
 
     Sunflowers are recognised first, from the occurrence counts; pairs are
     intersected only to word the error for a family that is not one. By
     Deza's theorem a uniform weak delta-system past the threshold is a
-    sunflower, so a weak non-sunflower always fails the size check.
+    sunflower, so a weak non-sunflower always fails the size check. In a
+    sunflower every edge lies in one set or in all, so E_j is site j's
+    private edges plus the kernel, and δ_j = union - E_j.
     """
     sizes = {len(s) for s in f.sets}
     if len(sizes) != 1:
         raise PreconditionError(f"set sizes are not uniform: {sorted(sizes)}")
     ell = sizes.pop()
-    kernel = _sunflower_kernel(f.occurrences, f.t)
-    if kernel is None and not is_delta_system(f.sets).is_weak_delta:
+    sunflower = _sunflower_kernel(f.occurrences, f.t) is not None
+    if not sunflower and not is_delta_system(f.sets).is_weak_delta:
         raise PreconditionError("family is not a weak delta-system")
     need = deza_threshold(ell) + 1
-    if kernel is None or f.t < need:
-        raise PreconditionError(
-            f"need at least {need} sites for set size {ell}, got {f.t}"
-        )
-    return kernel
-
-
-def _kernel_and_petals(f: EdgeFamily, j: int) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """The family's kernel and the petal union site j sees, once the
-    broadcast and exchange preconditions hold."""
-    kernel = _check_uniform_weak_delta(f)
+    if not sunflower or f.t < need:
+        raise PreconditionError(f"need at least {need} sites for set size {ell}, got {f.t}")
     _check_site(f, j)
-    return kernel, f.union() - _private(f, j) - kernel
+    e_j = f.sets[j - 1]
+    return tuple((edges, induced_subgraph(f.base, edges)) for edges in (f.union() - e_j, e_j))
 
 
 def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[int, frozenset[Edge]]]:
     """Two-round broadcast: site j writes its petal union, everyone else
     reconstructs the full edge set from it plus the kernel and their own
     view; then one other site writes E_j so site j can finish too."""
-    kernel, delta_j = _kernel_and_petals(f, j)
-    e_j = f.sets[j - 1]
+    (_, g_delta), (_, g_ej) = _star_split(f, j)
     writer = 2 if j == 1 else 1  # the lowest-numbered other site
     # in a sunflower every edge outside the kernel lies in exactly one set,
     # so site i's private edges E_i - kernel lie in delta_j for every i != j,
     # and site j's are E_j: every site rebuilds the whole union
     reconstructions = dict.fromkeys(range(1, f.t + 1), f.union())
     writes = (
-        _edge_write(j, 1, induced_subgraph(f.base, delta_j).edges, f.base.n),
-        _edge_write(writer, 2, induced_subgraph(f.base, e_j).edges, f.base.n),
+        _edge_write(j, 1, g_delta.edges, f.base.n),
+        _edge_write(writer, 2, g_ej.edges, f.base.n),
     )
     return Transcript(writes), reconstructions
 
@@ -346,16 +332,14 @@ def protocol_sparsifier_exchange(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    _, delta_j = _kernel_and_petals(f, j)
-    e_j = f.sets[j - 1]
+    (delta_j, g_delta), (e_j, g_ej) = _star_split(f, j)
     others = [i for i in range(1, f.t + 1) if i != j]
     rng = np.random.default_rng(seed)
     seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
 
     # the two-part allocation the union theorem is applied to
     two_part = EdgeFamily(f.base, (delta_j, e_j) if delta_j else (e_j,))
-    shared = [sparsify_er(induced_subgraph(f.base, delta_j), epsilon, seeds[j])] if delta_j else []
-    g_ej = induced_subgraph(f.base, e_j)
+    shared = [sparsify_er(g_delta, epsilon, seeds[j])] if delta_j else []
     local = {i: sparsify_er(g_ej, epsilon, seeds[i]) for i in others}
     writer = others[0]
     local[j] = local[writer]

@@ -16,6 +16,7 @@ from distsparse import cli, graph
 from distsparse.cli import main
 from conftest import (
     EXAMPLE1_SETS,
+    _view_petals,
     family_from_index_sets,
     reference_broadcast,
     reference_exchange,
@@ -40,6 +41,12 @@ def write_family(tmp_path, f, name="fam"):
     fpath = tmp_path / f"{name}.json"
     fpath.write_text(json.dumps(doc))
     return str(fpath)
+
+
+def base_weighted(f, edges):
+    """`edges` as the sorted [u, v, w] lists of their base-graph weights."""
+    weight = {(u, v): w for u, v, w in f.base.edges}
+    return [[u, v, weight[u, v]] for u, v in sorted(edges)]
 
 
 def run_json(runner, args):
@@ -222,6 +229,24 @@ class TestSparsifyVerifyCmds:
         assert result.exit_code == 0
         assert doc["epsilon_certified"] == 0.0
 
+    @pytest.mark.parametrize("cmd", ["sparsify", "verify"])
+    def test_weight_range_beyond_float64_is_refused(self, runner, tmp_path, cmd):
+        # a connected path whose grounded block is positive definite in
+        # exact arithmetic, but not after roundoff
+        p, q = tmp_path / "g.el", tmp_path / "h.el"
+        p.write_text("0 1 1e-12\n1 2 1e6\n")
+        q.write_text("0 1 2e-12\n1 2 1e6\n")
+        if cmd == "sparsify":
+            args = ["sparsify", "--graph", str(p), "--epsilon", "0.5"]
+        else:
+            args = ["verify", "--graph", str(p), "--sparsifier", str(q)]
+        result, doc = run_json(runner, args)
+        assert result.exit_code == 1
+        assert doc == {
+            "error": "invalid-value",
+            "detail": "the component of vertex 0 has a weight range beyond what float64 can factor",
+        }
+
     def test_bad_epsilon(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
         result, doc = run_json(runner, ["sparsify", "--graph", gp, "--epsilon", "2.0"])
@@ -335,6 +360,8 @@ class TestNofCmds:
         runner = CliRunner()
         for j in range(1, f.t + 1):
             _, doc = run_json(runner, ["nof", "broadcast", "--family", fam, "--site", str(j)])
+            payloads = [w["payload"] for r in doc["rounds"] for w in r["writes"]]
+            assert payloads == [base_weighted(f, _view_petals(f, j)), base_weighted(f, f.sets[j - 1])]
             recon = reference_broadcast(f, j)
             assert doc["reconstructions"] == [{"site": i, "edges": [list(e) for e in sorted(recon[i])]} for i in sorted(recon)]
             args = ["nof", "exchange", "--family", fam, "--site", str(j), "--epsilon", str(epsilon), "--seed", str(seed)]
@@ -392,6 +419,17 @@ class TestClusterCmds:
         result, doc = run_json(runner, ["cluster", "compare", str(a), str(b)])
         assert result.exit_code == 1
         assert doc["error"] == "parse"
+
+    def test_cluster_compare_empty_labelings(self, runner, tmp_path):
+        empty, one = tmp_path / "empty.json", tmp_path / "one.json"
+        empty.write_text("[]")
+        one.write_text("[0]")
+        result, doc = run_json(runner, ["cluster", "compare", str(empty), str(empty)])
+        assert result.exit_code == 0
+        assert doc["ari"] == 1.0
+        result, doc = run_json(runner, ["cluster", "compare", str(empty), str(one)])
+        assert result.exit_code == 1
+        assert doc["error"] == "dimension-mismatch"
 
     def test_cluster_requires_args(self, runner):
         result = runner.invoke(main, ["cluster"])
