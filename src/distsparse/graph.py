@@ -87,8 +87,8 @@ class WeightedGraph:
         """Validate and store the input. The first offending edge in input
         order is reported, checked for a self-loop, then its range, then its
         weight, then whether an earlier edge has the same pair. Every
-        construction runs this hook, which perfbench's tracer times as the
-        graph's validation, reading `len(self.edges)` on entry."""
+        construction but `_trusted` runs this hook, which perfbench's tracer
+        times as the graph's validation, reading `len(self.edges)` on entry."""
         if self.n < 1:
             raise ValueError("vertex count must be positive")
         u, v, w = _columns(self.__dict__.pop("_input"))
@@ -122,6 +122,17 @@ class WeightedGraph:
         records["w"] = w if ordered else w[order]
         records.flags.writeable = False
         object.__setattr__(self, "records", records)
+
+    @classmethod
+    def _trusted(cls, n: int, records: np.ndarray) -> WeightedGraph:
+        """A graph on records already in the stored form, such as a masked
+        selection of another graph's records: stored read-only, not
+        validated again."""
+        g = object.__new__(cls)
+        records.flags.writeable = False
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "records", records)
+        return g
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -236,9 +247,16 @@ class WeightedGraph:
         """Effective-resistance sampling distribution, in edge order,
         computed once per graph: p_e proportional to w_e R_e (`resistances`,
         roundoff below 0 clipped), summing to 1. Only the draw from it
-        depends on the seed (`sparsify_er`)."""
+        depends on the seed (`sparsify_er`). Scores that do not sum to a
+        positive finite number can only come from roundoff in the factor,
+        and are refused."""
         scores = self.w * np.maximum(self.resistances, 0.0)
-        probs = scores / scores.sum()
+        total = scores.sum()
+        if self.m and not 0.0 < total < math.inf:
+            raise ValueError(
+                f"the graph has a weight range beyond what float64 can sample: its scores w_e R_e sum to {total}"
+            )
+        probs = scores / total
         probs.flags.writeable = False
         return probs
 
@@ -330,7 +348,7 @@ def induced_subgraph(g: WeightedGraph, pairs) -> WeightedGraph:
     keep = np.fromiter(map(wanted.__contains__, zip(g.u.tolist(), g.v.tolist())), dtype=bool, count=g.m)
     if keep.sum() < len(wanted):
         raise ValueError(f"edges not present in graph: {sorted(wanted - g.pairs())}")
-    return WeightedGraph(g.n, g.records[keep])
+    return WeightedGraph._trusted(g.n, g.records[keep])
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:

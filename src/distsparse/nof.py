@@ -19,8 +19,8 @@ of its local sparsifier stays its own, from its own seed; the sampling
 distribution of a graph is computed once (`WeightedGraph.sampling_probs`),
 and each distinct local part is unioned with the shared part once. In the
 broadcast every site rebuilds the whole union (the family is a sunflower),
-so all sites hold the family's one union object and the CLI renders it
-once. Transcripts, bit and edge costs, per-site results and reports are
+so all sites hold the family's one union object, which the CLI's emit
+path renders once however many sites the report lists. Transcripts, bit and edge costs, per-site results and reports are
 those of computing every site on its own.
 """
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distsparse import SparsifierResult, WeightedGraph, deza_threshold, dump_graph
-from distsparse import cli, graph
+from distsparse import cli, graph, nof
 from distsparse.cli import main
 from conftest import (
     EXAMPLE1_SETS,
@@ -247,6 +248,17 @@ class TestSparsifyVerifyCmds:
             "detail": "the component of vertex 0 has a weight range beyond what float64 can factor",
         }
 
+    def test_zero_sampling_scores_are_refused(self, tmp_path):
+        # the factor holds, but roundoff leaves every score w_e R_e at 0
+        p = tmp_path / "g.el"
+        p.write_text("0 1 1e-300\n1 2 1e300\n")
+        result = invoke(["sparsify", "--graph", str(p), "--epsilon", "0.5"])
+        check_contract(result)
+        assert json.loads(result.stdout) == {
+            "error": "invalid-value",
+            "detail": "the graph has a weight range beyond what float64 can sample: its scores w_e R_e sum to 0.0",
+        }
+
     def test_bad_epsilon(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
         result, doc = run_json(runner, ["sparsify", "--graph", gp, "--epsilon", "2.0"])
@@ -369,6 +381,31 @@ class TestNofCmds:
             unions = reference_exchange(f, j, epsilon, seed)
             assert doc["sites"] == [{"site": i, "epsilon_prime": unions[i].epsilon_prime, "edges": unions[i].h.m} for i in sorted(unions)]
             assert doc["epsilon_prime"] == max(u.epsilon_prime for u in unions.values())
+
+    def test_large_star_reports_match_expanded_rendering(self, tmp_path):
+        # s = 800 sites each rebuild the same 801 edges: the report renders
+        # that set once and must equal the plain rendering of every copy
+        s, j = 800, 400
+        f = family_from_index_sets(uniform_star_index_sets(s, 2, 1))
+        fam = write_family(tmp_path, f)
+        recon = reference_broadcast(f, j)
+        transcript, _ = nof.protocol_broadcast_graph(f, j)
+        expected = {
+            "schema": 1,
+            **transcript.to_dict(),
+            "reconstructions": [{"site": i, "edges": sorted(recon[i])} for i in sorted(recon)],
+        }
+        printed = invoke(["nof", "broadcast", "--family", fam, "--site", str(j)])
+        assert printed.stdout == json.dumps(expected, allow_nan=False) + "\n"
+        counts = Counter(e for edges in f.sets for e in edges)
+        cards = sorted(set(counts.values()))
+        expected = {
+            "schema": 1,
+            "cardinalities": cards,
+            "classes": [{"cardinality": c, "edges": sorted(e for e in counts if counts[e] == c)} for c in cards],
+        }
+        printed = invoke(["partition", "--family", fam])
+        assert printed.stdout == json.dumps(expected, allow_nan=False) + "\n"
 
     def test_precondition_error_object(self, runner, tmp_path):
         f = family_from_index_sets(uniform_star_index_sets(8, 3, 1))
@@ -596,6 +633,53 @@ class TestErrorContract:
         (d / "b.json").write_text("[0, 1, 1, 0]")
         check_contract(invoke(["cluster", "compare", str(d / "a.json"), str(d / "b.json")]))
 
+
+
+# --- the emit path: each distinct edge set is rendered once and spliced in
+
+
+def expanded(doc):
+    """`doc` with every frozenset replaced by its sorted edges."""
+    if isinstance(doc, frozenset):
+        return sorted(doc)
+    if isinstance(doc, dict):
+        return {k: expanded(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [expanded(v) for v in doc]
+    return doc
+
+
+SHARED = frozenset({(0, 1), (1, 2), (0, 5), (3, 4)})
+
+
+class TestJsonLine:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(
+                {
+                    "sites": [{"site": i, "edges": SHARED} for i in range(40)],
+                    "more": {"petals": frozenset({(7, 9), (2, 8)}), "nested": [[SHARED, frozenset()], {"again": SHARED}]},
+                    "payload": [(0, 1, 0.5)],
+                },
+                id="shared-and-distinct",
+            ),
+            pytest.param({"a": SHARED, "b": [frozenset(sorted(SHARED)), SHARED]}, id="equal-distinct-objects"),
+            pytest.param({"edges": SHARED, "text": json.dumps(sorted(SHARED))}, id="string-equal-to-fragment"),
+            pytest.param({"none": [], "x": 1.5, "s": "\u0000"}, id="no-edge-set"),
+        ],
+    )
+    def test_equals_plain_rendering_of_expanded_doc(self, doc):
+        assert cli._json_line(doc) == json.dumps(expanded(doc)) + "\n"
+
+    def test_nan_still_raises_value_error(self):
+        with pytest.raises(ValueError):
+            cli._json_line({"edges": SHARED, "x": math.nan})
+
+    @pytest.mark.parametrize("value", [object(), {(0, 1)}], ids=["object", "set"])
+    def test_unknown_type_still_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_line({"edges": SHARED, "x": value})
 
 
 # --- --out: every command writes its report there instead of stdout

@@ -33,7 +33,9 @@ whole Laplacian, before the embedding was built per connected component.
 The `union` row of the 4-cycle with its exact parts (`union-exact.json`) was
 rewritten when `verify_epsilon` began to return exactly 0 for a candidate
 equal to its graph: each part certifies 0, so the union's factor is 0.0
-rather than eigensolver roundoff.
+rather than eigensolver roundoff. `union-exact.el` is the edge list that
+row writes with `--output`: the 4-cycle itself, since c1 = ck = 1 leaves
+the parts' weights unscaled, in `dump_graph`'s sorted form.
 
 Each command is rerun here and its output and exit status compared byte for
 byte.
@@ -65,6 +67,13 @@ def test_sparsify_report_and_edge_list(tmp_path):
     assert report == (DATA / "sparsify.json").read_bytes()
     assert out.read_bytes() == (DATA / "h.el").read_bytes()
     assert (tmp_path / "h.el.json").read_bytes() == (DATA / "sparsify.json").read_bytes()
+
+
+def test_union_report_and_edge_list(tmp_path):
+    out = tmp_path / "u.el"
+    report = run(["union", "--family", CYCLE, "--part", P1, "--part", P2, "--output", str(out)])
+    assert report == (DATA / "union-exact.json").read_bytes()
+    assert out.read_bytes() == (DATA / "union-exact.el").read_bytes()
 
 
 @pytest.mark.parametrize(

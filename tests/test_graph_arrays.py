@@ -284,7 +284,8 @@ class TestValidation:
         assert isinstance(g.edges, tuple) and g.edges is g.edges
 
     def test_every_construction_runs_post_init_with_sized_edges(self, monkeypatch):
-        # per-layer tracing wraps __post_init__ and reads len(obj.edges) first
+        # per-layer tracing wraps __post_init__ and reads len(obj.edges) first;
+        # an induced subgraph selects already validated records and skips it
         seen = []
         original = WeightedGraph.__post_init__
 
@@ -297,7 +298,7 @@ class TestValidation:
         h = sparsify_er(g, 0.9, seed=1, constant=0.2).h
         sub = induced_subgraph(g, [(0, 1), (2, 3)])
         WeightedGraph(3, (e for e in [(0, 1, 1.0)]))
-        assert seen == [g.m, h.m, sub.m, 1]
+        assert seen == [g.m, h.m, 1] and sub.m == 2
 
 
 # --- Laplacian, degrees, subgraphs, components ---------------------------
@@ -325,6 +326,11 @@ class TestArrayOperations:
         chosen = data.draw(st.sampled_from(forms))(chosen)
         got = outcome(lambda: as_pair(induced_subgraph(g, chosen)))
         assert got == outcome(reference_induced, g, chosen)
+        if got[0] == "ok":
+            # built from trusted records, it equals the validated construction
+            sub = induced_subgraph(g, chosen)
+            assert sub == WeightedGraph(*got[1])
+            assert not sub.records.flags.writeable
 
     @given(valid_graphs(max_n=14))
     @settings(max_examples=300, deadline=None)
