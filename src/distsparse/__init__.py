@@ -11,7 +11,6 @@ from .cluster import (
 )
 from .errors import DimensionMismatch, Error, ParseError, PreconditionError
 from .graph import (
-    LaplacianMatrix,
     WeightedGraph,
     connected_components,
     dump_graph,
@@ -24,7 +23,6 @@ from .graph import (
 )
 from .nof import (
     DeltaSystemReport,
-    SiteView,
     Transcript,
     deza_threshold,
     greatest_overlapping_coefficient,

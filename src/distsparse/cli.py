@@ -6,16 +6,23 @@ dict; the `_command` decorator is the one path that emits it. It adds
 checks raising instead of warning, puts ``"schema": 1`` first and writes one
 line of strict JSON to stdout or ``--out``. A report may hold frozensets of
 edges, each written as its sorted edges; the emit path (`_json_line`)
-renders each distinct set once and splices the text in wherever the set
-appears. So the NOF broadcast's report, which holds the one union s times,
-costs one rendering of it: at s = 2975 the command prints its 86 MB in
-about 0.5 s in a fresh process on 2 vCPUs (4.5 s when every copy was
-encoded). An infinite top-level value (an edge joins two components of the
-graph it is measured against, so no finite factor exists) is reported as
-null with ``"kernel_violation": true``; any other value that is not finite
-is an ``invalid-value`` error. A failure is one ``{"error": kind,
-"detail": ...}`` line on stdout with exit status 1; usage errors exit with
-status 2.
+renders each distinct set once and writes that one string wherever the set
+appears, piece by piece, never joining the report into one string. So the
+NOF broadcast's report, which holds the one union s times, costs one
+rendering of it: at s = 2975 a fresh process prints its 86 MB in about
+0.3-0.4 s on 2 vCPUs with a peak RSS of 33 MB. An infinite top-level value
+(an edge joins two components of the graph it is measured against, so no
+finite factor exists) is reported as null with ``"kernel_violation":
+true``; any other value that is not finite is an ``invalid-value`` error. A
+failure is one ``{"error": kind, "detail": ...}`` line on stdout with exit
+status 1; usage errors exit with status 2.
+
+Commands use the library's results as they come: `laplacian` and
+`normalized_laplacian` return the n x n array, `nof.site_view` the tuple of
+the sets a site sees, and `sparsify_er` a `SparsifierResult` holding only
+the sparsifier `h` and its certified factor; a report's target epsilon and
+seed are the command's own options. No wrapper class around a Laplacian
+or a site's view is public any more.
 """
 
 from __future__ import annotations
@@ -46,14 +53,15 @@ SCHEMA = 1
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)\\u0000"')
 
 
-def _json_line(doc: dict) -> str:
-    """`doc` as one line of strict JSON: a NaN or infinite value raises
-    `ValueError`, which the command reports as `invalid-value`, and a value
-    of any other type JSON lacks raises `TypeError`. A frozenset of edges is
-    written as its sorted edges. Each distinct set is rendered once and its
-    text spliced in wherever the set appears, so a report that holds one
-    edge set many times (every site of the NOF broadcast holds the whole
-    union) costs one rendering of it."""
+def _json_line(doc: dict) -> list[str]:
+    """`doc` as one line of strict JSON, in pieces that join to the line: a
+    NaN or infinite value raises `ValueError`, which the command reports as
+    `invalid-value`, and a value of any other type JSON lacks raises
+    `TypeError`. A frozenset of edges is written as its sorted edges. Each
+    distinct set is rendered once, and that one string is the piece wherever
+    the set appears, so a report that holds one edge set many times (every
+    site of the NOF broadcast holds the whole union) costs one rendering of
+    it and is never held as one string."""
     index: dict[frozenset, int] = {}  # edge set -> its place in `rendered`
     rendered: list[str] = []
 
@@ -66,15 +74,22 @@ def _json_line(doc: dict) -> str:
         return f"\0{index[obj]}\0"
 
     text = json.dumps(doc, allow_nan=False, default=edge_set) + "\n"
-    return _PLACEHOLDER.sub(lambda m: rendered[int(m.group(1))], text) if rendered else text
+    if not rendered:
+        return [text]
+    pieces = _PLACEHOLDER.split(text)
+    pieces[1::2] = [rendered[int(i)] for i in pieces[1::2]]
+    return pieces
 
 
-def _emit(text: str, out: str | None):
+def _emit(pieces: list[str], out: str | None):
+    """Write the pieces of a report to `out`, or to stdout and flush it. The
+    report is ASCII JSON, so it holds nothing for `click.echo` to strip."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
 
 
 def _report(doc: dict) -> dict:
@@ -132,7 +147,7 @@ def laplacian_cmd(graph_path, normalized):
     """Print the (optionally normalized) Laplacian of an edge-list graph."""
     g = load_graph_file(graph_path)
     L = normalized_laplacian(g) if normalized else laplacian(g)
-    return {"n": g.n, "normalized": L.normalized, "matrix": L.matrix.tolist()}
+    return {"n": g.n, "normalized": normalized, "matrix": L.tolist()}
 
 
 @main.command("partition")
@@ -159,10 +174,10 @@ def sparsify_cmd(graph_path, epsilon, seed, constant, output):
     g = load_graph_file(graph_path)
     res = sparsify_er(g, epsilon, seed, constant=constant)
     doc = {
-        "epsilon_target": res.epsilon_target,
+        "epsilon_target": epsilon,
         "epsilon_certified": res.epsilon_certified,
         "edges": res.h.m,
-        "seed": res.seed,
+        "seed": seed,
     }
     if output:
         sidecar = _json_line(_report(doc))  # a report that is not JSON writes no file
@@ -195,7 +210,7 @@ def union_cmd(family_path, part_paths, output):
     for path, edges in zip(part_paths, f.sets):
         h = load_graph_file(path)
         cert = verify_epsilon(induced_subgraph(f.base, edges), h)
-        parts.append(SparsifierResult(h=h, epsilon_target=cert, epsilon_certified=cert))
+        parts.append(SparsifierResult(h=h, epsilon_certified=cert))
     u = union_sparsifiers(parts, f)
     if output:
         with open(output, "w", encoding="utf-8") as fh:

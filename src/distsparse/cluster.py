@@ -54,7 +54,7 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     rest = k - len(comps)
     if rest <= 0:
         return X
-    L = (normalized_laplacian(g) if normalized else laplacian(g)).matrix
+    L = normalized_laplacian(g) if normalized else laplacian(g)
     values, vectors = [], []  # nonzero spectra, in component order
     for comp in comps:
         if len(comp) > 1:

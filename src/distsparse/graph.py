@@ -19,7 +19,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 import numpy as np
@@ -80,7 +80,7 @@ class WeightedGraph:
         if not hasattr(edges, "__len__"):
             edges = tuple(edges)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_input", edges)
+        self.__dict__["edges"] = edges
         self.__post_init__()
 
     def __post_init__(self):
@@ -88,10 +88,11 @@ class WeightedGraph:
         order is reported, checked for a self-loop, then its range, then its
         weight, then whether an earlier edge has the same pair. Every
         construction but `_trusted` runs this hook, which perfbench's tracer
-        times as the graph's validation, reading `len(self.edges)` on entry."""
+        times as the graph's validation, reading `len(self.edges)`, the
+        input until this hook takes it, on entry."""
         if self.n < 1:
             raise ValueError("vertex count must be positive")
-        u, v, w = _columns(self.__dict__.pop("_input"))
+        u, v, w = _columns(self.__dict__.pop("edges"))
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         dup = np.zeros(len(w), dtype=bool)
         ordered = ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()
@@ -163,15 +164,11 @@ class WeightedGraph:
     def w(self) -> np.ndarray:
         return self.records["w"]
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """The edges as sorted (u, v, w) tuples, built on first use. While
-        the constructor validates, this is its input as given (never cached)."""
-        if "_input" in self.__dict__:
-            return self._input
-        if "_edges" not in self.__dict__:
-            self.__dict__["_edges"] = tuple(self.records.tolist())
-        return self.__dict__["_edges"]
+        the constructor validates, this is its input as given."""
+        return tuple(self.records.tolist())
 
     @property
     def m(self) -> int:
@@ -208,7 +205,7 @@ class WeightedGraph:
         component, inverted as a triangle (`_tril_inv`), about |S|^3 flops in
         all. The n x n Laplacian comes first, so that a vertex count no dense
         matrix can hold fails before any per-vertex work."""
-        L = laplacian(self).matrix
+        L = laplacian(self)
         component = np.empty(self.n, dtype=np.intp)
         blocks = []
         for i, comp in enumerate(connected_components(self)):
@@ -280,18 +277,6 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Dense symmetric Laplacian, optionally degree-normalized."""
-
-    matrix: np.ndarray
-    normalized: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
 # n x n float64 arrays `sparsify` holds at once, the per-component blocks of
 # one matrix counted as one: while it factors, L, its grounded block, LAPACK's
 # copy of that block and the Cholesky factor; while it verifies, the cached
@@ -304,8 +289,9 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    """Combinatorial Laplacian: degree matrix minus weighted adjacency.
+def laplacian(g: WeightedGraph) -> np.ndarray:
+    """Combinatorial Laplacian, the dense n x n array of the degree matrix
+    minus the weighted adjacency.
 
     Every dense path (factor, verifier, clustering) starts here, so a vertex
     count whose dense arrays would not fit in physical memory is refused
@@ -321,25 +307,25 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     L[g.u, g.v] = -g.w
     L[g.v, g.u] = -g.w
     np.fill_diagonal(L, g.degrees())
-    return LaplacianMatrix(L, normalized=False)
+    return L
 
 
-def normalized_laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    """Degree-normalized Laplacian; isolated vertices get zero rows/columns."""
-    L = laplacian(g).matrix
+def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
+    """Degree-normalized Laplacian, a dense n x n array; isolated vertices
+    get zero rows/columns."""
+    L = laplacian(g)
     d = g.degrees()
     inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    N = L * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return LaplacianMatrix(N, normalized=True)
+    return L * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def quadratic_form(L: LaplacianMatrix, x) -> float:
-    """x^T L x. For an unnormalized Laplacian this is the weighted edge sum
-    of squared endpoint differences."""
+def quadratic_form(L: np.ndarray, x) -> float:
+    """x^T L x for an n x n Laplacian L. For an unnormalized Laplacian this
+    is the weighted edge sum of squared endpoint differences."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (L.n,):
-        raise DimensionMismatch(f"vector length {x.shape} does not match n={L.n}")
-    return float(x @ L.matrix @ x)
+    if x.shape != (len(L),):
+        raise DimensionMismatch(f"vector length {x.shape} does not match n={len(L)}")
+    return float(x @ L @ x)
 
 
 def induced_subgraph(g: WeightedGraph, pairs) -> WeightedGraph:

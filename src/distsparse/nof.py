@@ -20,8 +20,9 @@ distribution of a graph is computed once (`WeightedGraph.sampling_probs`),
 and each distinct local part is unioned with the shared part once. In the
 broadcast every site rebuilds the whole union (the family is a sunflower),
 so all sites hold the family's one union object, which the CLI's emit
-path renders once however many sites the report lists. Transcripts, bit and edge costs, per-site results and reports are
-those of computing every site on its own.
+path renders once however many sites the report lists. Transcripts, bit
+and edge costs, per-site results and reports are those of computing every
+site on its own.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class SiteView:
-    site_id: int
-    visible: tuple[frozenset[Edge], ...]
-
-
-@dataclass(frozen=True)
 class DeltaSystemReport:
     is_delta: bool
     kernel: frozenset[Edge] | None
@@ -128,11 +123,11 @@ def _check_site(f: EdgeFamily, j: int) -> None:
         raise PreconditionError(f"site id {j} out of range 1..{s}")
 
 
-def site_view(f: EdgeFamily, j: int) -> SiteView:
-    """All input sets except site j's own (sites are 1-based)."""
+def site_view(f: EdgeFamily, j: int) -> tuple[frozenset[Edge], ...]:
+    """All input sets except site j's own (sites are 1-based), in family
+    order."""
     _check_site(f, j)
-    visible = tuple(f.sets[i] for i in range(f.t) if i != j - 1)
-    return SiteView(site_id=j, visible=visible)
+    return f.sets[: j - 1] + f.sets[j:]
 
 
 def _sunflower_kernel(counts, t: int) -> frozenset | None:
@@ -184,26 +179,22 @@ def _view_kernels(f: EdgeFamily) -> list[frozenset[Edge] | None]:
 
     Site j sees every set but E_j, so element x occurs count(x) - [x in E_j]
     times in its s-1 sets, and the view is a sunflower exactly when that is
-    0, 1 or s-1 for every x. Elements outside E_j keep their count, so one
-    tally of the counts outside {1, s-1} leaves O(|E_j|) work per site.
+    0, 1 or s-1 for every x: every element outside E_j occurs once or s-1
+    times, and every element of E_j once, twice or s times.
     """
     s, counts = f.t, f.occurrences
     if s < 3:
         raise PreconditionError("delta-system check needs at least two sets")
-    bad = sum(1 for c in counts.values() if c != 1 and c != s - 1)
+    # the elements that occur neither once nor s-1 times: a sunflower view
+    # leaves out a set that holds them all
+    outside = frozenset(x for x, c in counts.items() if c != 1 and c != s - 1)
     full_elsewhere = frozenset(x for x, c in counts.items() if c == s - 1)
     kernels = []
     for own in f.sets:
-        own_counts = [counts[x] for x in own]
-        bad_here = (
-            bad
-            - sum(1 for c in own_counts if c != 1 and c != s - 1)
-            + sum(1 for c in own_counts if c != 1 and c != 2 and c != s)
-        )
-        if bad_here:
-            kernels.append(None)
-        else:
+        if outside <= own and all(counts[x] in (1, 2, s) for x in own):
             kernels.append(frozenset(x for x in own if counts[x] == s) | (full_elsewhere - own))
+        else:
+            kernels.append(None)
     return kernels
 
 
@@ -260,13 +251,10 @@ def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
 
 
 def overlapping_coefficient(f: EdgeFamily, j: int) -> float:
-    """|intersection| / |union| over the sets visible to site j."""
+    """|intersection| / |union| over the sets visible to site j. The union
+    is never empty, as no set of a family is."""
     view = site_view(f, j)
-    union = frozenset.union(*view.visible)
-    if not union:
-        raise PreconditionError(f"union of sets visible to site {j} is empty")
-    inter = frozenset.intersection(*view.visible)
-    return len(inter) / len(union)
+    return len(frozenset.intersection(*view)) / len(frozenset.union(*view))
 
 
 def greatest_overlapping_coefficient(f: EdgeFamily) -> float:

@@ -116,10 +116,10 @@ def combined_laplacian_residual(f: EdgeFamily) -> float:
     """
     lhs = np.zeros((f.base.n, f.base.n))
     for s in f.sets:
-        lhs += laplacian(induced_subgraph(f.base, s)).matrix
+        lhs += laplacian(induced_subgraph(f.base, s))
     rhs = np.zeros_like(lhs)
     for c, cls in overlapping_cardinality_partition(f).classes:
-        rhs += c * laplacian(induced_subgraph(f.base, cls)).matrix
+        rhs += c * laplacian(induced_subgraph(f.base, cls))
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -27,10 +27,10 @@ _MAX_DRAWS = np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class SparsifierResult:
+    """A sparsifier `h` and its exact factor against its source graph."""
+
     h: WeightedGraph
-    epsilon_target: float
     epsilon_certified: float
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,12 @@ def sparsify_er(
     counts = rng.multinomial(q, probs)
     support = counts > 0
     if int(support.sum()) >= g.m:
-        return SparsifierResult(h=g, epsilon_target=epsilon, epsilon_certified=0.0, seed=seed)
+        return SparsifierResult(h=g, epsilon_certified=0.0)
 
     kept = g.records[support]
     kept["w"] = counts[support] * kept["w"] / (q * probs[support])
     h = WeightedGraph(g.n, kept)
-    cert = verify_epsilon(g, h)
-    return SparsifierResult(h=h, epsilon_target=epsilon, epsilon_certified=cert, seed=seed)
+    return SparsifierResult(h=h, epsilon_certified=verify_epsilon(g, h))
 
 
 def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
@@ -112,7 +111,7 @@ def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
     component, blocks = g.factor
     if np.any(component[h.u] != component[h.v]):
         return math.inf
-    Lh = laplacian(h).matrix
+    Lh = laplacian(h)
     mu = [np.linalg.eigvalsh(cinv @ Lh[np.ix_(free, free)] @ cinv.T) for free, cinv in blocks]
     mu = np.concatenate([[1.0], *mu])  # a NaN from overflowing weights stays NaN
     return max(1.0 - float(mu.min()), float(mu.max()) - 1.0)

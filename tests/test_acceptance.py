@@ -57,7 +57,7 @@ def report(num, name):
 
 def exact_parts(f):
     return [
-        SparsifierResult(h=induced_subgraph(f.base, s), epsilon_target=0.0, epsilon_certified=0.0)
+        SparsifierResult(h=induced_subgraph(f.base, s), epsilon_certified=0.0)
         for s in f.sets
     ]
 
@@ -138,7 +138,7 @@ def test_criterion_4_verifier_exactness():
         h = induced_subgraph(g, keep)
         eps = verify_epsilon(g, h)
         X = rng.normal(size=(100_000, g.n))
-        Lg, Lh = laplacian(g).matrix, laplacian(h).matrix
+        Lg, Lh = laplacian(g), laplacian(h)
         num = np.einsum("ij,jk,ik->i", X, Lh, X)
         den = np.einsum("ij,jk,ik->i", X, Lg, X)
         mask = den > 1e-12
@@ -194,7 +194,7 @@ def test_criterion_7_broadcast_cost_formula():
         f = family_from_index_sets(uniform_star_index_sets(s, ell, lam))
         j = int(rng.integers(1, s + 1))
         transcript, recon = protocol_broadcast_graph(f, j)
-        union = frozenset.union(*site_view(f, j).visible)
+        union = frozenset.union(*site_view(f, j))
         delta = overlapping_coefficient(f, j)
         r1 = transcript.round_edge_cost(1)
         assert r1 == len(union) - lam
@@ -268,7 +268,7 @@ def test_criterion_10_lemma_property_suites():
     # why four sites are required: with s = 3 every view is trivially a
     # sunflower but the family {1,2},{2,3},{1,3} is not
     f3 = family_from_index_sets([{1, 2}, {2, 3}, {1, 3}])
-    assert all(is_delta_system(site_view(f3, j).visible).is_delta for j in (1, 2, 3))
+    assert all(is_delta_system(site_view(f3, j)).is_delta for j in (1, 2, 3))
     assert not is_delta_system(f3.sets).is_delta
     with pytest.raises(PreconditionError):
         lemma3_check(f3)

@@ -267,7 +267,7 @@ class TestSparsifyVerifyCmds:
 
     def test_non_finite_report_value_is_invalid_value(self, monkeypatch, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
-        nan = SparsifierResult(h=TRIANGLE, epsilon_target=0.5, epsilon_certified=math.nan)
+        nan = SparsifierResult(h=TRIANGLE, epsilon_certified=math.nan)
         monkeypatch.setattr(cli, "verify_epsilon", lambda g, h: math.nan)
         monkeypatch.setattr(cli, "sparsify_er", lambda *args, **kwargs: nan)
         out = tmp_path / "h.el"
@@ -670,7 +670,14 @@ class TestJsonLine:
         ],
     )
     def test_equals_plain_rendering_of_expanded_doc(self, doc):
-        assert cli._json_line(doc) == json.dumps(expanded(doc)) + "\n"
+        assert "".join(cli._json_line(doc)) == json.dumps(expanded(doc)) + "\n"
+
+    def test_a_set_held_k_times_is_one_string_object(self):
+        pieces = cli._json_line({"sites": [{"site": i, "edges": SHARED} for i in range(40)]})
+        renderings = pieces[1::2]
+        assert len(renderings) == 40
+        assert renderings[0] == json.dumps(sorted(SHARED))
+        assert all(r is renderings[0] for r in renderings)
 
     def test_nan_still_raises_value_error(self):
         with pytest.raises(ValueError):

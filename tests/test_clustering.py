@@ -49,7 +49,7 @@ class TestSpectralEmbedding:
     def test_planted_blocks_eigengap_and_grouping(self):
         rng = np.random.default_rng(7)
         g, labels = planted_three_block_graph(rng)
-        evals = np.linalg.eigvalsh(laplacian(g).matrix)
+        evals = np.linalg.eigvalsh(laplacian(g))
         assert evals[3] - evals[2] > 1.5 * evals[2]
         X = spectral_embedding(g, 3)
         # rows of the same block are closer than rows across blocks
@@ -127,7 +127,7 @@ class TestEmbeddingAgainstFullEigh:
     @given(disjoint_unions())
     def test_matches_reference(self, case):
         g, c, k, normalized = case
-        L = (normalized_laplacian(g) if normalized else laplacian(g)).matrix
+        L = normalized_laplacian(g) if normalized else laplacian(g)
         X = spectral_embedding(g, k, normalized)
         assert X.shape == (g.n, k)
         np.testing.assert_allclose(X.T @ X, np.eye(k), atol=1e-10)

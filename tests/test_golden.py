@@ -38,9 +38,14 @@ row writes with `--output`: the 4-cycle itself, since c1 = ck = 1 leaves
 the parts' weights unscaled, in `dump_graph`'s sorted form.
 
 Each command is rerun here and its output and exit status compared byte for
-byte.
+byte. These runs go through `CliRunner`, which swaps `sys.stdout`; one
+report is also written by a fresh `python -m distsparse.cli` process, to a
+pipe and to `--out`.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +114,19 @@ def test_union_report_and_edge_list(tmp_path):
 def test_report(name, args):
     status = 1 if name.startswith("error-") else 0
     assert run(args, status) == (DATA / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "out"])
+def test_report_from_a_fresh_process(tmp_path, to_file):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "distsparse.cli", "nof", "broadcast", "--family", STAR, "--site", "5"]
+    out = tmp_path / "report.json"
+    if to_file:
+        args += ["--out", str(out)]
+    result = subprocess.run(args, env=env, stdout=subprocess.PIPE, timeout=120)
+    assert result.returncode == 0
+    written = out.read_bytes() if to_file else result.stdout
+    assert written == (DATA / "broadcast-site5.json").read_bytes()
+    if to_file:
+        assert result.stdout == b""

@@ -308,7 +308,7 @@ class TestArrayOperations:
     @given(valid_graphs())
     @settings(max_examples=300, deadline=None)
     def test_laplacian_and_degrees_bitwise(self, g):
-        L = laplacian(g).matrix
+        L = laplacian(g)
         assert L.tobytes() == reference_laplacian(g).tobytes()
         assert g.degrees().tobytes() == reference_degrees(g).tobytes()
 

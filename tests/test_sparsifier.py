@@ -36,7 +36,7 @@ def reference_pinv(g):
     """Oracle for the resistances: the pseudoinverse of L_G from a dense
     `eigh` of every component's block. Each block's kernel is its constant
     vector (the smallest eigenpair), so no global cutoff is involved."""
-    L, Lp = laplacian(g).matrix, np.zeros((g.n, g.n))
+    L, Lp = laplacian(g), np.zeros((g.n, g.n))
     for c in connected_components(g):
         evals, U = np.linalg.eigh(L[np.ix_(c, c)])
         Lp[np.ix_(c, c)] = (U[:, 1:] / evals[1:]) @ U[:, 1:].T
@@ -51,7 +51,7 @@ def reference_epsilon(g, h):
     comp_of = {x: i for i, c in enumerate(comps) for x in c}
     if any(comp_of[u] != comp_of[v] for u, v, _ in h.edges):
         return math.inf
-    Lg, Lh = laplacian(g).matrix, laplacian(h).matrix
+    Lg, Lh = laplacian(g), laplacian(h)
     mu = [1.0]
     for c in comps:
         evals, U = np.linalg.eigh(Lg[np.ix_(c, c)])
@@ -146,7 +146,7 @@ class TestVerifyEpsilon:
         eps = verify_epsilon(g, h)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(100_000, 3))
-        Lg, Lh = laplacian(g).matrix, laplacian(h).matrix
+        Lg, Lh = laplacian(g), laplacian(h)
         num = np.einsum("ij,jk,ik->i", X, Lh, X)
         den = np.einsum("ij,jk,ik->i", X, Lg, X)
         mask = den > 1e-12
@@ -224,7 +224,7 @@ class TestComponentFactor:
         component, blocks = g.factor
         assert [free.tolist() for free, _ in blocks] == [[3, 5], [4, 6]]
         assert component.tolist() == [0, 1, 2, 0, 1, 0, 1, 3]
-        L = laplacian(g).matrix
+        L = laplacian(g)
         for free, cinv in blocks:
             assert cinv.shape == (len(free), len(free))
             C = np.linalg.inv(cinv)
@@ -281,7 +281,7 @@ class TestComponentFactor:
         g = random_graph(rng, 30, p=0.3)
         assert len(connected_components(g)) == 1
         h = WeightedGraph(g.n, tuple((u, v, w * rng.uniform(0.5, 2)) for u, v, w in g.edges))
-        Lg, Lh = laplacian(g).matrix, laplacian(h).matrix
+        Lg, Lh = laplacian(g), laplacian(h)
         cinv = np.linalg.inv(np.linalg.cholesky(Lg[1:, 1:]))
         X = np.zeros((g.n, g.n))
         X[1:, 1:] = cinv.T @ cinv
@@ -321,7 +321,7 @@ class TestTriangularInverse:
     def test_blocks_are_the_inverse_triangle(self):
         rng = np.random.default_rng(13)
         g = components_graph(rng, self.SIZES, [1.0] * len(self.SIZES))
-        L = laplacian(g).matrix
+        L = laplacian(g)
         _, blocks = g.factor
         assert sorted(len(free) for free, _ in blocks) == [s - 1 for s in self.SIZES if s > 1]
         for free, cinv in blocks:
@@ -439,7 +439,7 @@ class TestEpsilonPrime:
 
 def exact_parts(f):
     return [
-        SparsifierResult(h=induced_subgraph(f.base, s), epsilon_target=0.0, epsilon_certified=0.0)
+        SparsifierResult(h=induced_subgraph(f.base, s), epsilon_certified=0.0)
         for s in f.sets
     ]
 
@@ -496,6 +496,6 @@ class TestUnionSparsifiers:
     def test_vertex_mismatch(self):
         g = complete_graph(4)
         f = EdgeFamily(g, (g.pairs(),))
-        bad = SparsifierResult(h=complete_graph(5), epsilon_target=0.0, epsilon_certified=0.0)
+        bad = SparsifierResult(h=complete_graph(5), epsilon_certified=0.0)
         with pytest.raises(DimensionMismatch):
             union_sparsifiers([bad], f)
