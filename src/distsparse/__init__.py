@@ -38,7 +38,6 @@ from .nof import (
 )
 from .overlap import (
     EdgeFamily,
-    OverlapPartition,
     combined_laplacian_residual,
     family_from_dict,
     load_family,

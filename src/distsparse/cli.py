@@ -9,20 +9,19 @@ edges, each written as its sorted edges; the emit path (`_json_line`)
 renders each distinct set once and writes that one string wherever the set
 appears, piece by piece, never joining the report into one string. So the
 NOF broadcast's report, which holds the one union s times, costs one
-rendering of it: at s = 2975 a fresh process prints its 86 MB in about
-0.3-0.4 s on 2 vCPUs with a peak RSS of 33 MB. An infinite top-level value
-(an edge joins two components of the graph it is measured against, so no
-finite factor exists) is reported as null with ``"kernel_violation":
-true``; any other value that is not finite is an ``invalid-value`` error. A
-failure is one ``{"error": kind, "detail": ...}`` line on stdout with exit
-status 1; usage errors exit with status 2.
+rendering of it. An infinite top-level value (an edge joins two components
+of the graph it is measured against, so no finite factor exists) is
+reported as null with ``"kernel_violation": true``; any other value that is
+not finite is an ``invalid-value`` error. A failure is one
+``{"error": kind, "detail": ...}`` line on stdout with exit status 1; usage
+errors exit with status 2.
 
 Commands use the library's results as they come: `laplacian` and
 `normalized_laplacian` return the n x n array, `nof.site_view` the tuple of
-the sets a site sees, and `sparsify_er` a `SparsifierResult` holding only
-the sparsifier `h` and its certified factor; a report's target epsilon and
-seed are the command's own options. No wrapper class around a Laplacian
-or a site's view is public any more.
+the sets a site sees, `overlapping_cardinality_partition` the tuple of
+(cardinality, edge set) classes, and `sparsify_er` a `SparsifierResult`
+holding only the sparsifier `h` and its certified factor; a report's target
+epsilon and seed are the command's own options.
 """
 
 from __future__ import annotations
@@ -155,10 +154,10 @@ def laplacian_cmd(graph_path, normalized):
 @_command
 def partition_cmd(family_path):
     """Overlapping-cardinality partition of a family file."""
-    part = overlapping_cardinality_partition(load_family(family_path))
+    classes = overlapping_cardinality_partition(load_family(family_path))
     return {
-        "cardinalities": list(part.cardinalities),
-        "classes": [{"cardinality": c, "edges": cls} for c, cls in part.classes],
+        "cardinalities": [c for c, _ in classes],
+        "classes": [{"cardinality": c, "edges": cls} for c, cls in classes],
     }
 
 

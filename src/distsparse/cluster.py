@@ -3,6 +3,7 @@ and the adjusted Rand index used to compare labelings."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -147,19 +148,10 @@ def adjusted_rand_index(a: ClusterAssignment, b: ClusterAssignment) -> float:
     """Chance-corrected pair-counting agreement between two labelings."""
     if len(a.labels) != len(b.labels):
         raise DimensionMismatch("labelings have different lengths")
-    n = len(a.labels)
-    cont: dict[tuple[int, int], int] = {}
-    for la, lb in zip(a.labels, b.labels):
-        cont[(la, lb)] = cont.get((la, lb), 0) + 1
-    sum_cells = sum(comb(c, 2) for c in cont.values())
-    row = {}
-    col = {}
-    for (la, lb), c in cont.items():
-        row[la] = row.get(la, 0) + c
-        col[lb] = col.get(lb, 0) + c
-    sum_rows = sum(comb(c, 2) for c in row.values())
-    sum_cols = sum(comb(c, 2) for c in col.values())
-    pairs = comb(n, 2)
+    sum_cells = sum(comb(c, 2) for c in Counter(zip(a.labels, b.labels)).values())
+    sum_rows = sum(comb(c, 2) for c in Counter(a.labels).values())
+    sum_cols = sum(comb(c, 2) for c in Counter(b.labels).values())
+    pairs = comb(len(a.labels), 2)
     if pairs == 0:
         return 1.0
     expected = sum_rows * sum_cols / pairs

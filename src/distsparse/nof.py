@@ -12,7 +12,8 @@ induced subgraph or of a sparsifier, at `bits_per_edge(n)` =
 
 Broadcast and exchange split the family at site j the same way
 (`_star_split`): in a sunflower E_j is site j's private edges plus the
-kernel, so its petal union is δ_j = union - E_j.
+kernel, so its petal union is δ_j = union - E_j. The same split names the
+one site that writes in round 2, the lowest-numbered site other than j.
 
 The simulator does once what is the same at every site. Each site's draw
 of its local sparsifier stays its own, from its own seed; the sampling
@@ -261,10 +262,14 @@ def greatest_overlapping_coefficient(f: EdgeFamily) -> float:
     return max(overlapping_coefficient(f, j) for j in range(1, f.t + 1))
 
 
-def _star_split(f: EdgeFamily, j: int) -> tuple[tuple[frozenset[Edge], WeightedGraph], ...]:
+def _star_split(
+    f: EdgeFamily, j: int
+) -> tuple[tuple[frozenset[Edge], WeightedGraph], tuple[frozenset[Edge], WeightedGraph], int]:
     """Site j's petal union δ_j with its subgraph (V, δ_j), then E_j with
-    (V, E_j), once the broadcast and exchange preconditions hold: uniform
-    set sizes, a weak delta-system past the Deza threshold, a site in range.
+    (V, E_j), then the site that writes in round 2, the lowest-numbered
+    site other than j; once the broadcast and exchange preconditions hold:
+    uniform set sizes, a weak delta-system past the Deza threshold, a site
+    in range.
 
     Sunflowers are recognised first, from the occurrence counts; pairs are
     intersected only to word the error for a family that is not one. By
@@ -285,15 +290,16 @@ def _star_split(f: EdgeFamily, j: int) -> tuple[tuple[frozenset[Edge], WeightedG
         raise PreconditionError(f"need at least {need} sites for set size {ell}, got {f.t}")
     _check_site(f, j)
     e_j = f.sets[j - 1]
-    return tuple((edges, induced_subgraph(f.base, edges)) for edges in (f.union() - e_j, e_j))
+    delta, own = ((edges, induced_subgraph(f.base, edges)) for edges in (f.union() - e_j, e_j))
+    return delta, own, 2 if j == 1 else 1
 
 
 def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[int, frozenset[Edge]]]:
     """Two-round broadcast: site j writes its petal union, everyone else
     reconstructs the full edge set from it plus the kernel and their own
-    view; then one other site writes E_j so site j can finish too."""
-    (_, g_delta), (_, g_ej) = _star_split(f, j)
-    writer = 2 if j == 1 else 1  # the lowest-numbered other site
+    view; then the lowest-numbered other site writes E_j so site j can
+    finish too."""
+    (_, g_delta), (_, g_ej), writer = _star_split(f, j)
     # in a sunflower every edge outside the kernel lies in exactly one set,
     # so site i's private edges E_i - kernel lie in delta_j for every i != j,
     # and site j's are E_j: every site rebuilds the whole union
@@ -320,7 +326,7 @@ def protocol_sparsifier_exchange(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    (delta_j, g_delta), (e_j, g_ej) = _star_split(f, j)
+    (delta_j, g_delta), (e_j, g_ej), writer = _star_split(f, j)
     others = [i for i in range(1, f.t + 1) if i != j]
     rng = np.random.default_rng(seed)
     seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
@@ -329,7 +335,6 @@ def protocol_sparsifier_exchange(
     two_part = EdgeFamily(f.base, (delta_j, e_j) if delta_j else (e_j,))
     shared = [sparsify_er(g_delta, epsilon, seeds[j])] if delta_j else []
     local = {i: sparsify_er(g_ej, epsilon, seeds[i]) for i in others}
-    writer = others[0]
     local[j] = local[writer]
 
     writes = (

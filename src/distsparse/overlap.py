@@ -64,18 +64,6 @@ def occurrence_counts(sets) -> Counter:
     return Counter(chain.from_iterable(sets))
 
 
-@dataclass(frozen=True)
-class OverlapPartition:
-    """Partition classes (cardinality, edge set) with strictly increasing
-    cardinalities."""
-
-    classes: tuple[tuple[int, frozenset[Edge]], ...]
-
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.classes)
-
-
 def occurrence_number(f: EdgeFamily, edge) -> int:
     """Number of family sets containing the edge (0 if in none)."""
     return f.occurrences.get(norm_pair(*edge), 0)
@@ -99,13 +87,13 @@ def overlapping_cardinality(f: EdgeFamily, subset) -> int:
     return 0
 
 
-def overlapping_cardinality_partition(f: EdgeFamily) -> OverlapPartition:
-    """Group edges by occurrence number, classes ordered by increasing count."""
+def overlapping_cardinality_partition(f: EdgeFamily) -> tuple[tuple[int, frozenset[Edge]], ...]:
+    """The (cardinality, edge set) classes of edges grouped by occurrence
+    number, in increasing order of cardinality."""
     by_count: dict[int, set[Edge]] = {}
     for p, c in f.occurrences.items():
         by_count.setdefault(c, set()).add(p)
-    classes = tuple((c, frozenset(by_count[c])) for c in sorted(by_count))
-    return OverlapPartition(classes)
+    return tuple((c, frozenset(by_count[c])) for c in sorted(by_count))
 
 
 def combined_laplacian_residual(f: EdgeFamily) -> float:
@@ -118,7 +106,7 @@ def combined_laplacian_residual(f: EdgeFamily) -> float:
     for s in f.sets:
         lhs += laplacian(induced_subgraph(f.base, s))
     rhs = np.zeros_like(lhs)
-    for c, cls in overlapping_cardinality_partition(f).classes:
+    for c, cls in overlapping_cardinality_partition(f):
         rhs += c * laplacian(induced_subgraph(f.base, cls))
     return float(np.max(np.abs(lhs - rhs)))
 

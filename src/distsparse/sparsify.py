@@ -149,14 +149,13 @@ def union_sparsifiers(parts, f: EdgeFamily) -> UnionSparsifier:
     c1, ck = min(counts), max(counts)
 
     # a stable sort keeps each pair's copies part after part, each part in
-    # edge order, and np.add.at adds them in that order
+    # edge order, and np.bincount adds them in that order
     records = np.concatenate([p.h.records for p in parts])
     records = records[np.lexsort((records["v"], records["u"]))]
     u, v = records["u"], records["v"]
     first = np.ones(len(records), dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    acc = np.zeros(np.count_nonzero(first))
-    np.add.at(acc, np.cumsum(first) - 1, records["w"])
+    acc = np.bincount(np.cumsum(first) - 1, records["w"])
     records = records[first]
     records["w"] = acc * (1.0 / (c1 * ck))
     h = WeightedGraph(n, records)

@@ -71,8 +71,8 @@ class TestOverlappingCardinality:
 class TestPartition:
     def test_worked_example(self, example1_family):
         part = overlapping_cardinality_partition(example1_family)
-        assert part.cardinalities == (2, 3, 4, 5)
-        by_card = {c: frozenset(cls) for c, cls in part.classes}
+        assert [c for c, _ in part] == [2, 3, 4, 5]
+        by_card = dict(part)
         assert by_card[2] == frozenset({elem_edge(6), elem_edge(7)})
         assert by_card[3] == frozenset({elem_edge(5)})
         assert by_card[4] == frozenset({elem_edge(1), elem_edge(4)})
@@ -80,14 +80,11 @@ class TestPartition:
 
     def test_single_set_family(self):
         f = family_from_index_sets([{1, 2, 3}])
-        part = overlapping_cardinality_partition(f)
-        assert part.cardinalities == (1,)
-        assert part.classes[0][1] == f.union()
+        assert overlapping_cardinality_partition(f) == ((1, f.union()),)
 
     def test_two_identical_sets(self):
         f = family_from_index_sets([{1, 2}, {1, 2}])
-        part = overlapping_cardinality_partition(f)
-        assert part.cardinalities == (2,)
+        assert [c for c, _ in overlapping_cardinality_partition(f)] == [2]
 
     def test_classes_partition_union(self):
         rng = np.random.default_rng(11)
@@ -95,12 +92,12 @@ class TestPartition:
             g = random_graph(rng, int(rng.integers(3, 20)))
             f = random_covering_family(rng, g, int(rng.integers(1, 8)))
             part = overlapping_cardinality_partition(f)
-            all_edges = [e for _, cls in part.classes for e in cls]
+            all_edges = [e for _, cls in part for e in cls]
             assert len(all_edges) == len(set(all_edges))
             assert set(all_edges) == set(f.union())
-            cards = part.cardinalities
+            cards = [c for c, _ in part]
             assert cards[0] >= 1 and cards[-1] <= f.t
-            assert list(cards) == sorted(set(cards))
+            assert cards == sorted(set(cards))
 
 
 class TestLemma1Residual:

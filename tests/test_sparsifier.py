@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsparse import (
     DimensionMismatch,
     EdgeFamily,
+    Error,
     SparsifierResult,
     WeightedGraph,
     connected_components,
@@ -58,6 +62,79 @@ def reference_epsilon(g, h):
         A = U[:, 1:] / np.sqrt(evals[1:])
         mu.extend(np.linalg.eigvalsh(A.T @ Lh[np.ix_(c, c)] @ A))
     return max(1 - min(mu), max(mu) - 1)
+
+
+def exact_laplacian(g):
+    """L_G in exact rationals: each float weight is converted exactly."""
+    L = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for u, v, w in g.edges:
+        w = Fraction(w)
+        L[u][u] += w
+        L[v][v] += w
+        L[u][v] -= w
+        L[v][u] -= w
+    return L
+
+
+def is_psd_exact(M):
+    """Whether a symmetric rational matrix is positive semidefinite, by an
+    exact LDL^T elimination: a negative pivot refutes it, and a zero pivot
+    is allowed only with a zero row, which is then skipped."""
+    M = [row[:] for row in M]
+    n = len(M)
+    for k in range(n):
+        d = M[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(M[k][i] != 0 for i in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = M[i][k] / d
+            for j in range(k + 1, n):
+                M[i][j] -= f * M[k][j]
+    return True
+
+
+def exactly_valid(g, h, eps):
+    """Whether (1-eps) L_G <= L_H <= (1+eps) L_G holds exactly, eps a
+    Fraction: both (1+eps) L_G - L_H and L_H - (1-eps) L_G are PSD."""
+    Lg, Lh = exact_laplacian(g), exact_laplacian(h)
+    upper = [[(1 + eps) * a - b for a, b in zip(ra, rb)] for ra, rb in zip(Lg, Lh)]
+    lower = [[b - (1 - eps) * a for a, b in zip(ra, rb)] for ra, rb in zip(Lg, Lh)]
+    return is_psd_exact(upper) and is_psd_exact(lower)
+
+
+@st.composite
+def graph_and_candidate(draw):
+    """A graph on n <= 6 vertices with weights in the benchmark's range
+    [0.1, 3], and a candidate that drops some of its edges, keeps some and
+    rescales the others by 0.5-2."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weights = st.floats(0.1, 3.0)
+    g = WeightedGraph(n, tuple((u, v, draw(weights)) for u, v in sorted(chosen)))
+    change = st.one_of(st.none(), st.just(1.0), st.floats(0.5, 2.0))
+    candidate = []
+    for u, v, w in g.edges:
+        factor = draw(change)
+        if factor is not None:
+            candidate.append((u, v, w * factor))
+    return g, WeightedGraph(n, tuple(candidate))
+
+
+# an ill-conditioned pair whose weight spread, 4e11, is below 1/eps_mach: the
+# exact factor is 1 (x = e_0 gives the ratio 2), but forming C^-1 L_H C^-T
+# with an explicit inverse loses about eps_mach times the condition number
+# of the grounded block
+ILL_G = WeightedGraph(
+    4, ((0, 1, 0.0013710380709953812), (1, 3, 0.8806486895247286), (1, 2, 0.8407493119117172), (2, 3, 585699198.1201286))
+)
+ILL_H = WeightedGraph(
+    4, ((0, 1, 0.0027420761419907624), (1, 3, 1.320973034287093), (1, 2, 0.8407493119117172), (2, 3, 292849599.0600643))
+)
 
 
 def random_split_pair(rng):
@@ -215,6 +292,41 @@ class TestVerifyEpsilon:
             assert verify_epsilon(g, g) == 0.0
             assert verify_epsilon(g, copy) == 0.0
             assert "factor" not in g.__dict__ and "factor" not in copy.__dict__
+
+
+class TestExactOracle:
+    """The verifier against an exact-rational PSD check of its certificate."""
+
+    def test_oracle_on_known_factors(self):
+        g = complete_graph(4)
+        assert exactly_valid(g, scaled(g, 2.0), Fraction(1))
+        assert not exactly_valid(g, scaled(g, 2.0), Fraction(999999, 10**6))
+        assert exactly_valid(g, g, Fraction(0))
+        assert not exactly_valid(g, g, Fraction(-1, 10**9))
+
+    @given(graph_and_candidate())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_is_tight(self, pair):
+        g, h = pair
+        cert = Fraction(verify_epsilon(g, h))
+        slack = Fraction(1, 10**9)
+        assert exactly_valid(g, h, cert + slack)
+        assert not exactly_valid(g, h, cert - slack)
+
+    def test_ill_conditioned_pair_truth_is_one(self):
+        assert exactly_valid(ILL_G, ILL_H, Fraction(1))
+        assert not exactly_valid(ILL_G, ILL_H, Fraction(999999, 10**6))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the explicit inverse of the grounded factor loses about eps_mach times its condition number",
+    )
+    def test_ill_conditioned_pair_is_certified_or_refused(self):
+        try:
+            cert = verify_epsilon(ILL_G, ILL_H)
+        except (ValueError, Error):  # a worded refusal
+            return
+        assert cert == pytest.approx(1.0, abs=1e-9)
 
 
 class TestComponentFactor:
@@ -480,6 +592,29 @@ class TestUnionSparsifiers:
         expected = frozenset().union(*(p.h.pairs() for p in parts))
         assert u.h.pairs() == expected
         assert all(w > 0 for _, _, w in u.h.edges)
+
+    def test_copies_summed_part_after_part(self):
+        # each pair's copies are added in part order, one Python float at a
+        # time, then scaled once; up to six parts give pairs with 3+ copies
+        rng = np.random.default_rng(23)
+        most = 0
+        for _ in range(40):
+            g = random_graph(rng, int(rng.integers(4, 14)), p=0.5)
+            f = random_covering_family(rng, g, int(rng.integers(2, 7)))
+            parts = []
+            for edges in f.sets:
+                sub = induced_subgraph(f.base, edges)
+                reweighted = tuple((u, v, w * float(rng.uniform(0.5, 2.0))) for u, v, w in sub.edges)
+                parts.append(SparsifierResult(h=WeightedGraph(g.n, reweighted), epsilon_certified=0.0))
+            u = union_sparsifiers(parts, f)
+            sums = {}
+            for p in parts:
+                for a, b, w in p.h.edges:
+                    sums[(a, b)] = sums.get((a, b), 0.0) + w
+            scale = 1.0 / (u.c1 * u.ck)
+            assert u.h.edges == tuple((a, b, sums[(a, b)] * scale) for a, b in sorted(sums))
+            most = max(most, u.ck)
+        assert most >= 3
 
     def test_part_count_mismatch(self):
         g = complete_graph(4)
