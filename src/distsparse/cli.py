@@ -15,13 +15,6 @@ reported as null with ``"kernel_violation": true``; any other value that is
 not finite is an ``invalid-value`` error. A failure is one
 ``{"error": kind, "detail": ...}`` line on stdout with exit status 1; usage
 errors exit with status 2.
-
-Commands use the library's results as they come: `laplacian` and
-`normalized_laplacian` return the n x n array, `nof.site_view` the tuple of
-the sets a site sees, `overlapping_cardinality_partition` the tuple of
-(cardinality, edge set) classes, and `sparsify_er` a `SparsifierResult`
-holding only the sparsifier `h` and its certified factor; a report's target
-epsilon and seed are the command's own options.
 """
 
 from __future__ import annotations
@@ -73,8 +66,6 @@ def _json_line(doc: dict) -> list[str]:
         return f"\0{index[obj]}\0"
 
     text = json.dumps(doc, allow_nan=False, default=edge_set) + "\n"
-    if not rendered:
-        return [text]
     pieces = _PLACEHOLDER.split(text)
     pieces[1::2] = [rendered[int(i)] for i in pieces[1::2]]
     return pieces

@@ -295,7 +295,9 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
     Every dense path (factor, verifier, clustering) starts here, so a vertex
     count whose dense arrays would not fit in physical memory is refused
-    with a `MemoryError` before any n x n allocation."""
+    with a `MemoryError` before any n x n allocation, and a weighted degree
+    that overflows float64 (finite weights can sum to inf, which
+    `np.bincount` does not report as an overflow) with a `ValueError`."""
     need = _DENSE_ARRAYS * 8 * g.n * g.n
     have = _physical_memory()
     if need > have:
@@ -303,10 +305,14 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
             f"n={g.n} needs {need} bytes for {_DENSE_ARRAYS} dense n x n float64 arrays; "
             f"physical memory is {have} bytes"
         )
+    d = g.degrees()
+    overflow = np.flatnonzero(~np.isfinite(d))
+    if len(overflow):
+        raise ValueError(f"the weighted degree of vertex {overflow[0]} overflows float64")
     L = np.zeros((g.n, g.n))
     L[g.u, g.v] = -g.w
     L[g.v, g.u] = -g.w
-    np.fill_diagonal(L, g.degrees())
+    np.fill_diagonal(L, d)
     return L
 
 

@@ -6,9 +6,10 @@ protocols: sunflower verification (one bit per site), whole-graph broadcast
 exploiting the sunflower kernel, and a two-round sparsifier exchange that
 leaves every site with a spectral sparsifier of the full graph.
 
-Every edge-set write is one `_edge_write`: the sorted (u, v, w) edges of an
-induced subgraph or of a sparsifier, at `bits_per_edge(n)` =
-2 ceil(log2 n) + 64 bits per edge.
+Every edge-set write is one `_edge_write(site, round, h)` of a graph h, an
+induced subgraph or a sparsifier: its sorted (u, v, w) edges, at
+`bits_per_edge(h.n)` = 2 ceil(log2 n) + 64 bits per edge. A bit write's
+payload is the bit.
 
 Broadcast and exchange split the family at site j the same way
 (`_star_split`): in a sunflower E_j is site j's private edges plus the
@@ -47,7 +48,7 @@ class Write:
     site: int
     round: int
     kind: str
-    payload: tuple
+    payload: tuple | int
     bit_cost: int
     edge_cost: int
 
@@ -81,7 +82,7 @@ class Transcript:
                         {
                             "site": w.site,
                             "kind": w.kind,
-                            "payload": w.payload[0] if w.kind == BIT else w.payload,
+                            "payload": w.payload,
                             "bit_cost": w.bit_cost,
                             "edge_cost": w.edge_cost,
                         }
@@ -110,10 +111,10 @@ def bits_per_edge(n: int) -> int:
     return 2 * (n - 1).bit_length() + 64
 
 
-def _edge_write(site: int, round: int, edges: tuple, n: int) -> Write:
-    """A weighted edge-set write of (u, v, w) edges, in the order given:
-    `bits_per_edge(n)` bits and one unit of edge cost per edge."""
-    return Write(site, round, WEIGHTED_EDGE_SET, edges, len(edges) * bits_per_edge(n), len(edges))
+def _edge_write(site: int, round: int, h: WeightedGraph) -> Write:
+    """A weighted edge-set write of the sorted (u, v, w) edges of `h`:
+    `bits_per_edge(h.n)` bits and one unit of edge cost per edge."""
+    return Write(site, round, WEIGHTED_EDGE_SET, h.edges, h.m * bits_per_edge(h.n), h.m)
 
 
 def _check_site(f: EdgeFamily, j: int) -> None:
@@ -247,7 +248,7 @@ def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
     if f.t < 4:
         raise PreconditionError("need at least four sites")
     bits = [int(k is not None) for k in _view_kernels(f)[:-1]]
-    writes = tuple(Write(site=j, round=1, kind=BIT, payload=(b,), bit_cost=1, edge_cost=0) for j, b in enumerate(bits, 1))
+    writes = tuple(Write(site=j, round=1, kind=BIT, payload=b, bit_cost=1, edge_cost=0) for j, b in enumerate(bits, 1))
     return Transcript(writes), all(bits)
 
 
@@ -262,11 +263,9 @@ def greatest_overlapping_coefficient(f: EdgeFamily) -> float:
     return max(overlapping_coefficient(f, j) for j in range(1, f.t + 1))
 
 
-def _star_split(
-    f: EdgeFamily, j: int
-) -> tuple[tuple[frozenset[Edge], WeightedGraph], tuple[frozenset[Edge], WeightedGraph], int]:
-    """Site j's petal union δ_j with its subgraph (V, δ_j), then E_j with
-    (V, E_j), then the site that writes in round 2, the lowest-numbered
+def _star_split(f: EdgeFamily, j: int) -> tuple[WeightedGraph, WeightedGraph, int]:
+    """The subgraph (V, δ_j) on site j's petal union, the subgraph
+    (V, E_j), and the site that writes in round 2, the lowest-numbered
     site other than j; once the broadcast and exchange preconditions hold:
     uniform set sizes, a weak delta-system past the Deza threshold, a site
     in range.
@@ -290,8 +289,7 @@ def _star_split(
         raise PreconditionError(f"need at least {need} sites for set size {ell}, got {f.t}")
     _check_site(f, j)
     e_j = f.sets[j - 1]
-    delta, own = ((edges, induced_subgraph(f.base, edges)) for edges in (f.union() - e_j, e_j))
-    return delta, own, 2 if j == 1 else 1
+    return induced_subgraph(f.base, f.union() - e_j), induced_subgraph(f.base, e_j), 2 if j == 1 else 1
 
 
 def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[int, frozenset[Edge]]]:
@@ -299,15 +297,12 @@ def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[in
     reconstructs the full edge set from it plus the kernel and their own
     view; then the lowest-numbered other site writes E_j so site j can
     finish too."""
-    (_, g_delta), (_, g_ej), writer = _star_split(f, j)
+    g_delta, g_ej, writer = _star_split(f, j)
     # in a sunflower every edge outside the kernel lies in exactly one set,
     # so site i's private edges E_i - kernel lie in delta_j for every i != j,
     # and site j's are E_j: every site rebuilds the whole union
     reconstructions = dict.fromkeys(range(1, f.t + 1), f.union())
-    writes = (
-        _edge_write(j, 1, g_delta.edges, f.base.n),
-        _edge_write(writer, 2, g_ej.edges, f.base.n),
-    )
+    writes = (_edge_write(j, 1, g_delta), _edge_write(writer, 2, g_ej))
     return Transcript(writes), reconstructions
 
 
@@ -326,21 +321,18 @@ def protocol_sparsifier_exchange(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    (delta_j, g_delta), (e_j, g_ej), writer = _star_split(f, j)
+    g_delta, g_ej, writer = _star_split(f, j)
     others = [i for i in range(1, f.t + 1) if i != j]
     rng = np.random.default_rng(seed)
     seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
 
     # the two-part allocation the union theorem is applied to
-    two_part = EdgeFamily(f.base, (delta_j, e_j) if delta_j else (e_j,))
-    shared = [sparsify_er(g_delta, epsilon, seeds[j])] if delta_j else []
+    two_part = EdgeFamily(f.base, (g_delta.pairs(), g_ej.pairs()) if g_delta.m else (g_ej.pairs(),))
+    shared = [sparsify_er(g_delta, epsilon, seeds[j])] if g_delta.m else []
     local = {i: sparsify_er(g_ej, epsilon, seeds[i]) for i in others}
     local[j] = local[writer]
 
-    writes = (
-        _edge_write(j, 1, shared[0].h.edges if shared else (), f.base.n),
-        _edge_write(writer, 2, local[writer].h.edges, f.base.n),
-    )
+    writes = (_edge_write(j, 1, shared[0].h if shared else g_delta), _edge_write(writer, 2, local[writer].h))
     # every local part is drawn from g_ej and certified against it, so its
     # graph fixes its certificate too: sites whose local parts have equal
     # graphs hold one union, formed once

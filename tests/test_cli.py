@@ -91,6 +91,22 @@ class TestLaplacianCmd:
         check_contract(result)
         assert json.loads(result.stdout) == {"error": "parse", "detail": detail.format(path=p)}
 
+    @pytest.mark.parametrize(
+        "text, vertex",
+        [("0 1 1e308\n1 2 1e308\n0 2 1e308\n", 0), ("0 1 1e308\n1 2 1e308\n", 1)],
+        ids=["triangle", "path"],
+    )
+    @pytest.mark.parametrize("cmd", [["laplacian"], ["cluster", "--k", "2"], ["sparsify", "--epsilon", "0.5"]])
+    def test_degree_overflow_is_invalid_value(self, tmp_path, cmd, text, vertex):
+        p = tmp_path / "g.el"
+        p.write_text(text)
+        result = invoke([*cmd, "--graph", str(p)])
+        check_contract(result)
+        assert json.loads(result.stdout) == {
+            "error": "invalid-value",
+            "detail": f"the weighted degree of vertex {vertex} overflows float64",
+        }
+
     def test_missing_file_is_io_error(self, runner):
         result, doc = run_json(runner, ["laplacian", "--graph", "/nonexistent.el"])
         assert result.exit_code == 1
@@ -258,6 +274,16 @@ class TestSparsifyVerifyCmds:
             "error": "invalid-value",
             "detail": "the graph has a weight range beyond what float64 can sample: its scores w_e R_e sum to 0.0",
         }
+
+    def test_floating_point_error_is_invalid_value(self, tmp_path):
+        # weights near the bottom of float64 overflow in the verifier's products
+        p = tmp_path / "g.el"
+        p.write_text("0 1 1e-308\n1 2 1e-308\n")
+        result = invoke(["sparsify", "--graph", str(p), "--epsilon", "0.5"])
+        check_contract(result)
+        doc = json.loads(result.stdout)
+        assert doc["error"] == "invalid-value"
+        assert doc["detail"].startswith("floating-point ")
 
     def test_bad_epsilon(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)

@@ -254,6 +254,16 @@ class TestMulticutWeight:
             multicut_weight(two_triangles(), ClusterAssignment((0, 1), 2))
 
 
+@pytest.mark.parametrize(
+    "labels, detail",
+    [((0, 2), "labels outside [0, 2)"), ((0, 0), "every cluster id must be used at least once")],
+)
+def test_cluster_assignment_refusals(labels, detail):
+    with pytest.raises(ValueError) as exc:
+        ClusterAssignment(labels, 2)
+    assert str(exc.value) == detail
+
+
 def brute_force_ari(a, b):
     n = len(a.labels)
     pairs = list(itertools.combinations(range(n), 2))

@@ -375,6 +375,7 @@ class TestLoadGraph:
             ("n 3\n0 1 1.0\n1 2 1e999\n", "line 3: weight must be finite, got inf"),
             ("0 1 Infinity\n", "line 1: weight must be finite, got inf"),
             ("0 1 -inf\n", "line 1: weight must be strictly positive, got -inf"),
+            ("n x\n0 1 1.0\n", "line 1: bad vertex count 'x'"),
         ],
     )
     def test_examples(self, text, expected):

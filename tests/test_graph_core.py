@@ -110,6 +110,18 @@ class TestLaplacian:
             with pytest.raises(MemoryError, match=re.escape(detail)):
                 dense(big)
 
+    @pytest.mark.parametrize(
+        "g, vertex",
+        [(triangle(1e308), 0), (WeightedGraph(3, ((0, 1, 1e308), (1, 2, 1e308))), 1)],
+        ids=["triangle", "path"],
+    )
+    def test_degree_overflow_refused(self, g, vertex):
+        # finite weights whose sum at a vertex is inf, which np.bincount does not trap
+        detail = f"the weighted degree of vertex {vertex} overflows float64"
+        for dense in (laplacian, normalized_laplacian, lambda g: g.factor):
+            with pytest.raises(ValueError, match=detail):
+                dense(g)
+
 
 class TestQuadraticForm:
     def test_ones_in_kernel(self):

@@ -158,7 +158,7 @@ class TestOccurrenceCountsAgainstPairwiseReference:
                         symmetric_difference_on_site(f, j)
         if f.t >= 4:
             transcript, verdict = protocol_verify_sunflower(f)
-            bits = [w.payload[0] for w in transcript.writes]
+            bits = [w.payload for w in transcript.writes]
             assert bits == [int(reference_delta(v)[0]) for v in views[:-1]]
             assert verdict == reference_delta(f.sets)[0]
             all_views = all(reference_delta(v)[0] for v in views)
@@ -206,6 +206,12 @@ class TestSymmetricDifference:
         with pytest.raises(PreconditionError):
             symmetric_difference_on_site(f, 4)
 
+    def test_two_sites_refused(self):
+        # each site of a 2-site family sees one set, too few to be a delta-system
+        f = family_from_index_sets([{1, 2}, {1, 3}])
+        with pytest.raises(PreconditionError, match="delta-system check needs at least two sets"):
+            symmetric_difference_on_site(f, 1)
+
 
 class TestLemmas:
     def test_lemma2_star(self):
@@ -221,6 +227,11 @@ class TestLemmas:
     def test_lemma2_precondition(self):
         f = family_from_index_sets([{1, 2}, {2, 3}, {1, 3}])
         with pytest.raises(PreconditionError):
+            lemma2_check(f)
+
+    def test_lemma2_needs_three_sites(self):
+        f = family_from_index_sets([{1, 2}, {1, 3}])
+        with pytest.raises(PreconditionError, match="need at least three sites"):
             lemma2_check(f)
 
     def test_lemma3_holds_for_delta_families(self):
