@@ -7,14 +7,17 @@ A graph is stored as one structured array of (u, v, w) records
 (`EDGE_DTYPE`), u < v, sorted by (u, v) and validated once in vectorised
 form; every operation here reads that array, and `edges` is a tuple view of
 it built on first use. An edge list in plain ASCII is parsed by one
-`np.loadtxt` pass. Any other text, and any file that pass or the graph's
-validation rejects, is read again by the line-by-line rules, which word
-every parse error with its line number.
+`np.loadtxt` pass. A file's bytes are read once and checked for plain text;
+numpy's C reader then reads the file again itself, in chunks. Any other
+text, and any file that pass or the graph's validation rejects, is decoded
+and read again by the line-by-line rules, which word every parse error with
+its line number.
 """
 
 from __future__ import annotations
 
 import io
+import lzma
 import math
 import os
 import re
@@ -97,7 +100,15 @@ class WeightedGraph:
         dup = np.zeros(len(w), dtype=bool)
         ordered = ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()
         if not ordered:
-            order = np.lexsort((hi, lo))  # stable: a pair's first edge comes first
+            # stable: a pair's first edge comes first. The key lo * n + hi
+            # orders in-range pairs as (lo, hi) does, and is exact for them
+            # while n * n fits in int64; only an out-of-range edge can wrap
+            # or collide, and the first one in input order is reported
+            # before any duplicate it could fake. Beyond that n, lexsort.
+            if self.n * self.n <= np.iinfo(np.int64).max:
+                order = np.argsort(lo * self.n + hi, kind="stable")
+            else:
+                order = np.lexsort((hi, lo))
             lo, hi = lo[order], hi[order]
             same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
             dup[order[1:][same]] = True
@@ -188,10 +199,17 @@ class WeightedGraph:
         """Weighted degrees. Every vertex x sums its edges' weights in edge
         order, as a per-edge loop would: in (u, v) order each edge (a, x)
         comes before each (x, b), so all v ends are counted before all u
-        ends."""
+        ends. Every dense path reads them, so a degree that overflows
+        float64 (finite weights can sum to inf, which `np.bincount` does not
+        report as an overflow) is refused here, naming the first such
+        vertex."""
         both = np.concatenate([self.v, self.u])
         # astype: bincount of no edges is an integer array
-        return np.bincount(both, np.concatenate([self.w, self.w]), self.n).astype(float)
+        d = np.bincount(both, np.concatenate([self.w, self.w]), self.n).astype(float)
+        overflow = np.flatnonzero(~np.isfinite(d))
+        if len(overflow):
+            raise ValueError(f"the weighted degree of vertex {overflow[0]} overflows float64")
+        return d
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
@@ -295,9 +313,8 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
     Every dense path (factor, verifier, clustering) starts here, so a vertex
     count whose dense arrays would not fit in physical memory is refused
-    with a `MemoryError` before any n x n allocation, and a weighted degree
-    that overflows float64 (finite weights can sum to inf, which
-    `np.bincount` does not report as an overflow) with a `ValueError`."""
+    with a `MemoryError` before any n x n allocation, and then a weighted
+    degree that overflows float64 (`WeightedGraph.degrees`)."""
     need = _DENSE_ARRAYS * 8 * g.n * g.n
     have = _physical_memory()
     if need > have:
@@ -306,9 +323,6 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
             f"physical memory is {have} bytes"
         )
     d = g.degrees()
-    overflow = np.flatnonzero(~np.isfinite(d))
-    if len(overflow):
-        raise ValueError(f"the weighted degree of vertex {overflow[0]} overflows float64")
     L = np.zeros((g.n, g.n))
     L[g.u, g.v] = -g.w
     L[g.v, g.u] = -g.w
@@ -365,37 +379,63 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
 
 # tab, newline and printable ASCII: the only text `np.loadtxt` reads here
 _PLAIN = bytes([9, 10, *range(32, 127)])
-_DATA_LINE = re.compile(r"^[ \t]*([^ \t\n#].*)$", re.MULTILINE)
-_TRAILING_COMMENT = re.compile(r"^[ \t]*[^ \t\n#][^\n#]*#", re.MULTILINE)
+_DATA_LINE = re.compile(rb"^[ \t]*([^ \t\n#].*)$", re.MULTILINE)
+_TRAILING_COMMENT = re.compile(rb"^[ \t]*[^ \t\n#][^\n#]*#", re.MULTILINE)
 
 
-def load_graph(text: str) -> WeightedGraph:
+def load_graph(text: str | bytes, *, path=None) -> WeightedGraph:
     """Parse the edge-list format: one `u v w` per line, `#` comments,
-    optional leading `n <count>` header fixing the vertex count."""
-    g = _load_plain(text)
-    return g if g is not None else _load_lines(text)
+    optional leading `n <count>` header fixing the vertex count.
+
+    `text` is the edge list as a str or, with `path`, the bytes of that
+    file (`load_graph_file`): numpy then reads the file itself, and the
+    bytes are decoded, as UTF-8, only for the line rules. Text that is not
+    UTF-8 is a `ParseError`."""
+    g = _load_plain(text, path)
+    if g is not None:
+        return g
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid edge list in {path}: {exc}") from None
+    return _load_lines(text)
 
 
-def _load_plain(text: str) -> WeightedGraph | None:
+def _load_plain(text: str | bytes, path) -> WeightedGraph | None:
     """The graph of a valid edge list in plain ASCII, read by one
-    `np.loadtxt` pass; None for text that pass or the graph rejects."""
-    if not text.isascii() or text.encode().translate(None, _PLAIN):
+    `np.loadtxt` pass; None for text that pass or the graph rejects.
+
+    The plain gate runs on the bytes: only `_PLAIN` characters, no comment
+    after data on a line, and a well-formed `n <count>` header, which
+    `skiprows` skips with every line before it. Numpy reads a str through a
+    `StringIO`, one line at a time; given `path`, whose bytes `text` then
+    holds, it reads the file itself, in chunks, with its C reader."""
+    if not text.isascii():
+        return None
+    data = text.encode() if isinstance(text, str) else text
+    if data.translate(None, _PLAIN):
         return None
     # np.loadtxt drops a comment after data; the line rules reject it
-    if "#" in text and _TRAILING_COMMENT.search(text):
+    if b"#" in data and _TRAILING_COMMENT.search(data):
         return None
-    n, body = None, text
-    first = _DATA_LINE.search(text)
-    if first is not None and first.group(1).split()[0] == "n":
+    n, skip = None, 0
+    first = _DATA_LINE.search(data)
+    if first is not None and first.group(1).split()[0] == b"n":
         parts = first.group(1).split()
         if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
             return None
-        n, body = int(parts[1]), text[first.end() :]
+        n, skip = int(parts[1]), data.count(b"\n", 0, first.end()) + 1
+    # absolute: numpy would fetch a str with a scheme and a host as a URL
+    source = io.StringIO(text) if path is None else os.path.abspath(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data" included
         try:
-            records = np.loadtxt(io.StringIO(body), dtype=EDGE_DTYPE, comments="#", ndmin=1)
-        except (ValueError, OverflowError, Warning):
+            records = np.loadtxt(source, dtype=EDGE_DTYPE, comments="#", ndmin=1, skiprows=skip, encoding="ascii")
+        # OSError, LZMAError: numpy decompresses a path ending in .gz, .bz2,
+        # .xz or .lzma, and plain text under such a name fails to; a file
+        # gone since its bytes were read fails to open
+        except (ValueError, OverflowError, Warning, OSError, lzma.LZMAError):
             return None
     if n is None:
         n = int(max(records["u"].max(), records["v"].max())) + 1
@@ -461,14 +501,15 @@ def _load_lines(text: str) -> WeightedGraph:
 
 
 def load_graph_file(path) -> WeightedGraph:
-    """The graph in an edge-list file. Text that is not UTF-8 is a
-    `ParseError`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid edge list in {path}: {exc}") from None
-    return load_graph(text)
+    """The graph in an edge-list file. Its bytes are read once for the
+    plain gate and, should the line rules read it, for decoding; a plain
+    file is then read again, by path, by numpy's chunked C reader
+    (`load_graph`). A file rewritten between the two reads can only give a
+    graph that passes `WeightedGraph`'s full validation. Text that is not
+    UTF-8 is a `ParseError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return load_graph(data, path=path)
 
 
 def dump_graph(g: WeightedGraph) -> str:

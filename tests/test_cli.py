@@ -96,7 +96,18 @@ class TestLaplacianCmd:
         [("0 1 1e308\n1 2 1e308\n0 2 1e308\n", 0), ("0 1 1e308\n1 2 1e308\n", 1)],
         ids=["triangle", "path"],
     )
-    @pytest.mark.parametrize("cmd", [["laplacian"], ["cluster", "--k", "2"], ["sparsify", "--epsilon", "0.5"]])
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            ["laplacian"],
+            ["cluster", "--k", "2"],
+            ["sparsify", "--epsilon", "0.5"],
+            ["laplacian", "--normalized"],
+            # the normalized embedding reads the degrees before any Laplacian
+            ["cluster", "--k", "1", "--normalized"],
+            ["cluster", "--k", "3", "--normalized"],
+        ],
+    )
     def test_degree_overflow_is_invalid_value(self, tmp_path, cmd, text, vertex):
         p = tmp_path / "g.el"
         p.write_text(text)
@@ -432,6 +443,20 @@ class TestNofCmds:
         }
         printed = invoke(["partition", "--family", fam])
         assert printed.stdout == json.dumps(expected, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "epsilon, error, detail",
+        [
+            # the exchange checks epsilon before the star preconditions
+            ("1.5", "invalid-value", "epsilon must lie in (0, 1), got 1.5"),
+            ("0.5", "precondition", "family is not a weak delta-system"),
+        ],
+    )
+    def test_exchange_error_order(self, epsilon, error, detail):
+        result = invoke(["nof", "exchange", "--family", TWIN_FAM, "--site", "1", "--epsilon", epsilon])
+        check_contract(result)
+        assert result.exit_code == 1
+        assert json.loads(result.stdout) == {"error": error, "detail": detail}
 
     def test_precondition_error_object(self, runner, tmp_path):
         f = family_from_index_sets(uniform_star_index_sets(8, 3, 1))

@@ -30,6 +30,7 @@ from distsparse import (
     kmeans,
     laplacian,
     load_graph,
+    load_graph_file,
     sparsify_er,
 )
 
@@ -61,6 +62,29 @@ def reference_graph(n, edges):
         norm.append((p[0], p[1], w))
     norm.sort()
     return n, tuple(norm)
+
+
+def lexsort_reference(n, rec):
+    """(n, sorted edges) or the first offence's ValueError, from an
+    `EDGE_DTYPE` array, with duplicates found by a stable `np.lexsort` scan
+    over (lo, hi): a pair's first edge in input order is kept."""
+    lo, hi = np.minimum(rec["u"], rec["v"]), np.maximum(rec["u"], rec["v"])
+    order = np.lexsort((hi, lo))
+    same = (lo[order][1:] == lo[order][:-1]) & (hi[order][1:] == hi[order][:-1])
+    dup = np.zeros(len(rec), dtype=bool)
+    dup[order[1:][same]] = True
+    for (u, v, w), is_dup in zip(rec.tolist(), dup.tolist()):
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
+        if not w > 0:
+            raise ValueError(f"non-positive weight {w} on edge ({u}, {v})")
+        if math.isinf(w):
+            raise ValueError(f"non-finite weight {w} on edge ({u}, {v})")
+        if is_dup:
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+    return n, tuple(sorted((min(u, v), max(u, v), w) for u, v, w in rec.tolist()))
 
 
 def reference_laplacian(g):
@@ -197,6 +221,25 @@ def raw_graphs(draw):
     return n, triples
 
 
+# in-range ids that repeat pairs, beside ids for which lo * n + hi wraps
+# in int64 at n = 4 or 8 (2**62 * 4 = 2**64) and can collide with an
+# in-range pair's key
+KEY_IDS = st.one_of(
+    *[st.integers(0, 7)] * 4, st.sampled_from([-1, -(2**61), -(2**62), 2**61, 2**62, 2**62 + 1, 2**63 - 1])
+)
+
+
+@st.composite
+def shuffled_records(draw):
+    """(n, EDGE_DTYPE array) in shuffled order, with repeated edges."""
+    n = draw(st.sampled_from([3, 4, 7, 8]))
+    triples = draw(st.lists(st.tuples(KEY_IDS, KEY_IDS, WEIGHTS), max_size=16))
+    if triples:
+        triples += draw(st.lists(st.sampled_from(triples), max_size=4))
+    triples = draw(st.permutations(triples))
+    return n, np.array(triples, dtype=graph_mod.EDGE_DTYPE)
+
+
 @st.composite
 def valid_graphs(draw, max_n=10):
     n = draw(st.integers(1, max_n))
@@ -262,6 +305,30 @@ class TestValidation:
         small = [(u, v, w) for u, v, w in triples if abs(u) < 2**62 and abs(v) < 2**62]
         rec = np.array(small, dtype=graph_mod.EDGE_DTYPE)
         assert outcome(lambda: as_pair(WeightedGraph(n, rec))) == outcome(lambda: as_pair(WeightedGraph(n, small)))
+
+    @given(shuffled_records())
+    @settings(max_examples=400, deadline=None)
+    @example((4, np.array([(-(2**62), 1, 1.0), (0, 1, 1.0)], dtype=graph_mod.EDGE_DTYPE)))
+    @example((4, np.array([(1, 0, 1.0), (2, 3, 1.0), (1, -(2**62), 1.0), (0, 1, 1.0)], dtype=graph_mod.EDGE_DTYPE)))
+    def test_one_key_sort_gives_the_lexsort_first_offence(self, case):
+        n, rec = case
+        # as the CLI runs it: an int64 key that wraps must not raise
+        with np.errstate(all="raise"):
+            got = outcome(lambda: as_pair(WeightedGraph(n, rec)))
+        assert got == outcome(lexsort_reference, n, rec)
+        assert got == outcome(reference_graph, n, rec.tolist())
+
+    @pytest.mark.parametrize("n", [3_037_000_499, 3_037_000_500, 2**40], ids=["one-key", "lexsort", "lexsort-2^40"])
+    @pytest.mark.parametrize("extra", ["valid", "dup", "range"])
+    def test_sort_near_the_largest_one_key_n(self, n, extra):
+        # n * n fits in int64 up to n = 3 037 000 499; beyond it, lexsort,
+        # and at n = 2**40 the key of an in-range pair would wrap
+        top = n - 1
+        triples = [(top, top - 1, 2.0), (0, 1, 1.0), (top - 2, top, 0.5), (1, top, 3.0), (0, top, 1.5)]
+        triples += {"valid": [], "dup": [(top - 1, top, 1.0)], "range": [(0, n, 1.0)]}[extra]
+        rec = np.array(triples, dtype=graph_mod.EDGE_DTYPE)
+        got = outcome(lambda: as_pair(WeightedGraph(n, rec)))
+        assert got == outcome(lexsort_reference, n, rec)
 
     def test_ids_beyond_64_bits_within_range_are_refused(self):
         with pytest.raises(ValueError, match="does not fit in 64 bits"):
@@ -390,6 +457,62 @@ class TestLoadGraph:
         monkeypatch.setattr(graph_mod, "_load_lines", refuse)
         g = load_graph("# header\nn 4\n\n0 1 0.5\n3\t2 1e-3\n  1 2 7\n")
         assert as_pair(g) == (4, ((0, 1, 0.5), (1, 2, 7.0), (2, 3, 1e-3)))
+
+
+    @given(text=edge_list_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_file_gives_what_its_text_gives(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("el") / "g.el"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: as_pair(load_graph_file(path))) == outcome(lambda: as_pair(load_graph(text)))
+
+    @pytest.mark.parametrize(
+        "name, data, expected",
+        [
+            ("g.el", b"# c\n\n  # c2\nn 4\n0 1 1.0\n\n3 2 2.5\n", (4, ((0, 1, 1.0), (2, 3, 2.5)))),
+            ("g.el", b"\n# only a header\nn 3\n", (3, ())),
+            ("g.el", b"n 3\r\n0 1 1.0\r\n1 2 2.0\r\n", (3, ((0, 1, 1.0), (1, 2, 2.0)))),
+            ("g.el", b"\xef\xbb\xbf0 1 1.0\n", "line 1: malformed edge '\\ufeff0 1 1.0'"),
+            ("g.el", b"0 1 1.0\n1 2 2.0 # c\n", "line 2: expected 'u v w', got '1 2 2.0 # c'"),
+            # numpy would open these names as compressed files
+            ("g.el.gz", b"n 3\n0 1 1.0\n", (3, ((0, 1, 1.0),))),
+            ("g.el.xz", b"0 1 1.0\n", (2, ((0, 1, 1.0),))),
+        ],
+        ids=["comments-before-header", "header-only", "crlf", "bom", "trailing-comment", "gz-name", "xz-name"],
+    )
+    def test_files(self, tmp_path, name, data, expected):
+        path = tmp_path / name
+        path.write_bytes(data)
+        got = outcome(lambda: as_pair(load_graph_file(path)))
+        assert got == (("ok", expected) if isinstance(expected, tuple) else ("ParseError", expected))
+        assert got == outcome(lambda: as_pair(load_graph(data.decode("utf-8"))))
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_bytes(b"0 1 1.0\n1 2 \xff\n")
+        with pytest.raises(ParseError) as info:
+            load_graph_file(path)
+        assert str(info.value) == (
+            f"invalid edge list in {path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
+        )
+
+    def test_plain_valid_file_is_read_by_path(self, tmp_path, monkeypatch):
+        def refuse(text):
+            raise AssertionError("line rules used on a plain valid file")
+
+        sources = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(graph_mod, "_load_lines", refuse)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = tmp_path / "g.el"
+        path.write_text("# header\nn 4\n\n0 1 0.5\n3\t2 1e-3\n  1 2 7\n")
+        assert as_pair(load_graph_file(path)) == (4, ((0, 1, 0.5), (1, 2, 7.0), (2, 3, 1e-3)))
+        assert len(sources) == 1 and type(sources[0]) is str
 
 
 # --- k-means invariant ----------------------------------------------------
