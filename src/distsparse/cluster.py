@@ -116,7 +116,6 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
             members = points[labels == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    labels = np.asarray(labels)
 
     # keep the assignment total: hand each empty cluster a far-away point
     for c in range(k):

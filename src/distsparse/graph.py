@@ -24,6 +24,7 @@ import re
 import warnings
 from dataclasses import FrozenInstanceError
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -62,10 +63,16 @@ def _ids(col) -> np.ndarray:
 
 def _columns(edges):
     """(u, v, w) arrays, in input order, of an EDGE_DTYPE array or of
-    (u, v, w) triples."""
+    (u, v, w) triples. A vertex id in a triple that is not an integer (a
+    bool, a float, a string) is refused, not coerced; the first in input
+    order is named."""
     if isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE:
         return edges["u"], edges["v"], edges["w"]
     us, vs, ws = zip(*edges) if len(edges) else ((), (), ())
+    bad = {t for t in set(map(type, chain(us, vs))) if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        first = next(x for x in chain.from_iterable(zip(us, vs)) if type(x) in bad)
+        raise ValueError(f"vertex id {first!r} is not an integer")
     return _ids(us), _ids(vs), np.array(ws, dtype=np.float64)
 
 
@@ -334,7 +341,7 @@ def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
     """Degree-normalized Laplacian, a dense n x n array; isolated vertices
     get zero rows/columns."""
     L = laplacian(g)
-    d = g.degrees()
+    d = L.diagonal()
     inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
     return L * inv_sqrt[:, None] * inv_sqrt[None, :]
 
@@ -387,10 +394,10 @@ def load_graph(text: str | bytes, *, path=None) -> WeightedGraph:
     """Parse the edge-list format: one `u v w` per line, `#` comments,
     optional leading `n <count>` header fixing the vertex count.
 
-    `text` is the edge list as a str or, with `path`, the bytes of that
-    file (`load_graph_file`): numpy then reads the file itself, and the
-    bytes are decoded, as UTF-8, only for the line rules. Text that is not
-    UTF-8 is a `ParseError`."""
+    `text` is the edge list as a str or as bytes; with `path`, it holds the
+    bytes of that file (`load_graph_file`), and numpy reads the file itself.
+    Bytes are decoded, as UTF-8, only for the line rules. Bytes that are not
+    UTF-8 are a `ParseError`."""
     g = _load_plain(text, path)
     if g is not None:
         return g
@@ -398,7 +405,7 @@ def load_graph(text: str | bytes, *, path=None) -> WeightedGraph:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid edge list in {path}: {exc}") from None
+            raise ParseError(f"invalid edge list{'' if path is None else f' in {path}'}: {exc}") from None
     return _load_lines(text)
 
 
@@ -408,9 +415,10 @@ def _load_plain(text: str | bytes, path) -> WeightedGraph | None:
 
     The plain gate runs on the bytes: only `_PLAIN` characters, no comment
     after data on a line, and a well-formed `n <count>` header, which
-    `skiprows` skips with every line before it. Numpy reads a str through a
-    `StringIO`, one line at a time; given `path`, whose bytes `text` then
-    holds, it reads the file itself, in chunks, with its C reader."""
+    `skiprows` skips with every line before it. Given `path`, whose bytes
+    `text` then holds, numpy reads the file itself, in chunks, with its C
+    reader; otherwise it reads the text through a `StringIO`, one line at a
+    time."""
     if not text.isascii():
         return None
     data = text.encode() if isinstance(text, str) else text
@@ -427,7 +435,7 @@ def _load_plain(text: str | bytes, path) -> WeightedGraph | None:
             return None
         n, skip = int(parts[1]), data.count(b"\n", 0, first.end()) + 1
     # absolute: numpy would fetch a str with a scheme and a host as a URL
-    source = io.StringIO(text) if path is None else os.path.abspath(path)
+    source = os.path.abspath(path) if path is not None else io.StringIO(data.decode("ascii"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data" included
         try:

@@ -4,8 +4,9 @@ A family of edge subsets over a shared base graph is grouped by how many
 sets each edge appears in; the resulting partition lets the sum of the
 per-set Laplacians be rewritten as an integer combination of the partition
 classes' Laplacians (checked numerically by `combined_laplacian_residual`).
-Occurrence numbers, cardinalities and the partition all read one
-occurrence count per family, taken once (`EdgeFamily.occurrences`).
+The family's cover check, occurrence numbers, cardinalities and the
+partition all read one occurrence count per family, taken once when the
+family is built (`EdgeFamily.occurrences`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ class EdgeFamily:
             if not pairs <= base_pairs:
                 raise ValueError(f"set {i} contains edges not in the base graph: {sorted(pairs - base_pairs)}")
             norm_sets.append(pairs)
-        covered = frozenset().union(*norm_sets)
-        if covered != base_pairs:
-            missing = sorted(base_pairs - covered)
-            raise ValueError(f"family does not cover the base edge set; missing {missing}")
         object.__setattr__(self, "sets", tuple(norm_sets))
+        if self.occurrences.keys() != base_pairs:
+            missing = sorted(base_pairs.difference(self.occurrences))
+            raise ValueError(f"family does not cover the base edge set; missing {missing}")
 
     @property
     def t(self) -> int:
@@ -55,7 +55,8 @@ class EdgeFamily:
 
     @cached_property
     def occurrences(self) -> Counter[Edge]:
-        """Occurrence number of every edge of the union, counted once."""
+        """Occurrence number of every edge of the union, counted once; the
+        cover check reads it first, as the family is built."""
         return occurrence_counts(self.sets)
 
 
@@ -134,9 +135,8 @@ def family_from_dict(doc: dict, base_dir=".") -> EdgeFamily:
     ):
         raise ParseError("malformed 'sets' entry: every edge must be a [u, v] pair of integers")
     base = load_graph_file(os.path.join(base_dir, doc["graph"]))
-    sets = tuple(frozenset(map(tuple, s)) for s in sets)
     try:
-        return EdgeFamily(base, sets)
+        return EdgeFamily(base, tuple(sets))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

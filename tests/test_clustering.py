@@ -209,6 +209,15 @@ class TestKmeans:
         pts = rng.normal(size=(30, 3))
         assert kmeans(pts, 4, seed=9) == kmeans(pts, 4, seed=9)
 
+    def test_one_dimensional_points(self):
+        assert kmeans([0.0, 0.1, 5.0, 5.1], 2, seed=0).labels == (1, 1, 0, 0)
+
+    def test_empty_cluster_takes_a_point_from_a_shared_cluster(self):
+        # the farthest point sits alone in its cluster, so an empty cluster
+        # takes a point of the largest one instead
+        a = kmeans([1.0, 0, 0, 0, 0, 0], 5, seed=0)
+        assert a.k == 5 and len(a.labels) == 6 and set(a.labels) == set(range(5))
+
 
 class TestSpectralClustering:
     def test_disjoint_triangles_recovered(self):

@@ -330,6 +330,15 @@ class TestValidation:
         got = outcome(lambda: as_pair(WeightedGraph(n, rec)))
         assert got == outcome(lexsort_reference, n, rec)
 
+    @pytest.mark.parametrize("bad", [0.5, "1", True], ids=["float", "str", "bool"])
+    def test_ids_that_are_not_integers_are_refused(self, bad):
+        # family files refuse these too; an EDGE_DTYPE array is typed already
+        with pytest.raises(ValueError, match=f"vertex id {bad!r} is not an integer"):
+            WeightedGraph(3, [(0, 2, 1.0), (bad, 2, 1.0)])
+        with pytest.raises(ValueError, match="vertex id 'b' is not an integer"):
+            WeightedGraph(3, [(0, "b", 1.0), ("a", 1, 1.0)])  # the first in input order
+        assert WeightedGraph(3, [(np.int32(1), 2, 1.0)]).edges == ((1, 2, 1.0),)
+
     def test_ids_beyond_64_bits_within_range_are_refused(self):
         with pytest.raises(ValueError, match="does not fit in 64 bits"):
             WeightedGraph(10**20 + 1, [(0, 10**20, 1.0)])
@@ -341,11 +350,14 @@ class TestValidation:
         assert a != WeightedGraph(4, [(0, 3, 2.0)])
         assert a != WeightedGraph(5, [(2, 1, 1.5), (0, 3, 2.0)])
         assert repr(a) == "WeightedGraph(n=4, edges=((0, 3, 2.0), (1, 2, 1.5)))"
+        assert a.__eq__(object()) is NotImplemented and (a == object()) is False
 
     def test_immutable(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
         with pytest.raises(FrozenInstanceError):
             g.n = 3
+        with pytest.raises(FrozenInstanceError):
+            del g.n
         with pytest.raises(ValueError):
             g.records["w"][0] = 2.0
         assert isinstance(g.edges, tuple) and g.edges is g.edges
@@ -426,6 +438,7 @@ class TestLoadGraph:
             # valid line by line, but an id needs more than 64 bits
             expected = ("ValueError", f"vertex id {expected[1][0] - 1} does not fit in 64 bits")
         assert outcome(lambda: as_pair(load_graph(text))) == expected
+        assert outcome(lambda: as_pair(load_graph(text.encode("utf-8")))) == expected
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -443,12 +456,16 @@ class TestLoadGraph:
             ("0 1 Infinity\n", "line 1: weight must be finite, got inf"),
             ("0 1 -inf\n", "line 1: weight must be strictly positive, got -inf"),
             ("n x\n0 1 1.0\n", "line 1: bad vertex count 'x'"),
+            ("n 0\n0 1 1.0\n", "line 1: vertex count must be positive"),
+            ("n -1\n0 1 1.0\n", "line 1: vertex count must be positive"),
         ],
     )
     def test_examples(self, text, expected):
         got = outcome(lambda: as_pair(load_graph(text)))
         assert got == (("ok", expected) if isinstance(expected, tuple) else ("ParseError", expected))
         assert outcome(reference_load, text) == got
+        # the same text as bytes, without a path
+        assert outcome(lambda: as_pair(load_graph(text.encode("utf-8")))) == got
 
     def test_plain_valid_text_takes_one_pass(self, monkeypatch):
         def refuse(text):
@@ -495,6 +512,10 @@ class TestLoadGraph:
         assert str(info.value) == (
             f"invalid edge list in {path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
         )
+        # the same bytes without a path
+        with pytest.raises(ParseError) as info:
+            load_graph(path.read_bytes())
+        assert str(info.value) == "invalid edge list: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
 
     def test_plain_valid_file_is_read_by_path(self, tmp_path, monkeypatch):
         def refuse(text):

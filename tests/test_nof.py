@@ -1,10 +1,12 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distsparse.overlap as overlap_mod
 from distsparse import (
     EdgeFamily,
     PreconditionError,
@@ -14,6 +16,7 @@ from distsparse import (
     is_delta_system,
     lemma2_check,
     lemma3_check,
+    load_family,
     occurrence_number,
     overlapping_cardinality_partition,
     overlapping_coefficient,
@@ -24,6 +27,7 @@ from distsparse import (
     symmetric_difference_on_site,
     verify_epsilon,
 )
+from distsparse.nof import bits_per_edge
 from conftest import (
     elem_edge,
     family_from_index_sets,
@@ -431,6 +435,38 @@ class TestExchangeProtocol:
         per_edge = 2 * (n - 1).bit_length() + 64
         for w in transcript.writes:
             assert w.bit_cost == w.edge_cost * per_edge
+
+    def test_an_edge_needs_two_vertices(self):
+        assert bits_per_edge(2) == 66
+        with pytest.raises(ValueError, match="need at least two vertices to encode an edge"):
+            bits_per_edge(1)
+
+
+def test_one_occurrence_count_per_family(monkeypatch):
+    """Building a family counts its occurrences once, for the cover check;
+    the partition and every NOF command read that count. The exchange
+    builds one more family, its two-part allocation, counted once too."""
+    built, counted = [], []
+    post_init, count = EdgeFamily.__post_init__, overlap_mod.occurrence_counts
+
+    def building(f):
+        built.append(f)
+        post_init(f)
+
+    def counting(sets):
+        counted.append(sets)
+        return count(sets)
+
+    monkeypatch.setattr(EdgeFamily, "__post_init__", building)
+    monkeypatch.setattr(overlap_mod, "occurrence_counts", counting)
+    f = load_family(Path(__file__).parent / "data" / "golden" / "star.fam.json")
+    assert len(built) == len(counted) == 1
+    overlapping_cardinality_partition(f)
+    protocol_verify_sunflower(f)
+    protocol_broadcast_graph(f, 5)
+    assert len(built) == len(counted) == 1
+    protocol_sparsifier_exchange(f, 5, epsilon=0.3, seed=1)
+    assert len(built) == len(counted) == 2
 
 
 class TestTranscript:
