@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import WeightedGraph, connected_components, laplacian, normalized_laplacian
+from .graph import WeightedGraph, _check_dense_size, _laplacian_blocks
 
 _MAX_KMEANS_ITERS = 100
 
@@ -40,13 +40,14 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     component order (by smallest member), so a graph with c >= k components
     needs no eigensolve, and the basis of the degenerate kernel is fixed by
     definition rather than chosen by LAPACK. When c < k, each component of
-    at least two vertices takes one `np.linalg.eigh` of its block L[S, S];
+    at least two vertices takes one `np.linalg.eigh` of its block L[S, S],
+    built from its own edges (no n x n array is made);
     its eigenpairs 1, 2, ... (pair 0 is its kernel vector) are merged across
     components by (eigenvalue, component order), and the k - c smallest fill
     the remaining columns, each made positive at its first nonzero entry."""
     if not (1 <= k <= g.n):
         raise ValueError(f"k must lie in [1, {g.n}], got {k}")
-    comps = connected_components(g)
+    comps = g._components[0]
     X = np.zeros((g.n, k))
     d = g.degrees() if normalized else None
     for col, comp in enumerate(comps[:k]):
@@ -55,14 +56,15 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     rest = k - len(comps)
     if rest <= 0:
         return X
-    L = normalized_laplacian(g) if normalized else laplacian(g)
+    _check_dense_size(g.n)
+    if d is None:
+        d = g.degrees()
     values, vectors = [], []  # nonzero spectra, in component order
-    for comp in comps:
-        if len(comp) > 1:
-            lam, vecs = np.linalg.eigh(L if len(comp) == g.n else L[np.ix_(comp, comp)])
-            kept = min(rest, len(comp) - 1)
-            values.append(lam[1 : kept + 1])
-            vectors += [(comp, vecs[:, j]) for j in range(1, kept + 1)]
+    for comp, L in _laplacian_blocks(g, g, d, normalized):
+        lam, vecs = np.linalg.eigh(L)
+        kept = min(rest, len(comp) - 1)
+        values.append(lam[1 : kept + 1])
+        vectors += [(comp, vecs[:, j]) for j in range(1, kept + 1)]
     order = np.argsort(np.concatenate(values), kind="stable")[:rest]
     for col, (comp, vec) in enumerate((vectors[i] for i in order), start=len(comps)):
         nz = np.nonzero(np.abs(vec) > 1e-12)[0]

@@ -219,6 +219,19 @@ class WeightedGraph:
         return d
 
     @cached_property
+    def _components(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+        """(`connected_components`, the component index of every vertex, the
+        index of every vertex within its component), computed once per
+        graph."""
+        comps = connected_components(self)
+        component = np.empty(self.n, dtype=np.intp)
+        local = np.empty(self.n, dtype=np.intp)
+        for i, comp in enumerate(comps):
+            component[comp] = i
+            local[comp] = np.arange(len(comp))
+        return comps, component, local
+
+    @cached_property
     def factor(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """(component id of every vertex, blocks), computed once per graph.
         The Laplacian's kernel is spanned by the component indicators and L
@@ -228,39 +241,40 @@ class WeightedGraph:
         C_S^-1) pair with L[free, free] = C_S C_S^T for every S with at least
         two vertices, ordered by smallest member; one Cholesky factor per
         component, inverted as a triangle (`_tril_inv`), about |S|^3 flops in
-        all. The n x n Laplacian comes first, so that a vertex count no dense
-        matrix can hold fails before any per-vertex work."""
-        L = laplacian(self)
-        component = np.empty(self.n, dtype=np.intp)
+        all. Each block L[S, S] is built from S's own edges
+        (`_laplacian_blocks`) and grounded by dropping its first row and
+        column; no n x n array is made. A vertex count no dense n x n matrix
+        could hold still fails before any per-vertex work
+        (`_check_dense_size`)."""
+        _check_dense_size(self.n)
+        d = self.degrees()
         blocks = []
-        for i, comp in enumerate(connected_components(self)):
-            component[comp] = i
-            if len(comp) > 1:
-                free = np.array(comp[1:])
-                try:
-                    C = np.linalg.cholesky(L[np.ix_(free, free)])
-                except np.linalg.LinAlgError:
-                    # the block is positive definite in exact arithmetic, so
-                    # only roundoff can make the factorisation fail
-                    raise ValueError(
-                        f"the component of vertex {comp[0]} has a weight range beyond what float64 can factor"
-                    ) from None
-                blocks.append((free, _tril_inv(C)))
-        return component, tuple(blocks)
+        for comp, L in _laplacian_blocks(self, self, d):
+            try:
+                C = np.linalg.cholesky(L[1:, 1:])
+            except np.linalg.LinAlgError:
+                # the block is positive definite in exact arithmetic, so
+                # only roundoff can make the factorisation fail
+                raise ValueError(
+                    f"the component of vertex {comp[0]} has a weight range beyond what float64 can factor"
+                ) from None
+            del L  # before the inverse's arrays exist
+            blocks.append((np.array(comp[1:]), _tril_inv(C)))
+        return self._components[1], tuple(blocks)
 
     @cached_property
     def resistances(self) -> np.ndarray:
         """Effective resistance of every edge, in edge order, computed once
         per graph: R(u, v) = X_uu + X_vv - 2 X_uv, with X the inverse of the
-        grounded Laplacian, filled block by block (X[S', S'] = C_S^-T C_S^-1
-        on the free vertices S' of each component, `factor`) and zero on the
-        grounded vertices and between components."""
-        blocks = self.factor[1]  # first: its `laplacian` checks the size before X exists
-        X = np.zeros((self.n, self.n))
-        for free, cinv in blocks:
-            X[np.ix_(free, free)] = cinv.T @ cinv
-        u, v = self.u, self.v
-        r = X[u, u] + X[v, v] - 2.0 * X[u, v]
+        grounded Laplacian, filled one component S at a time as an |S| x |S|
+        block (X[S', S'] = C_S^-T C_S^-1 on the free vertices S' of S,
+        `factor`, and zero on the grounded vertex) and read at S's edges."""
+        blocks = self.factor[1]  # first: it checks the size before any block exists
+        r = np.empty(self.m)
+        for (_, cinv), (comp, e, u, v) in zip(blocks, _edges_by_component(self, self)):
+            X = np.zeros((len(comp), len(comp)))
+            np.matmul(cinv.T, cinv, out=X[1:, 1:])
+            r[e] = X[u, u] + X[v, v] - 2.0 * X[u, v]
         r.flags.writeable = False
         return r
 
@@ -302,10 +316,13 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
     return inv
 
 
-# n x n float64 arrays `sparsify` holds at once, the per-component blocks of
-# one matrix counted as one: while it factors, L, its grounded block, LAPACK's
-# copy of that block and the Cholesky factor; while it verifies, the cached
-# C^-1, L_H and two of the products that lead to eigvalsh and its copy
+# a bound on the n x n float64 arrays a dense path holds at once. They hold
+# |S| x |S| blocks of one component S at a time, next to the cached C^-1 of
+# every component, which together take no more than one n x n array. While
+# factoring: L[S, S], LAPACK's copy of its grounded block and the Cholesky
+# factor, then the factor, its inverse and the inverse's products; while
+# verifying: the cached C^-1, L_H[S, S] with C^-1 L_H C^-T written over it,
+# the product C^-1 L_H and eigvalsh's copy
 _DENSE_ARRAYS = 4
 
 
@@ -314,36 +331,87 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Combinatorial Laplacian, the dense n x n array of the degree matrix
-    minus the weighted adjacency.
-
-    Every dense path (factor, verifier, clustering) starts here, so a vertex
-    count whose dense arrays would not fit in physical memory is refused
-    with a `MemoryError` before any n x n allocation, and then a weighted
-    degree that overflows float64 (`WeightedGraph.degrees`)."""
-    need = _DENSE_ARRAYS * 8 * g.n * g.n
+def _check_dense_size(n: int) -> None:
+    """Refuse, with a `MemoryError`, a vertex count whose `_DENSE_ARRAYS`
+    n x n float64 arrays would not fit in physical memory. Every dense path
+    (the Laplacians, the factor and with it the resistances and the
+    verifier, the clustering eigensolve) calls this before its blocks."""
+    need = _DENSE_ARRAYS * 8 * n * n
     have = _physical_memory()
     if need > have:
         raise MemoryError(
-            f"n={g.n} needs {need} bytes for {_DENSE_ARRAYS} dense n x n float64 arrays; "
+            f"n={n} needs {need} bytes for {_DENSE_ARRAYS} dense n x n float64 arrays; "
             f"physical memory is {have} bytes"
         )
-    d = g.degrees()
-    L = np.zeros((g.n, g.n))
-    L[g.u, g.v] = -g.w
-    L[g.v, g.u] = -g.w
+
+
+def _laplacian_block(
+    d: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray, normalized: bool = False
+) -> np.ndarray:
+    """The dense Laplacian of len(d) vertices with weighted degrees d and
+    edges (u, v, w), u and v indices into d: the degrees on the diagonal,
+    -w at (u, v) and (v, u). Normalized, D^-1/2 L D^-1/2, with a zero row
+    and column at a vertex of degree 0. Built on a component's own edges
+    and degrees, it is bitwise the block L[S, S] of the whole graph's
+    Laplacian (`laplacian`, `normalized_laplacian`), which is this builder
+    on all n vertices."""
+    L = np.zeros((len(d), len(d)))
+    L[u, v] = -w
+    L[v, u] = -w
     np.fill_diagonal(L, d)
+    if normalized:
+        inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+        L *= inv_sqrt[:, None]
+        L *= inv_sqrt[None, :]
     return L
+
+
+def _edges_by_component(g: WeightedGraph, parts: WeightedGraph):
+    """For every component S of the graph `parts` with at least two
+    vertices, in component order: (S, the indices of the edges of g inside
+    S in edge order, their ends as indices into S). g is on the same
+    vertices, and each of its edges lies inside one component of `parts`.
+    A component of all n vertices takes g's edge arrays as they are."""
+    comps, component, local = parts._components
+    if len(comps) == 1:
+        if g.n > 1:
+            yield comps[0], slice(None), g.u, g.v
+        return
+    c = component[g.u]
+    order = np.argsort(c, kind="stable")
+    start = 0
+    for comp, end in zip(comps, np.cumsum(np.bincount(c, minlength=len(comps))).tolist()):
+        if len(comp) > 1:
+            e = order[start:end]
+            yield comp, e, local[g.u[e]], local[g.v[e]]
+        start = end
+
+
+def _laplacian_blocks(g: WeightedGraph, parts: WeightedGraph, d: np.ndarray, normalized: bool = False):
+    """(S, the block L[S, S] of g's Laplacian) for every component S of
+    `parts` with at least two vertices (`_edges_by_component`), each built
+    by `_laplacian_block` from S's edges and the degrees d[S] of g."""
+    for comp, e, u, v in _edges_by_component(g, parts):
+        yield comp, _laplacian_block(d[comp], u, v, g.w[e], normalized)
+
+
+def laplacian(g: WeightedGraph) -> np.ndarray:
+    """Combinatorial Laplacian, the dense n x n array of the degree matrix
+    minus the weighted adjacency (`_laplacian_block` on all n vertices).
+
+    A vertex count whose dense arrays would not fit in physical memory is
+    refused with a `MemoryError` before any n x n allocation
+    (`_check_dense_size`), and then a weighted degree that overflows float64
+    (`WeightedGraph.degrees`)."""
+    _check_dense_size(g.n)
+    return _laplacian_block(g.degrees(), g.u, g.v, g.w)
 
 
 def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
     """Degree-normalized Laplacian, a dense n x n array; isolated vertices
-    get zero rows/columns."""
-    L = laplacian(g)
-    d = L.diagonal()
-    inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    return L * inv_sqrt[:, None] * inv_sqrt[None, :]
+    get zero rows/columns. Refused as `laplacian` refuses."""
+    _check_dense_size(g.n)
+    return _laplacian_block(g.degrees(), g.u, g.v, g.w, normalized=True)
 
 
 def quadratic_form(L: np.ndarray, x) -> float:
