@@ -57,10 +57,8 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     if rest <= 0:
         return X
     _check_dense_size(g.n)
-    if d is None:
-        d = g.degrees()
     values, vectors = [], []  # nonzero spectra, in component order
-    for comp, L in _laplacian_blocks(g, g, d, normalized):
+    for comp, L in _laplacian_blocks(g, g, normalized):
         lam, vecs = np.linalg.eigh(L)
         kept = min(rest, len(comp) - 1)
         values.append(lam[1 : kept + 1])

@@ -247,9 +247,8 @@ class WeightedGraph:
         could hold still fails before any per-vertex work
         (`_check_dense_size`)."""
         _check_dense_size(self.n)
-        d = self.degrees()
         blocks = []
-        for comp, L in _laplacian_blocks(self, self, d):
+        for comp, L in _laplacian_blocks(self, self):
             try:
                 C = np.linalg.cholesky(L[1:, 1:])
             except np.linalg.LinAlgError:
@@ -270,10 +269,12 @@ class WeightedGraph:
         block (X[S', S'] = C_S^-T C_S^-1 on the free vertices S' of S,
         `factor`, and zero on the grounded vertex) and read at S's edges."""
         blocks = self.factor[1]  # first: it checks the size before any block exists
+        local = self._components[2]
         r = np.empty(self.m)
-        for (_, cinv), (comp, e, u, v) in zip(blocks, _edges_by_component(self, self)):
+        for (_, cinv), (comp, e) in zip(blocks, _edges_by_component(self, self)):
             X = np.zeros((len(comp), len(comp)))
             np.matmul(cinv.T, cinv, out=X[1:, 1:])
+            u, v = local[self.u[e]], local[self.v[e]]
             r[e] = X[u, u] + X[v, v] - 2.0 * X[u, v]
         r.flags.writeable = False
         return r
@@ -369,30 +370,28 @@ def _laplacian_block(
 def _edges_by_component(g: WeightedGraph, parts: WeightedGraph):
     """For every component S of the graph `parts` with at least two
     vertices, in component order: (S, the indices of the edges of g inside
-    S in edge order, their ends as indices into S). g is on the same
-    vertices, and each of its edges lies inside one component of `parts`.
-    A component of all n vertices takes g's edge arrays as they are."""
-    comps, component, local = parts._components
-    if len(comps) == 1:
-        if g.n > 1:
-            yield comps[0], slice(None), g.u, g.v
-        return
+    S in edge order). g is on the same vertices, and each of its edges lies
+    inside one component of `parts`; `parts._components` maps their ends to
+    indices into S. Only the edge order is held between components."""
+    comps, component, _ = parts._components
     c = component[g.u]
     order = np.argsort(c, kind="stable")
+    ends = np.searchsorted(c[order], np.arange(1, len(comps) + 1)).tolist()
+    del c
     start = 0
-    for comp, end in zip(comps, np.cumsum(np.bincount(c, minlength=len(comps))).tolist()):
+    for comp, end in zip(comps, ends):
         if len(comp) > 1:
-            e = order[start:end]
-            yield comp, e, local[g.u[e]], local[g.v[e]]
+            yield comp, order[start:end]
         start = end
 
 
-def _laplacian_blocks(g: WeightedGraph, parts: WeightedGraph, d: np.ndarray, normalized: bool = False):
+def _laplacian_blocks(g: WeightedGraph, parts: WeightedGraph, normalized: bool = False):
     """(S, the block L[S, S] of g's Laplacian) for every component S of
     `parts` with at least two vertices (`_edges_by_component`), each built
     by `_laplacian_block` from S's edges and the degrees d[S] of g."""
-    for comp, e, u, v in _edges_by_component(g, parts):
-        yield comp, _laplacian_block(d[comp], u, v, g.w[e], normalized)
+    d, local = g.degrees(), parts._components[2]
+    for comp, e in _edges_by_component(g, parts):
+        yield comp, _laplacian_block(d[comp], local[g.u[e]], local[g.v[e]], g.w[e], normalized)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:

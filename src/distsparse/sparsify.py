@@ -117,7 +117,7 @@ def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
     if np.any(component[h.u] != component[h.v]):
         return math.inf
     mu = [[1.0]]
-    for (_, cinv), (_, Lh) in zip(blocks, _laplacian_blocks(h, g, h.degrees())):
+    for (_, cinv), (_, Lh) in zip(blocks, _laplacian_blocks(h, g)):
         M = Lh[1:, 1:]
         np.matmul(cinv @ M, cinv.T, out=M)  # written over L_H's block, which is read first
         mu.append(np.linalg.eigvalsh(M))

@@ -162,13 +162,13 @@ def check_blocks(g, h):
     assert same_bits(normalized_laplacian(g), N)
     comps = [c for c in connected_components(g) if len(c) > 1]
     for normalized, whole in ((False, L), (True, N)):
-        blocks = list(graph._laplacian_blocks(g, g, g.degrees(), normalized))
+        blocks = list(graph._laplacian_blocks(g, g, normalized))
         assert [comp for comp, _ in blocks] == comps
         for comp, block in blocks:
             assert same_bits(block, whole[np.ix_(comp, comp)])
     if not math.isinf(nxn_verify(g, h)):
         # H's blocks on G's components, as the verifier builds them
-        for comp, block in graph._laplacian_blocks(h, g, h.degrees()):
+        for comp, block in graph._laplacian_blocks(h, g):
             assert same_bits(block, Lh[np.ix_(comp, comp)])
 
 
@@ -197,12 +197,12 @@ class TestBlocksAreTheSlices:
 
     def test_whole_graph_is_one_block(self):
         g = components_graph(np.random.default_rng(1), (30,), chord_p=0.3)
-        ((comp, block),) = graph._laplacian_blocks(g, g, g.degrees())
+        ((comp, block),) = graph._laplacian_blocks(g, g)
         assert comp == list(range(30)) and same_bits(block, laplacian(g))
 
     def test_edgeless_and_single_vertex_graphs_have_no_blocks(self):
         for g in (WeightedGraph(1, ()), WeightedGraph(4, ())):
-            assert list(graph._laplacian_blocks(g, g, g.degrees())) == []
+            assert list(graph._laplacian_blocks(g, g)) == []
 
 
 class TestDensePathsAreTheNxNComputation:
