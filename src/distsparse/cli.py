@@ -172,7 +172,7 @@ def sparsify_cmd(graph_path, epsilon, seed, constant, output):
     if output:
         sidecar = _json_line(_report(doc))  # a report that is not JSON writes no file
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(dump_graph(res.h))
+            dump_graph(res.h, fh)
         _emit(sidecar, output + ".json")
     return doc
 
@@ -204,7 +204,7 @@ def union_cmd(family_path, part_paths, output):
     u = union_sparsifiers(parts, f)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(dump_graph(u.h))
+            dump_graph(u.h, fh)
     return {"c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
 
 

@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import WeightedGraph, _check_dense_size, _laplacian_blocks
+from .graph import WeightedGraph, _check_block_size, _laplacian_blocks
 
 _MAX_KMEANS_ITERS = 100
 
@@ -56,7 +56,7 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     rest = k - len(comps)
     if rest <= 0:
         return X
-    _check_dense_size(g.n)
+    _check_block_size(g)
     values, vectors = [], []  # nonzero spectra, in component order
     for comp, L in _laplacian_blocks(g, g, normalized):
         lam, vecs = np.linalg.eigh(L)

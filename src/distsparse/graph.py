@@ -11,7 +11,8 @@ it built on first use. An edge list in plain ASCII is parsed by one
 numpy's C reader then reads the file again itself, in chunks. Any other
 text, and any file that pass or the graph's validation rejects, is decoded
 and read again by the line-by-line rules, which word every parse error with
-its line number.
+its line number. `dump_graph` writes the format back, a chunk of edges at a
+time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 import warnings
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -36,6 +37,9 @@ EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 # rows of the largest triangular block `_tril_inv` hands to `np.linalg.inv`
 _LEAF_ROWS = 64
+# edges per chunk of the passes that read or write every edge a chunk at a
+# time (`WeightedGraph.resistances`, `dump_graph`)
+_CHUNK_ROWS = 4096
 
 
 def norm_pair(u: int, v: int) -> Edge:
@@ -243,10 +247,9 @@ class WeightedGraph:
         component, inverted as a triangle (`_tril_inv`), about |S|^3 flops in
         all. Each block L[S, S] is built from S's own edges
         (`_laplacian_blocks`) and grounded by dropping its first row and
-        column; no n x n array is made. A vertex count no dense n x n matrix
-        could hold still fails before any per-vertex work
-        (`_check_dense_size`)."""
-        _check_dense_size(self.n)
+        column; no n x n array is made. A graph whose blocks would not fit
+        in memory fails before any block exists (`_check_block_size`)."""
+        _check_block_size(self)
         blocks = []
         for comp, L in _laplacian_blocks(self, self):
             try:
@@ -267,15 +270,18 @@ class WeightedGraph:
         per graph: R(u, v) = X_uu + X_vv - 2 X_uv, with X the inverse of the
         grounded Laplacian, filled one component S at a time as an |S| x |S|
         block (X[S', S'] = C_S^-T C_S^-1 on the free vertices S' of S,
-        `factor`, and zero on the grounded vertex) and read at S's edges."""
+        `factor`, and zero on the grounded vertex) and read at S's edges,
+        `_CHUNK_ROWS` edges at a time."""
         blocks = self.factor[1]  # first: it checks the size before any block exists
         local = self._components[2]
         r = np.empty(self.m)
         for (_, cinv), (comp, e) in zip(blocks, _edges_by_component(self, self)):
             X = np.zeros((len(comp), len(comp)))
             np.matmul(cinv.T, cinv, out=X[1:, 1:])
-            u, v = local[self.u[e]], local[self.v[e]]
-            r[e] = X[u, u] + X[v, v] - 2.0 * X[u, v]
+            for start in range(0, len(e), _CHUNK_ROWS):
+                chunk = e[start : start + _CHUNK_ROWS]
+                u, v = local[self.u[chunk]], local[self.v[chunk]]
+                r[chunk] = X[u, u] + X[v, v] - 2.0 * X[u, v]
         r.flags.writeable = False
         return r
 
@@ -317,14 +323,20 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
     return inv
 
 
-# a bound on the n x n float64 arrays a dense path holds at once. They hold
-# |S| x |S| blocks of one component S at a time, next to the cached C^-1 of
-# every component, which together take no more than one n x n array. While
-# factoring: L[S, S], LAPACK's copy of its grounded block and the Cholesky
-# factor, then the factor, its inverse and the inverse's products; while
-# verifying: the cached C^-1, L_H[S, S] with C^-1 L_H C^-T written over it,
-# the product C^-1 L_H and eigvalsh's copy
+# a bound on the |S| x |S| float64 arrays a dense path holds at once for
+# one component S, next to one block of every component that it keeps (the
+# cached C^-1, the clustering's eigenvectors). While factoring: L[S, S],
+# LAPACK's copy of its grounded block and the Cholesky factor, then the
+# factor, its inverse and the inverse's products; while verifying: L_H[S, S]
+# with C^-1 L_H C^-T written over it, the product C^-1 L_H and eigvalsh's
+# copy; while clustering: L[S, S], eigh's copy and its eigenvectors
 _DENSE_ARRAYS = 4
+# a bound on the bytes per vertex that finding the components holds: the
+# root and order arrays of `connected_components`, the component and local
+# index arrays of `WeightedGraph._components` (8 bytes each), and each
+# vertex in a component list as a Python int (an 8-byte slot and a 32-byte
+# object)
+_VERTEX_BYTES = 72
 
 
 def _physical_memory() -> int:
@@ -332,17 +344,35 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_dense_size(n: int) -> None:
-    """Refuse, with a `MemoryError`, a vertex count whose `_DENSE_ARRAYS`
-    n x n float64 arrays would not fit in physical memory. Every dense path
-    (the Laplacians, the factor and with it the resistances and the
-    verifier, the clustering eigensolve) calls this before its blocks."""
-    need = _DENSE_ARRAYS * 8 * n * n
+def _check_memory(need: int, subject: str, purpose: str) -> None:
+    """Refuse, with a `MemoryError` that names the subject, the bytes and
+    their purpose, a need beyond physical memory."""
     have = _physical_memory()
     if need > have:
-        raise MemoryError(
-            f"n={n} needs {need} bytes for {_DENSE_ARRAYS} dense n x n float64 arrays; "
-            f"physical memory is {have} bytes"
+        raise MemoryError(f"{subject} needs {need} bytes for {purpose}; physical memory is {have} bytes")
+
+
+def _check_dense_size(n: int) -> None:
+    """Refuse a vertex count whose `_DENSE_ARRAYS` n x n float64 arrays would
+    not fit in physical memory. The Laplacians, which return an n x n
+    array, call this before making it."""
+    _check_memory(_DENSE_ARRAYS * 8 * n * n, f"n={n}", f"{_DENSE_ARRAYS} dense n x n float64 arrays")
+
+
+def _check_block_size(g: WeightedGraph) -> None:
+    """Refuse a graph whose dense blocks would not fit in physical memory:
+    `_DENSE_ARRAYS` blocks of its largest component beside one block of
+    every component of at least two vertices. The factor (and with it the
+    resistances and the verifier) and the clustering eigensolve call this
+    before their blocks."""
+    comps = g._components[0]
+    sizes = [len(comp) for comp in comps]
+    s = max(sizes)
+    if s > 1:
+        _check_memory(
+            8 * (_DENSE_ARRAYS * s * s + sum(x * x for x in sizes if x > 1)),
+            f"the component of vertex {comps[sizes.index(s)][0]} ({s} vertices)",
+            f"{_DENSE_ARRAYS} dense {s} x {s} float64 blocks beside one block per component",
         )
 
 
@@ -437,7 +467,10 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
     Every vertex points at a smaller one or at itself. Each round hooks the
     larger root of every edge whose ends have different roots onto the
     smaller, then jumps pointers until each vertex points at its root, so
-    every root ends as the smallest vertex of its component."""
+    every root ends as the smallest vertex of its component. A vertex count
+    whose per-vertex arrays (`_VERTEX_BYTES` a vertex) would not fit in
+    physical memory fails first."""
+    _check_memory(_VERTEX_BYTES * g.n, f"n={g.n}", f"its components at {_VERTEX_BYTES} bytes a vertex")
     root = np.arange(g.n)
     while True:
         ru, rv = root[g.u], root[g.v]
@@ -587,6 +620,29 @@ def load_graph_file(path) -> WeightedGraph:
     return load_graph(data, path=path)
 
 
-def dump_graph(g: WeightedGraph) -> str:
-    lines = [f"n {g.n}", *map("{} {} {!r}".format, g.u.tolist(), g.v.tolist(), g.w.tolist())]
-    return "\n".join(lines) + "\n"
+class _IdText(dict):
+    """`"{id} "` for every vertex id looked up, made on its first lookup."""
+
+    def __missing__(self, x):
+        text = self[x] = f"{x} "
+        return text
+
+
+def dump_graph(g: WeightedGraph, fh) -> None:
+    """Write g to the text stream `fh` as an edge list that `load_graph`
+    reads back as g: the header `n <count>`, then one `u v w` line per edge
+    in stored (u, v) order, w in Python's shortest `repr` (the text of
+    `"{} {} {!r}".format(u, v, w)`), each line ending in a newline.
+
+    The edges go out in chunks of `_CHUNK_ROWS`, one `fh.write` of one join
+    each, so the text held at once is one chunk's. A chunk's weights take
+    one `repr` of their list, cut at its `", "` separators (no finite
+    float's repr holds one); its ids come from a table of the ids this call
+    has met, never one string per vertex of n."""
+    fh.write(f"n {g.n}\n")
+    ids = _IdText().__getitem__
+    for start in range(0, g.m, _CHUNK_ROWS):
+        chunk = g.records[start : start + _CHUNK_ROWS]
+        ws = repr(chunk["w"].tolist())[1:-1].split(", ")
+        us, vs = map(ids, chunk["u"].tolist()), map(ids, chunk["v"].tolist())
+        fh.write("".join(chain.from_iterable(zip(us, vs, ws, repeat("\n")))))

@@ -5,7 +5,9 @@ S's own edges (`graph._laplacian_blocks`) instead of slicing an n x n
 Laplacian. These tests pin that each block is bitwise the slice it replaces,
 that the factor, the resistances, the sampling distribution, the verifier and
 the spectral embedding are bitwise those of the n x n computation, and that
-none of them allocates an n x n array.
+none of them allocates an n x n array. The resistances, read a chunk of
+edges at a time, are bitwise those read in one pass, and hold no more than
+one component's X beside one chunk.
 """
 
 import math
@@ -24,6 +26,7 @@ from distsparse import (
     verify_epsilon,
 )
 from distsparse import graph
+from conftest import dense_random_graph
 
 # --- the n x n computation the blocks replace ----------------------------
 
@@ -53,6 +56,19 @@ def nxn_resistances(g):
         X[np.ix_(free, free)] = cinv.T @ cinv
     u, v = g.u, g.v
     return X[u, u] + X[v, v] - 2.0 * X[u, v]
+
+
+def unchunked_resistances(g):
+    """`WeightedGraph.resistances` as it read each component's edges in one
+    pass, before it read them a chunk at a time."""
+    local = g._components[2]
+    r = np.empty(g.m)
+    for (_, cinv), (comp, e) in zip(g.factor[1], graph._edges_by_component(g, g)):
+        X = np.zeros((len(comp), len(comp)))
+        np.matmul(cinv.T, cinv, out=X[1:, 1:])
+        u, v = local[g.u[e]], local[g.v[e]]
+        r[e] = X[u, u] + X[v, v] - 2.0 * X[u, v]
+    return r
 
 
 def nxn_sampling_probs(g):
@@ -249,3 +265,22 @@ class TestNoNxNArray:
         for name, path in paths.items():
             fresh = WeightedGraph(g.n, g.records)  # no factor cached yet
             assert self.peak(lambda: path(fresh)) < self.LIMIT, name
+
+
+class TestResistancesInChunks:
+    def test_bitwise_one_pass(self):
+        # components of 150 and 200 vertices hold about 5 600 and 10 000
+        # edges, more than one chunk each; an isolated vertex and an edge
+        rng = np.random.default_rng(4)
+        g = components_graph(rng, (150, 1, 200, 2), chord_p=0.5)
+        assert g.m > 3 * graph._CHUNK_ROWS
+        assert same_bits(g.resistances, unchunked_resistances(g))
+
+    def test_peak_is_x_and_one_chunk(self):
+        # n = 800, m about 200 000 in one component: the 5 MB X beside the
+        # result, the edge order (8 bytes an edge each) and one chunk's arrays
+        g = dense_random_graph(np.random.default_rng(5), 800, 0.625)
+        g.factor
+        peak = TestNoNxNArray.peak(lambda: g.resistances)
+        assert peak < 8 * 800 * 800 + 2 * 8 * g.m + 2**20
+        assert same_bits(g.resistances, unchunked_resistances(g))

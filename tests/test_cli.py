@@ -31,13 +31,13 @@ def runner():
 
 
 def write_graph(path, g):
-    path.write_text(dump_graph(g))
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_graph(g, fh)
     return str(path)
 
 
 def write_family(tmp_path, f, name="fam"):
-    gpath = tmp_path / f"{name}.el"
-    gpath.write_text(dump_graph(f.base))
+    write_graph(tmp_path / f"{name}.el", f.base)
     doc = {"graph": f"{name}.el", "sets": [[list(e) for e in sorted(s)] for s in f.sets]}
     fpath = tmp_path / f"{name}.json"
     fpath.write_text(json.dumps(doc))
@@ -143,19 +143,42 @@ class TestLaplacianCmd:
         ],
     )
     def test_graph_beyond_physical_memory_is_memory_error(self, runner, tmp_path, monkeypatch, args):
-        # four 101 x 101 float64 arrays (326 432 bytes) do not fit in 320 000
+        # the Laplacians' four 101 x 101 float64 arrays (326 432 bytes) do not
+        # fit in 320 000, nor do the factor's and the eigensolve's four blocks
+        # of the one component beside its cached block (408 040 bytes)
         monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
         monkeypatch.chdir(tmp_path)
-        # the path on 101 vertices: one component, so `cluster` needs the Laplacian
+        # the path on 101 vertices: one component, so `cluster` needs its block
         path = [f"{x} {x + 1} 1.0\n" for x in range(100)]
         (tmp_path / "g.el").write_text("".join(path))
         (tmp_path / "half.el").write_text("".join(["0 1 0.5\n", *path[1:]]))
         result, doc = run_json(runner, [args[0], "--graph", "g.el", *args[1:]])
         assert result.exit_code == 1
-        assert doc == {
-            "error": "memory",
-            "detail": "n=101 needs 326432 bytes for 4 dense n x n float64 arrays; physical memory is 320000 bytes",
-        }
+        if args[0] == "laplacian":
+            detail = "n=101 needs 326432 bytes for 4 dense n x n float64 arrays; physical memory is 320000 bytes"
+        else:
+            detail = (
+                "the component of vertex 0 (101 vertices) needs 408040 bytes for 4 dense 101 x 101 "
+                "float64 blocks beside one block per component; physical memory is 320000 bytes"
+            )
+        assert doc == {"error": "memory", "detail": detail}
+
+    @pytest.mark.parametrize(
+        "args", [["sparsify", "--epsilon", "0.5", "--constant", "0.1"], ["verify", "--sparsifier", "half.el"]]
+    )
+    def test_many_small_components_fit(self, runner, tmp_path, monkeypatch, args):
+        # 10 000 disjoint edges on 20 000 vertices hold 2 x 2 blocks, though
+        # four 20 000 x 20 000 arrays (12.8 GB) would not fit in 1 GiB
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.el").write_text("".join(f"{2 * i} {2 * i + 1} 1.0\n" for i in range(10_000)))
+        (tmp_path / "half.el").write_text("".join(f"{2 * i} {2 * i + 1} 0.5\n" for i in range(10_000)))
+        result, doc = run_json(runner, [args[0], "--graph", "g.el", *args[1:]])
+        assert result.exit_code == 0, result.output
+        if args[0] == "verify":
+            assert doc["epsilon_certified"] == pytest.approx(0.5)
+        else:
+            assert doc["edges"] < 10_000 and 1.0 <= doc["epsilon_certified"] < math.inf
 
 
 class TestPartitionCmd:
@@ -218,12 +241,12 @@ class TestSparsifyVerifyCmds:
         "text, error, detail",
         [
             ("0 99999999999999999999 1.0\n", "invalid-value", "vertex id 99999999999999999999 does not fit in 64 bits"),
-            # no n x n matrix of this many rows fits: refused before any per-vertex work
+            # no per-vertex array of this many entries fits: refused before any is made
             (
                 "n 99999999999999999999\n0 1 1.0\n",
                 "memory",
-                "n=99999999999999999999 needs 319999999999999999993600000000000000000032 bytes "
-                "for 4 dense n x n float64 arrays; physical memory is 1073741824 bytes",
+                "n=99999999999999999999 needs 7199999999999999999928 bytes for its components "
+                "at 72 bytes a vertex; physical memory is 1073741824 bytes",
             ),
         ],
         ids=["id-beyond-64-bits", "n-beyond-memory"],

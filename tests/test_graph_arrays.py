@@ -7,6 +7,7 @@ array code must give the same graph (bit for bit), or the same error
 message for the same first offending edge or line.
 """
 
+import io
 import math
 import os
 import subprocess
@@ -423,7 +424,9 @@ class TestArrayOperations:
 
     def test_dump_graph_text(self):
         g = WeightedGraph(3, [(2, 0, 0.1), (0, 1, 1e-7), (1, 2, 3.0)])
-        assert dump_graph(g) == "n 3\n0 1 1e-07\n0 2 0.1\n1 2 3.0\n"
+        out = io.StringIO()
+        dump_graph(g, out)
+        assert out.getvalue() == "n 3\n0 1 1e-07\n0 2 0.1\n1 2 3.0\n"
 
 
 # --- parser ---------------------------------------------------------------

@@ -15,6 +15,9 @@ from distsparse import (
     load_graph,
     normalized_laplacian,
     quadratic_form,
+    sparsify_er,
+    spectral_embedding,
+    verify_epsilon,
 )
 from distsparse import graph
 from conftest import random_graph
@@ -25,6 +28,13 @@ def triangle(w=1.0):
 
 
 PATH = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+
+
+def paths(count, size, skip=0):
+    """`count` disjoint paths of `size` vertices with unit weights, after
+    `skip` isolated vertices."""
+    n = skip + count * size
+    return WeightedGraph(n, [(x, x + 1, 1.0) for x in range(skip, n - 1) if (x - skip) % size != size - 1])
 
 
 class TestLoadGraph:
@@ -101,14 +111,71 @@ class TestLaplacian:
         assert graph._physical_memory() > 0
 
     def test_dense_size_guard(self, monkeypatch):
-        # four n x n float64 arrays take 32 n^2 bytes: 320 000 for n=100
+        # the Laplacians return n x n arrays: four take 32 n^2 bytes, 320 000 for n=100
         monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
         assert len(laplacian(WeightedGraph(100, ((0, 1, 1.0),)))) == 100
         big = WeightedGraph(101, ((0, 1, 1.0),))
         detail = "n=101 needs 326432 bytes for 4 dense n x n float64 arrays; physical memory is 320000 bytes"
-        for dense in (laplacian, normalized_laplacian, lambda g: g.factor, lambda g: g.resistances):
+        for dense in (laplacian, normalized_laplacian):
             with pytest.raises(MemoryError, match=re.escape(detail)):
                 dense(big)
+        # the factor holds the 2 x 2 block of the one edge's component
+        assert big.resistances.tolist() == [1.0]
+        assert spectral_embedding(big, 101).shape == (101, 101)
+
+    @pytest.mark.parametrize(
+        "g, detail",
+        [
+            # one path on vertices 1..101: 8 (4 + 1) 101^2 = 408 040 bytes
+            (
+                paths(1, 101, skip=1),
+                "the component of vertex 1 (101 vertices) needs 408040 bytes for 4 dense 101 x 101 "
+                "float64 blocks beside one block per component; physical memory is 320000 bytes",
+            ),
+            # eight paths of 60 vertices: 8 (4 + 8) 60^2 = 345 600 bytes; seven fit (316 800)
+            (
+                paths(8, 60),
+                "the component of vertex 0 (60 vertices) needs 345600 bytes for 4 dense 60 x 60 "
+                "float64 blocks beside one block per component; physical memory is 320000 bytes",
+            ),
+        ],
+        ids=["largest-component", "blocks-of-all-components"],
+    )
+    def test_block_size_guard(self, monkeypatch, g, detail):
+        # the factor and the clustering eigensolve hold four blocks of the
+        # largest component beside one block of every component
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
+        c = len(connected_components(g))
+        for dense in (lambda g: g.factor, lambda g: g.resistances, lambda g: spectral_embedding(g, c + 1)):
+            with pytest.raises(MemoryError, match=re.escape(detail)):
+                dense(g)
+        assert len(paths(7, 60).factor[1]) == 7
+
+    def test_vertex_count_guard(self, monkeypatch):
+        # refused before any per-vertex array exists
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
+        g = WeightedGraph(10**20, ((0, 1, 1.0),))
+        detail = (
+            "n=100000000000000000000 needs 7200000000000000000000 bytes for its components "
+            "at 72 bytes a vertex; physical memory is 1073741824 bytes"
+        )
+        for dense in (connected_components, lambda g: g.factor, lambda g: spectral_embedding(g, 2)):
+            with pytest.raises(MemoryError, match=re.escape(detail)):
+                dense(g)
+
+    def test_many_small_components_factor_sparsify_and_verify(self, monkeypatch):
+        # 10 000 disjoint edges on 20 000 vertices: four 20 000 x 20 000 arrays
+        # would take 12.8 GB, but every block is 2 x 2
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
+        g = WeightedGraph(20_000, [(2 * i, 2 * i + 1, 1.0 + i % 7) for i in range(10_000)])
+        assert len(g.factor[1]) == 10_000
+        np.testing.assert_allclose(g.resistances, 1.0 / g.w, rtol=1e-15)
+        res = sparsify_er(g, 0.5, seed=1, constant=0.1)
+        # each block's eigenvalue is w_H / w_G, and 0 where the edge was not drawn
+        kept = np.isin(g.u, res.h.u)
+        assert 0 < res.h.m < g.m
+        assert res.epsilon_certified == pytest.approx(max(1.0, (res.h.w / g.w[kept]).max() - 1.0), rel=1e-12)
+        assert verify_epsilon(g, WeightedGraph(g.n, [(u, v, w / 2) for u, v, w in g.edges])) == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize(
         "g, vertex",

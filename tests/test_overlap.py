@@ -140,10 +140,10 @@ class TestEdgeFamilyValidation:
 
 class TestFamilyFile:
     def test_round_trip(self, tmp_path, example1_family):
-        gpath = tmp_path / "g.el"
         from distsparse import dump_graph
 
-        gpath.write_text(dump_graph(example1_family.base))
+        with open(tmp_path / "g.el", "w", encoding="utf-8") as fh:
+            dump_graph(example1_family.base, fh)
         doc = {
             "graph": "g.el",
             "sets": [[list(e) for e in sorted(s)] for s in example1_family.sets],
