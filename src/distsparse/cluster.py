@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import WeightedGraph, _check_block_size, _laplacian_blocks
+from .graph import WeightedGraph, _check_block_size, _check_memory, _laplacian_blocks
 
 _MAX_KMEANS_ITERS = 100
 
@@ -26,6 +26,11 @@ class ClusterAssignment:
             raise ValueError(f"labels outside [0, {self.k})")
         if used != set(range(self.k)):
             raise ValueError("every cluster id must be used at least once")
+
+
+def _check_k(g: WeightedGraph, k: int) -> None:
+    if not (1 <= k <= g.n):
+        raise ValueError(f"k must lie in [1, {g.n}], got {k}")
 
 
 def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np.ndarray:
@@ -44,9 +49,10 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     built from its own edges (no n x n array is made);
     its eigenpairs 1, 2, ... (pair 0 is its kernel vector) are merged across
     components by (eigenvalue, component order), and the k - c smallest fill
-    the remaining columns, each made positive at its first nonzero entry."""
-    if not (1 <= k <= g.n):
-        raise ValueError(f"k must lie in [1, {g.n}], got {k}")
+    the remaining columns, each made positive at its first nonzero entry.
+    Only the kept columns of each component's eigenvectors are held (a
+    copy), so each |S| x |S| matrix is dropped after its eigensolve."""
+    _check_k(g, k)
     comps = g._components[0]
     X = np.zeros((g.n, k))
     d = g.degrees() if normalized else None
@@ -62,7 +68,8 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
         lam, vecs = np.linalg.eigh(L)
         kept = min(rest, len(comp) - 1)
         values.append(lam[1 : kept + 1])
-        vectors += [(comp, vecs[:, j]) for j in range(1, kept + 1)]
+        cols = vecs[:, 1 : kept + 1].copy()
+        vectors += [(comp, cols[:, j]) for j in range(kept)]
     order = np.argsort(np.concatenate(values), kind="stable")[:rest]
     for col, (comp, vec) in enumerate((vectors[i] for i in order), start=len(comps)):
         nz = np.nonzero(np.abs(vec) > 1e-12)[0]
@@ -132,6 +139,13 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
 def spectral_clustering(
     g: WeightedGraph, k: int, seed: int, normalized: bool = False
 ) -> ClusterAssignment:
+    """`kmeans` of the k-column `spectral_embedding`. k-means holds an
+    n x k x k float64 array of point-centroid differences, larger than the
+    n x k embedding, so that is checked against physical memory (after the
+    range of k) before the embedding is built."""
+    _check_k(g, k)
+    n = g.n
+    _check_memory(8 * n * k * k, f"k={k} clusters of n={n} vertices", f"k-means' {n} x {k} x {k} float64 differences")
     return kmeans(spectral_embedding(g, k, normalized), k, seed)
 
 

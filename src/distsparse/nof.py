@@ -17,14 +17,17 @@ kernel, so its petal union is δ_j = union - E_j. The same split names the
 one site that writes in round 2, the lowest-numbered site other than j.
 
 The simulator does once what is the same at every site. Each site's draw
-of its local sparsifier stays its own, from its own seed; the sampling
-distribution of a graph is computed once (`WeightedGraph.sampling_probs`),
-and each distinct local part is unioned with the shared part once. In the
-broadcast every site rebuilds the whole union (the family is a sunflower),
-so all sites hold the family's one union object, which the CLI's emit
-path renders once however many sites the report lists. Transcripts, bit
-and edge costs, per-site results and reports are those of computing every
-site on its own.
+of its local sparsifier stays its own, from its own seed, but the
+sampler's setup for (V, E_j) (its checks, the distribution
+`WeightedGraph.sampling_probs` and the draw count q) is done once for all
+sites, so each site pays one seeded draw. The s site seeds come from one
+vector draw, bitwise the s scalar draws of one per site. Each distinct
+local part is unioned with the shared part once. In the broadcast every
+site rebuilds the whole union (the family is a sunflower), so all sites
+hold the family's one union object, which the CLI's emit path renders
+once however many sites the report lists. Transcripts, bit and edge costs,
+per-site results and reports are those of computing every site on its
+own.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import PreconditionError
 from .graph import Edge, WeightedGraph, induced_subgraph
 from .overlap import EdgeFamily, occurrence_counts
-from .sparsify import UnionSparsifier, sparsify_er, union_sparsifiers
+from .sparsify import UnionSparsifier, _sparsify_each, sparsify_er, union_sparsifiers
 
 BIT = "bit"
 WEIGHTED_EDGE_SET = "weighted-edge-set"
@@ -323,13 +326,14 @@ def protocol_sparsifier_exchange(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     g_delta, g_ej, writer = _star_split(f, j)
     others = [i for i in range(1, f.t + 1) if i != j]
-    rng = np.random.default_rng(seed)
-    seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
+    # site j's seed, then the others' in order: bitwise the draws of one
+    # scalar `integers(2**63)` per site
+    seeds = np.random.default_rng(seed).integers(2**63, size=f.t).tolist()
 
     # the two-part allocation the union theorem is applied to
     two_part = EdgeFamily(f.base, (g_delta.pairs(), g_ej.pairs()) if g_delta.m else (g_ej.pairs(),))
-    shared = [sparsify_er(g_delta, epsilon, seeds[j])] if g_delta.m else []
-    local = {i: sparsify_er(g_ej, epsilon, seeds[i]) for i in others}
+    shared = [sparsify_er(g_delta, epsilon, seeds[0])] if g_delta.m else []
+    local = dict(zip(others, _sparsify_each(g_ej, epsilon, seeds[1:])))
     local[j] = local[writer]
 
     writes = (_edge_write(j, 1, shared[0].h if shared else g_delta), _edge_write(writer, 2, local[writer].h))

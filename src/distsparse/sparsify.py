@@ -58,8 +58,20 @@ def sparsify_er(
     probability proportional to weight times effective resistance, and
     accumulates w(e) / (q * p_e) per sampled copy. If the sampled support
     covers every original edge the input graph is returned verbatim with a
-    certified factor of 0.
+    certified factor of 0. This is `_sparsify_each` with one seed: the
+    checks, the distribution and q are set up once per call, and the draw
+    is `np.random.default_rng(seed).multinomial(q, p)`.
     """
+    return _sparsify_each(g, epsilon, (seed,), constant)[0]
+
+
+def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.0) -> list[SparsifierResult]:
+    """`sparsify_er(g, epsilon, seed, constant)` for every seed, in order,
+    with the per-graph setup done once: the checks on eps, C and the edge
+    count, the distribution (`g.sampling_probs`) and q. Each seed then pays
+    only its own draw, and, when its support misses an edge, its reweighting
+    and certificate; the draws that cover every edge share one result, g
+    itself certified 0.0."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not (0.0 < constant < math.inf):
@@ -80,16 +92,20 @@ def sparsify_er(
         )
     q = max(math.ceil(draws), 1)
 
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(q, probs)
-    support = counts > 0
-    if int(support.sum()) >= g.m:
-        return SparsifierResult(h=g, epsilon_certified=0.0)
-
-    kept = g.records[support]
-    kept["w"] = counts[support] * kept["w"] / (q * probs[support])
-    h = WeightedGraph(g.n, kept)
-    return SparsifierResult(h=h, epsilon_certified=verify_epsilon(g, h))
+    whole = SparsifierResult(h=g, epsilon_certified=0.0)
+    out = []
+    for seed in seeds:
+        # through the module attribute, so a stand-in generator is honoured
+        counts = np.random.default_rng(seed).multinomial(q, probs)
+        if np.count_nonzero(counts) >= g.m:
+            out.append(whole)
+            continue
+        support = counts > 0
+        kept = g.records[support]
+        kept["w"] = counts[support] * kept["w"] / (q * probs[support])
+        h = WeightedGraph(g.n, kept)
+        out.append(SparsifierResult(h=h, epsilon_certified=verify_epsilon(g, h)))
+    return out
 
 
 def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:

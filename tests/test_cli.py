@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -179,6 +180,29 @@ class TestLaplacianCmd:
             assert doc["epsilon_certified"] == pytest.approx(0.5)
         else:
             assert doc["edges"] < 10_000 and 1.0 <= doc["epsilon_certified"] < math.inf
+
+    def test_cluster_k_beyond_memory_is_refused_before_the_embedding(self, runner, tmp_path, monkeypatch):
+        # k-means over k = 10 001 columns would hold 20 000 x 10 001 x 10 001
+        # float64 differences (16 TB): refused before the 1.6 GB embedding
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.el").write_text("".join(f"{2 * i} {2 * i + 1} 1.0\n" for i in range(10_000)))
+        start = time.perf_counter()
+        result, doc = run_json(runner, ["cluster", "--graph", "g.el", "--k", "10001"])
+        assert time.perf_counter() - start < 30
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert doc["error"] == "memory"
+        assert doc["detail"].startswith(
+            "k=10001 clusters of n=20000 vertices needs 16003200160000 bytes"
+            " for k-means' 20000 x 10001 x 10001 float64 differences; "
+        )
+        # the range of k is checked first
+        result, doc = run_json(runner, ["cluster", "--graph", "g.el", "--k", "20001"])
+        assert doc == {"error": "invalid-value", "detail": "k must lie in [1, 20000], got 20001"}
+        # a small k on the same graph still clusters
+        result, doc = run_json(runner, ["cluster", "--graph", "g.el", "--k", "3"])
+        assert result.exit_code == 0, result.output
+        assert sorted(set(doc["labels"])) == [0, 1, 2]
 
 
 class TestPartitionCmd:

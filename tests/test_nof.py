@@ -392,6 +392,15 @@ class TestExchangeProtocol:
         for u in results.values():
             assert verify_epsilon(f.base, u.h) <= u.epsilon_prime + 1e-9
 
+    @pytest.mark.parametrize("s", [2, 9, 197])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 12345, 2**40 + 7])
+    def test_site_seeds_in_one_draw_are_the_scalar_draws(self, s, seed):
+        # the exchange draws its s site seeds as one vector; its reports are
+        # those of s scalar draws only while numpy keeps these bitwise equal
+        rng = np.random.default_rng(seed)
+        scalar = [int(rng.integers(2**63)) for _ in range(s)]
+        assert np.random.default_rng(seed).integers(2**63, size=s).tolist() == scalar
+
     def test_deterministic_transcripts(self):
         f = self.star9()
         t1, r1 = protocol_sparsifier_exchange(f, 2, epsilon=0.4, seed=5)
