@@ -169,7 +169,15 @@ class WeightedGraph:
         return self.n == other.n and np.array_equal(self.records, other.records)
 
     def __hash__(self):
-        return hash((self.n, self.records.tobytes()))
+        """Computed on first use and kept, as `pairs()` is: the records are
+        read-only."""
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.n, self.records.tobytes()))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):
+        # a bytes hash holds only within one process: a pickle leaves it out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n!r}, edges={self.edges!r})"

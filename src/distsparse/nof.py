@@ -21,13 +21,17 @@ of its local sparsifier stays its own, from its own seed, but the
 sampler's setup for (V, E_j) (its checks, the distribution
 `WeightedGraph.sampling_probs` and the draw count q) is done once for all
 sites, so each site pays one seeded draw. The s site seeds come from one
-vector draw, bitwise the s scalar draws of one per site. Each distinct
-local part is unioned with the shared part once. In the broadcast every
-site rebuilds the whole union (the family is a sunflower), so all sites
-hold the family's one union object, which the CLI's emit path renders
-once however many sites the report lists. Transcripts, bit and edge costs,
-per-site results and reports are those of computing every site on its
-own.
+vector draw, bitwise the s scalar draws of one per site. The site draws
+share one generator, reset before each draw to the state
+`np.random.default_rng(seed)` would start from; these states are computed
+for all sites in one array pass, so each draw is bitwise a fresh
+generator's. Each distinct local part is unioned with the shared part
+once, found by one lookup of its graph, whose hash is computed once. In
+the broadcast every site rebuilds the whole union (the family is a
+sunflower), so all sites hold the family's one union object, which the
+CLI's emit path renders once however many sites the report lists.
+Transcripts, bit and edge costs, per-site results and reports are those
+of computing every site on its own.
 """
 
 from __future__ import annotations
@@ -343,7 +347,8 @@ def protocol_sparsifier_exchange(
     unions = {}
     results = {}
     for i, part in local.items():
-        if part.h not in unions:
-            unions[part.h] = union_sparsifiers([*shared, part], two_part)
-        results[i] = unions[part.h]
+        union = unions.get(part.h)
+        if union is None:
+            union = unions[part.h] = union_sparsifiers([*shared, part], two_part)
+        results[i] = union
     return Transcript(writes), results

@@ -14,6 +14,7 @@ overlapping cardinalities of the allocation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,17 @@ from .overlap import EdgeFamily
 
 # the most samples `Generator.multinomial` can draw (its count is an int64)
 _MAX_DRAWS = np.iinfo(np.int64).max
+
+# NumPy's `SeedSequence` hash and PCG64's 128-bit LCG multiplier, fixed by
+# its stream-compatibility policy (NEP 19). Each hash call XORs with one
+# constant and multiplies by the next, the constants running through
+# INIT * MULT**t mod 2**32; the pool's 16 calls run on the A sequence, its
+# output's 8 calls on the B sequence.
+_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, t, 2**32) % 2**32 for t in range(17)], dtype=np.uint32)[:, None]
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, t, 2**32) % 2**32 for t in range(9)], dtype=np.uint32)[:, None]
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,8 @@ def sparsify_er(
     covers every original edge the input graph is returned verbatim with a
     certified factor of 0. This is `_sparsify_each` with one seed: the
     checks, the distribution and q are set up once per call, and the draw
-    is `np.random.default_rng(seed).multinomial(q, p)`.
+    is `np.random.default_rng(seed).multinomial(q, p)` itself: one seed
+    computes no generator state ahead.
     """
     return _sparsify_each(g, epsilon, (seed,), constant)[0]
 
@@ -71,7 +84,13 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.
     count, the distribution (`g.sampling_probs`) and q. Each seed then pays
     only its own draw, and, when its support misses an edge, its reweighting
     and certificate; the draws that cover every edge share one result, g
-    itself certified 0.0."""
+    itself certified 0.0.
+
+    The draws share one generator, `np.random.default_rng(seeds[0])`; before
+    each later draw it is set to the state `default_rng(seed)` would start
+    from, all of them computed in one pass (`_pcg64_states`), so every draw
+    is bitwise the one a fresh generator makes. With more than one seed,
+    every seed must lie in [0, 2**64)."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not (0.0 < constant < math.inf):
@@ -92,11 +111,17 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.
         )
     q = max(math.ceil(draws), 1)
 
+    seeds = list(seeds)
+    states = _pcg64_states(seeds) if len(seeds) > 1 else None
     whole = SparsifierResult(h=g, epsilon_certified=0.0)
     out = []
-    for seed in seeds:
-        # through the module attribute, so a stand-in generator is honoured
-        counts = np.random.default_rng(seed).multinomial(q, probs)
+    for i, seed in enumerate(seeds):
+        if i == 0:
+            # through the module attribute, so a stand-in generator is honoured
+            rng = np.random.default_rng(seed)
+        else:
+            rng.bit_generator.state = states[i]
+        counts = rng.multinomial(q, probs)
         if np.count_nonzero(counts) >= g.m:
             out.append(whole)
             continue
@@ -106,6 +131,49 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.
         h = WeightedGraph(g.n, kept)
         out.append(SparsifierResult(h=h, epsilon_certified=verify_epsilon(g, h)))
     return out
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """`np.random.default_rng(seed).bit_generator.state` for every seed in
+    [0, 2**64), computed in one pass over all seeds instead of one
+    `SeedSequence` and one `PCG64` each.
+
+    `SeedSequence(seed)` hashes the seed's 32-bit words, low first, into a
+    4-word pool; a word the seed lacks is hashed as 0, so every seed is taken
+    as 4 words, and each hash step is one uint32 array operation over all
+    seeds. The pool gives 4 uint64 words (s_hi, s_lo, i_hi, i_lo), as
+    `generate_state(4, np.uint64)` does, and PCG64 seeds its 128-bit LCG
+    from s and i in two steps, done on Python ints. A seed outside
+    [0, 2**64) is a ValueError.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    bad = [seed for seed in seeds if not 0 <= seed < 2**64]
+    if bad:
+        raise ValueError(f"seeds must lie in [0, 2**64), got {bad[0]}")
+    words = np.zeros((4, len(seeds)), dtype=np.uint32)
+    words[:2] = np.array(seeds, dtype=np.uint64).astype("<u8").view("<u4").reshape(-1, 2).T
+    pool = _hashmix(words, _HASH_A[:5])
+    # every word mixes into each other word; the source word stays fixed
+    # while it does, so its three mixes are one step
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(out.T).astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """`SeedSequence`'s hash by the calls whose constants are `consts`, one
+    call per row: row i XORs with consts[i] and multiplies by consts[i + 1].
+    One row of values is hashed by every call."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
 
 
 def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:

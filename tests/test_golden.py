@@ -15,6 +15,16 @@ Their `partition` and `nof` reports were written by the implementation in
 which the broadcast and exchange protocols built each edge-set write by
 hand.
 
+`triangles.el` is nine disjoint triangles on n = 27, each weighted
+(1, 1, 1e-6), and `triangles.fam.json` makes each triangle one set: a
+sunflower with an empty kernel. Every site's local sparsifier of (V, E_j)
+reweights the two heavy edges by its own draw, and keeps the light edge
+only at times. Its two `exchange` reports (site 5, seed 3) were written by
+the implementation that built a fresh generator for each site's draw. At
+eps 0.3 only the round-2 writer's local part shows in the report (every
+site's factor is the shared part's); at eps 0.05 about one local draw in
+four keeps a light edge, so the per-site edge counts show every site's draw.
+
 `cycle.el` is the 4-cycle 0-1-2-3 and `cycle.fam.json` splits it into the
 sets {01, 12} and {23, 03}. `cycle-p1.el` and `cycle-p2.el` are those sets'
 exact subgraphs; `cycle-join.el` holds the edge 2-3 alone, which joins two
@@ -55,7 +65,9 @@ from distsparse.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden"
 G, H = str(DATA / "g.el"), str(DATA / "h.el")
-STAR, TWIN, SAME, CYCLE = (str(DATA / f"{name}.fam.json") for name in ("star", "twin", "same", "cycle"))
+STAR, TWIN, SAME, CYCLE, TRIANGLES = (
+    str(DATA / f"{name}.fam.json") for name in ("star", "twin", "same", "cycle", "triangles")
+)
 STAR_EL, LOOP, P1, P2, JOIN = (str(DATA / f"{name}.el") for name in ("star", "loop", "cycle-p1", "cycle-p2", "cycle-join"))
 LABELS_A, LABELS_B, LABELS_SHORT = (str(DATA / f"labels-{name}.json") for name in ("a", "b", "short"))
 
@@ -94,6 +106,11 @@ def test_union_report_and_edge_list(tmp_path):
         ("broadcast-site5", ["nof", "broadcast", "--family", STAR, "--site", "5"]),
         ("exchange-star", ["nof", "exchange", "--family", STAR, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
         ("exchange-same", ["nof", "exchange", "--family", SAME, "--site", "1", "--epsilon", "0.3", "--seed", "3"]),
+        ("exchange-triangles", ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
+        (
+            "exchange-triangles-eps0.05",
+            ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
+        ),
         ("laplacian-star", ["laplacian", "--graph", STAR_EL]),
         ("laplacian-star-normalized", ["laplacian", "--graph", STAR_EL, "--normalized"]),
         ("cluster-normalized", ["cluster", "--graph", H, "--k", "3", "--seed", "3", "--normalized"]),

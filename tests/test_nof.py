@@ -13,6 +13,7 @@ from distsparse import (
     WeightedGraph,
     deza_threshold,
     greatest_overlapping_coefficient,
+    induced_subgraph,
     is_delta_system,
     lemma2_check,
     lemma3_check,
@@ -24,10 +25,12 @@ from distsparse import (
     protocol_sparsifier_exchange,
     protocol_verify_sunflower,
     site_view,
+    sparsify_er,
     symmetric_difference_on_site,
     verify_epsilon,
 )
 from distsparse.nof import bits_per_edge
+from distsparse.sparsify import _sparsify_each
 from conftest import (
     elem_edge,
     family_from_index_sets,
@@ -427,6 +430,38 @@ class TestExchangeProtocol:
         assert results == reference_exchange(f, j, 0.3, seed)
         # site j holds the union of the lowest-numbered other site
         assert len({r.h for r in results.values()}) == 8
+
+    @pytest.mark.parametrize("seeds", [[0, 3, 11, 2**62 + 7, 2**64 - 1], list(range(20))])
+    def test_site_draws_are_fresh_generator_draws(self, seeds):
+        # `_sparsify_each` resets one generator to each seed's state; on
+        # (V, E_j) of the triangles the draws miss edges, so each result is
+        # its seed's own reweighting and certificate
+        f = self.nine_triangles()
+        for e_j in f.sets:
+            g_ej = induced_subgraph(f.base, e_j)
+            each = _sparsify_each(g_ej, 0.3, seeds)
+            assert len(each) == len(seeds)
+            for part, seed in zip(each, seeds):
+                alone = sparsify_er(g_ej, 0.3, seed)
+                assert part.h == alone.h and part.epsilon_certified == alone.epsilon_certified
+
+    def test_stand_in_generator_makes_every_draw(self, monkeypatch):
+        # perfbench's tracer swaps `np.random.default_rng` for a generator
+        # that counts each `multinomial` draw; one generator serves all seeds
+        class Counting(np.random.Generator):
+            draws = 0
+
+            def multinomial(self, n, pvals, size=None):
+                Counting.draws += 1
+                return super().multinomial(n, pvals, size)
+
+        f = self.nine_triangles()
+        g_ej = induced_subgraph(f.base, f.sets[0])
+        seeds = [0, 3, 11, 2**62 + 7]
+        expected = _sparsify_each(g_ej, 0.3, seeds)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Counting(np.random.PCG64(seed)))
+        assert _sparsify_each(g_ej, 0.3, seeds) == expected
+        assert Counting.draws == len(seeds)
 
     @pytest.mark.parametrize("s, ell, lam", [(9, 3, 1), (15, 4, 2), (5, 2, 0), (9, 3, 3)])
     def test_coinciding_local_parts_match_reference(self, s, ell, lam):

@@ -21,6 +21,7 @@ from distsparse import (
     union_sparsifiers,
     verify_epsilon,
 )
+from distsparse.sparsify import _pcg64_states, _sparsify_each
 from conftest import random_covering_family, random_graph
 
 
@@ -527,6 +528,26 @@ class TestSparsifyEr:
             if len(connected_components(res.h)) == 2:
                 ok += 1
         assert ok >= 19
+
+
+class TestSeedStates:
+    """`_pcg64_states` computes, in one pass, the states that
+    `np.random.default_rng(seed)` starts from; the exchange's site draws are
+    bitwise a fresh generator's only while these agree."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_states_are_default_rng_states(self, seeds):
+        seeds += [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+        assert _pcg64_states(seeds) == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_seed_outside_64_bits_among_several_is_refused(self, bad, at):
+        seeds = [5, 7]
+        seeds[at] = bad
+        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\*\*64\), got " + str(bad)):
+            _sparsify_each(complete_graph(4), 0.5, seeds)
 
 
 class TestEpsilonPrime:
