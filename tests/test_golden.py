@@ -106,11 +106,6 @@ def test_union_report_and_edge_list(tmp_path):
         ("broadcast-site5", ["nof", "broadcast", "--family", STAR, "--site", "5"]),
         ("exchange-star", ["nof", "exchange", "--family", STAR, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
         ("exchange-same", ["nof", "exchange", "--family", SAME, "--site", "1", "--epsilon", "0.3", "--seed", "3"]),
-        ("exchange-triangles", ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
-        (
-            "exchange-triangles-eps0.05",
-            ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
-        ),
         ("laplacian-star", ["laplacian", "--graph", STAR_EL]),
         ("laplacian-star-normalized", ["laplacian", "--graph", STAR_EL, "--normalized"]),
         ("cluster-normalized", ["cluster", "--graph", H, "--k", "3", "--seed", "3", "--normalized"]),
@@ -126,6 +121,11 @@ def test_union_report_and_edge_list(tmp_path):
         ("error-invalid-value", ["sparsify", "--graph", G, "--epsilon", "2.0"]),
         ("error-precondition", ["nof", "broadcast", "--family", TWIN, "--site", "1"]),
         ("error-dimension-mismatch", ["cluster", "compare", LABELS_A, LABELS_SHORT]),
+        ("exchange-triangles", ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
+        (
+            "exchange-triangles-eps0.05",
+            ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
+        ),
     ],
 )
 def test_report(name, args):
