@@ -53,25 +53,28 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     Only the kept columns of each component's eigenvectors are held (a
     copy), so each |S| x |S| matrix is dropped after its eigensolve."""
     _check_k(g, k)
-    comps = g._components[0]
+    members, starts, component, _ = g._components
+    c, sizes = len(starts) - 1, np.diff(starts)
     X = np.zeros((g.n, k))
-    d = g.degrees() if normalized else None
-    for col, comp in enumerate(comps[:k]):
-        mass = d[comp] if normalized and len(comp) > 1 else np.ones(len(comp))
-        X[comp, col] = np.sqrt(mass / mass.sum())
-    rest = k - len(comps)
-    if rest <= 0:
+    lead = members[: starts[min(c, k)]]  # the first min(c, k) components' vertices
+    X[lead, component[lead]] = np.sqrt(1.0 / sizes[component[lead]])
+    if normalized:
+        d = g.degrees()
+        for col in np.flatnonzero(sizes[:k] > 1).tolist():
+            comp = members[starts[col] : starts[col + 1]]
+            X[comp, col] = np.sqrt(d[comp] / d[comp].sum())
+    if c >= k:
         return X
     _check_block_size(g)
     values, vectors = [], []  # nonzero spectra, in component order
     for comp, L in _laplacian_blocks(g, g, normalized):
         lam, vecs = np.linalg.eigh(L)
-        kept = min(rest, len(comp) - 1)
+        kept = min(k - c, len(comp) - 1)
         values.append(lam[1 : kept + 1])
         cols = vecs[:, 1 : kept + 1].copy()
         vectors += [(comp, cols[:, j]) for j in range(kept)]
-    order = np.argsort(np.concatenate(values), kind="stable")[:rest]
-    for col, (comp, vec) in enumerate((vectors[i] for i in order), start=len(comps)):
+    order = np.argsort(np.concatenate(values), kind="stable")[: k - c]
+    for col, (comp, vec) in enumerate((vectors[i] for i in order), start=c):
         nz = np.nonzero(np.abs(vec) > 1e-12)[0]
         X[comp, col] = -vec if nz.size and vec[nz[0]] < 0 else vec
     return X

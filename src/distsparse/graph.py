@@ -231,32 +231,46 @@ class WeightedGraph:
         return d
 
     @cached_property
-    def _components(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
-        """(`connected_components`, the component index of every vertex, the
-        index of every vertex within its component), computed once per
-        graph."""
-        comps = connected_components(self)
-        component = np.empty(self.n, dtype=np.intp)
-        local = np.empty(self.n, dtype=np.intp)
-        for i, comp in enumerate(comps):
-            component[comp] = i
-            local[comp] = np.arange(len(comp))
-        return comps, component, local
+    def _components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The component index, computed once per graph: (the vertices
+        grouped by component, ascending, the groups ordered by smallest
+        member; each group's start, then n; every vertex's component; every
+        vertex's index within its component). Pointer jumping hooks the
+        larger root of every edge whose ends have different roots onto the
+        smaller until every vertex points at the smallest vertex of its
+        component, its root. A vertex count whose arrays (`_VERTEX_BYTES` a
+        vertex) would not fit in physical memory fails first."""
+        n = self.n
+        _check_memory(_VERTEX_BYTES * n, f"n={n}", f"its components at {_VERTEX_BYTES} bytes a vertex")
+        root = np.arange(n)
+        while True:
+            ru, rv = root[self.u], root[self.v]
+            if np.array_equal(ru, rv):
+                break
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while not np.array_equal(root[root], root):
+                root = root[root]
+        component = (np.cumsum(root == np.arange(n)) - 1)[root]  # the roots, ascending, number them
+        del root
+        members = np.argsort(component, kind="stable")
+        sizes = np.bincount(component)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        local = np.empty(n, dtype=np.intp)
+        local[members] = np.arange(n) - np.repeat(starts[:-1], sizes)
+        return members, starts, component, local
 
     @cached_property
-    def factor(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """(component id of every vertex, blocks), computed once per graph.
-        The Laplacian's kernel is spanned by the component indicators and L
-        is block-diagonal on the components, so grounding (deleting) the
-        smallest vertex of every component S leaves one positive definite
-        block per component: `blocks` holds a (free vertices of S ascending,
-        C_S^-1) pair with L[free, free] = C_S C_S^T for every S with at least
-        two vertices, ordered by smallest member; one Cholesky factor per
-        component, inverted as a triangle (`_tril_inv`), about |S|^3 flops in
-        all. Each block L[S, S] is built from S's own edges
-        (`_laplacian_blocks`) and grounded by dropping its first row and
-        column; no n x n array is made. A graph whose blocks would not fit
-        in memory fails before any block exists (`_check_block_size`)."""
+    def factor(self) -> tuple[np.ndarray, ...]:
+        """C_S^-1 for every component S of at least two vertices, in
+        component order, computed once per graph. L is block-diagonal on the
+        components and its kernel is spanned by their indicators, so
+        grounding (deleting) the smallest vertex of every S leaves a positive
+        definite block L[S', S'] = C_S C_S^T on the rest S' of S: one
+        Cholesky factor per component, inverted as a triangle (`_tril_inv`),
+        about |S|^3 flops in all. Each block L[S, S] is built from S's own
+        edges (`_laplacian_blocks`); no n x n array is made. A graph whose
+        blocks would not fit in memory fails before any block exists
+        (`_check_block_size`)."""
         _check_block_size(self)
         blocks = []
         for comp, L in _laplacian_blocks(self, self):
@@ -269,8 +283,8 @@ class WeightedGraph:
                     f"the component of vertex {comp[0]} has a weight range beyond what float64 can factor"
                 ) from None
             del L  # before the inverse's arrays exist
-            blocks.append((np.array(comp[1:]), _tril_inv(C)))
-        return self._components[1], tuple(blocks)
+            blocks.append(_tril_inv(C))
+        return tuple(blocks)
 
     @cached_property
     def resistances(self) -> np.ndarray:
@@ -280,10 +294,9 @@ class WeightedGraph:
         block (X[S', S'] = C_S^-T C_S^-1 on the free vertices S' of S,
         `factor`, and zero on the grounded vertex) and read at S's edges,
         `_CHUNK_ROWS` edges at a time."""
-        blocks = self.factor[1]  # first: it checks the size before any block exists
-        local = self._components[2]
-        r = np.empty(self.m)
-        for (_, cinv), (comp, e) in zip(blocks, _edges_by_component(self, self)):
+        local, r = self._components[3], np.empty(self.m)
+        # the factor first: it checks the size before any block exists
+        for cinv, (comp, e) in zip(self.factor, _edges_by_component(self, self)):
             X = np.zeros((len(comp), len(comp)))
             np.matmul(cinv.T, cinv, out=X[1:, 1:])
             for start in range(0, len(e), _CHUNK_ROWS):
@@ -339,11 +352,10 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
 # with C^-1 L_H C^-T written over it, the product C^-1 L_H and eigvalsh's
 # copy; while clustering: L[S, S], eigh's copy and its eigenvectors
 _DENSE_ARRAYS = 4
-# a bound on the bytes per vertex that finding the components holds: the
-# root and order arrays of `connected_components`, the component and local
-# index arrays of `WeightedGraph._components` (8 bytes each), and each
-# vertex in a component list as a Python int (an 8-byte slot and a 32-byte
-# object)
+# a bound on the bytes per vertex that building the component index
+# (`WeightedGraph._components`) holds: at most eight 8-byte arrays, the
+# index's four, the component sizes and three temporaries for the local
+# array; the list view `connected_components` builds is not counted
 _VERTEX_BYTES = 72
 
 
@@ -370,16 +382,17 @@ def _check_dense_size(n: int) -> None:
 def _check_block_size(g: WeightedGraph) -> None:
     """Refuse a graph whose dense blocks would not fit in physical memory:
     `_DENSE_ARRAYS` blocks of its largest component beside one block of
-    every component of at least two vertices. The factor (and with it the
-    resistances and the verifier) and the clustering eigensolve call this
-    before their blocks."""
-    comps = g._components[0]
-    sizes = [len(comp) for comp in comps]
-    s = max(sizes)
+    every component of at least two vertices, their squared sizes summed as
+    Python ints (no int64 overflow). The factor (and with it the resistances
+    and the verifier) and the clustering eigensolve call this before their
+    blocks."""
+    members, starts = g._components[:2]
+    sizes = np.diff(starts)
+    s = int(sizes.max())
     if s > 1:
         _check_memory(
-            8 * (_DENSE_ARRAYS * s * s + sum(x * x for x in sizes if x > 1)),
-            f"the component of vertex {comps[sizes.index(s)][0]} ({s} vertices)",
+            8 * (_DENSE_ARRAYS * s * s + sum(x * x for x in sizes[sizes > 1].tolist())),
+            f"the component of vertex {members[starts[np.argmax(sizes)]]} ({s} vertices)",  # the first largest
             f"{_DENSE_ARRAYS} dense {s} x {s} float64 blocks beside one block per component",
         )
 
@@ -407,27 +420,25 @@ def _laplacian_block(
 
 def _edges_by_component(g: WeightedGraph, parts: WeightedGraph):
     """For every component S of the graph `parts` with at least two
-    vertices, in component order: (S, the indices of the edges of g inside
-    S in edge order). g is on the same vertices, and each of its edges lies
-    inside one component of `parts`; `parts._components` maps their ends to
-    indices into S. Only the edge order is held between components."""
-    comps, component, _ = parts._components
+    vertices, in component order: (S's vertices ascending, the indices of
+    the edges of g inside S in edge order). g is on the same vertices, and
+    each of its edges lies inside one component of `parts`. Only the edge
+    order is held between components; smaller components are not visited."""
+    members, starts, component, _ = parts._components
+    big = np.flatnonzero(np.diff(starts) > 1)
     c = component[g.u]
     order = np.argsort(c, kind="stable")
-    ends = np.searchsorted(c[order], np.arange(1, len(comps) + 1)).tolist()
+    lo, hi = np.searchsorted(c[order], [big, big + 1]).tolist()
     del c
-    start = 0
-    for comp, end in zip(comps, ends):
-        if len(comp) > 1:
-            yield comp, order[start:end]
-        start = end
+    for i, a, b in zip(big.tolist(), lo, hi):
+        yield members[starts[i] : starts[i + 1]], order[a:b]
 
 
 def _laplacian_blocks(g: WeightedGraph, parts: WeightedGraph, normalized: bool = False):
     """(S, the block L[S, S] of g's Laplacian) for every component S of
     `parts` with at least two vertices (`_edges_by_component`), each built
     by `_laplacian_block` from S's edges and the degrees d[S] of g."""
-    d, local = g.degrees(), parts._components[2]
+    d, local = g.degrees(), parts._components[3]
     for comp, e in _edges_by_component(g, parts):
         yield comp, _laplacian_block(d[comp], local[g.u[e]], local[g.v[e]], g.w[e], normalized)
 
@@ -470,26 +481,11 @@ def induced_subgraph(g: WeightedGraph, pairs) -> WeightedGraph:
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
-    """Maximal connected vertex sets, each sorted, ordered by smallest member.
-
-    Every vertex points at a smaller one or at itself. Each round hooks the
-    larger root of every edge whose ends have different roots onto the
-    smaller, then jumps pointers until each vertex points at its root, so
-    every root ends as the smallest vertex of its component. A vertex count
-    whose per-vertex arrays (`_VERTEX_BYTES` a vertex) would not fit in
-    physical memory fails first."""
-    _check_memory(_VERTEX_BYTES * g.n, f"n={g.n}", f"its components at {_VERTEX_BYTES} bytes a vertex")
-    root = np.arange(g.n)
-    while True:
-        ru, rv = root[g.u], root[g.v]
-        if np.array_equal(ru, rv):
-            break
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while not np.array_equal(root[root], root):
-            root = root[root]
-    order = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[order])) + 1
-    return [comp.tolist() for comp in np.split(order, cuts)]
+    """Maximal connected vertex sets, each sorted, ordered by smallest
+    member: a list view of the component index (`WeightedGraph._components`)."""
+    members, starts = g._components[:2]
+    flat, bounds = members.tolist(), starts.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # tab, newline and printable ASCII: the only text `np.loadtxt` reads here

@@ -197,11 +197,11 @@ def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
         raise DimensionMismatch(f"vertex counts differ: {g.n} vs {h.n}")
     if h == g:
         return 0.0
-    component, blocks = g.factor
+    blocks, component = g.factor, g._components[2]  # the factor first: too large is a memory error
     if np.any(component[h.u] != component[h.v]):
         return math.inf
     mu = [[1.0]]
-    for (_, cinv), (_, Lh) in zip(blocks, _laplacian_blocks(h, g)):
+    for cinv, (_, Lh) in zip(blocks, _laplacian_blocks(h, g)):
         M = Lh[1:, 1:]
         np.matmul(cinv @ M, cinv.T, out=M)  # written over L_H's block, which is read first
         mu.append(np.linalg.eigvalsh(M))

@@ -61,9 +61,9 @@ def nxn_resistances(g):
 def unchunked_resistances(g):
     """`WeightedGraph.resistances` as it read each component's edges in one
     pass, before it read them a chunk at a time."""
-    local = g._components[2]
+    local = g._components[3]
     r = np.empty(g.m)
-    for (_, cinv), (comp, e) in zip(g.factor[1], graph._edges_by_component(g, g)):
+    for cinv, (comp, e) in zip(g.factor, graph._edges_by_component(g, g)):
         X = np.zeros((len(comp), len(comp)))
         np.matmul(cinv.T, cinv, out=X[1:, 1:])
         u, v = local[g.u[e]], local[g.v[e]]
@@ -179,7 +179,7 @@ def check_blocks(g, h):
     comps = [c for c in connected_components(g) if len(c) > 1]
     for normalized, whole in ((False, L), (True, N)):
         blocks = list(graph._laplacian_blocks(g, g, normalized))
-        assert [comp for comp, _ in blocks] == comps
+        assert [comp.tolist() for comp, _ in blocks] == comps
         for comp, block in blocks:
             assert same_bits(block, whole[np.ix_(comp, comp)])
     if not math.isinf(nxn_verify(g, h)):
@@ -189,11 +189,14 @@ def check_blocks(g, h):
 
 
 def check_dense_paths(g, h):
-    component, blocks = g.factor
+    blocks = g.factor
+    members, starts, component, _ = g._components
     old_component, old_blocks = nxn_factor(g)
     assert same_bits(component, old_component)
-    assert len(blocks) == len(old_blocks)
-    for (free, cinv), (old_free, old_cinv) in zip(blocks, old_blocks):
+    # each block's free vertices: its component in the index, less the first
+    frees = [members[a + 1 : b] for a, b in zip(starts, starts[1:]) if b - a > 1]
+    assert len(blocks) == len(frees) == len(old_blocks)
+    for free, cinv, (old_free, old_cinv) in zip(frees, blocks, old_blocks):
         assert same_bits(free, old_free) and same_bits(cinv, old_cinv)
     assert same_bits(g.resistances, nxn_resistances(g))
     if g.m:
@@ -214,7 +217,7 @@ class TestBlocksAreTheSlices:
     def test_whole_graph_is_one_block(self):
         g = components_graph(np.random.default_rng(1), (30,), chord_p=0.3)
         ((comp, block),) = graph._laplacian_blocks(g, g)
-        assert comp == list(range(30)) and same_bits(block, laplacian(g))
+        assert comp.tolist() == list(range(30)) and same_bits(block, laplacian(g))
 
     def test_edgeless_and_single_vertex_graphs_have_no_blocks(self):
         for g in (WeightedGraph(1, ()), WeightedGraph(4, ())):

@@ -25,6 +25,15 @@ eps 0.3 only the round-2 writer's local part shows in the report (every
 site's factor is the shared part's); at eps 0.05 about one local draw in
 four keeps a light edge, so the per-site edge counts show every site's draw.
 
+`star-sparse` and `triangles-sparse` are `star` and `triangles` with
+every vertex id x relabelled 997 x and 739 x, and with the header `n 20000`,
+so all but a few dozen vertices are isolated; in `triangles-sparse.el` the
+light edges weigh 1e-9, so at eps 0.05 some sites' local draws miss one,
+and their certificates run the verifier. Their two `exchange` reports (site
+5, seed 3) were written by the implementation that kept every graph's
+components as lists of Python ints, filled into its index arrays by a loop
+over every component.
+
 `cycle.el` is the 4-cycle 0-1-2-3 and `cycle.fam.json` splits it into the
 sets {01, 12} and {23, 03}. `cycle-p1.el` and `cycle-p2.el` are those sets'
 exact subgraphs; `cycle-join.el` holds the edge 2-3 alone, which joins two
@@ -65,8 +74,9 @@ from distsparse.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden"
 G, H = str(DATA / "g.el"), str(DATA / "h.el")
-STAR, TWIN, SAME, CYCLE, TRIANGLES = (
-    str(DATA / f"{name}.fam.json") for name in ("star", "twin", "same", "cycle", "triangles")
+STAR, TWIN, SAME, CYCLE, TRIANGLES, STAR_SPARSE, TRIANGLES_SPARSE = (
+    str(DATA / f"{name}.fam.json")
+    for name in ("star", "twin", "same", "cycle", "triangles", "star-sparse", "triangles-sparse")
 )
 STAR_EL, LOOP, P1, P2, JOIN = (str(DATA / f"{name}.el") for name in ("star", "loop", "cycle-p1", "cycle-p2", "cycle-join"))
 LABELS_A, LABELS_B, LABELS_SHORT = (str(DATA / f"labels-{name}.json") for name in ("a", "b", "short"))
@@ -125,6 +135,11 @@ def test_union_report_and_edge_list(tmp_path):
         (
             "exchange-triangles-eps0.05",
             ["nof", "exchange", "--family", TRIANGLES, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
+        ),
+        ("exchange-star-sparse", ["nof", "exchange", "--family", STAR_SPARSE, "--site", "5", "--epsilon", "0.3", "--seed", "3"]),
+        (
+            "exchange-triangles-sparse-eps0.05",
+            ["nof", "exchange", "--family", TRIANGLES_SPARSE, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
         ),
     ],
 )

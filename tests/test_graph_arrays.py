@@ -421,10 +421,35 @@ class TestArrayOperations:
             assert sub == WeightedGraph(*got[1])
             assert not sub.records.flags.writeable
 
+    @staticmethod
+    def check_components(g):
+        """The list view and the index's component and local arrays against
+        the reference components."""
+        comps = reference_components(g)
+        assert connected_components(g) == comps
+        component, local = [0] * g.n, [0] * g.n
+        for i, comp in enumerate(comps):
+            for j, x in enumerate(comp):
+                component[x], local[x] = i, j
+        _, _, got_component, got_local = g._components
+        assert got_component.tolist() == component
+        assert got_local.tolist() == local
+
     @given(valid_graphs(max_n=14))
     @settings(max_examples=300, deadline=None)
     def test_connected_components(self, g):
-        assert connected_components(g) == reference_components(g)
+        self.check_components(g)
+
+    def test_components_among_thousands_of_isolated_vertices(self):
+        # 60 of 5000 vertices carry 50 random edges; the edge (0, n - 1)
+        # puts the last vertex in the first component
+        rng = np.random.default_rng(8)
+        n = 5000
+        pool = rng.choice(n - 1, size=60, replace=False)
+        pairs = {(min(a, b), max(a, b)) for a, b in pool[rng.integers(60, size=(50, 2))].tolist() if a != b}
+        g = WeightedGraph(n, [(a, b, 1.0) for a, b in pairs | {(0, n - 1)}])
+        assert len(connected_components(g)) > 4900
+        self.check_components(g)
 
     def test_components_of_a_long_path(self):
         n = 200

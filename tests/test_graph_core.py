@@ -149,7 +149,15 @@ class TestLaplacian:
         for dense in (lambda g: g.factor, lambda g: g.resistances, lambda g: spectral_embedding(g, c + 1)):
             with pytest.raises(MemoryError, match=re.escape(detail)):
                 dense(g)
-        assert len(paths(7, 60).factor[1]) == 7
+        assert len(paths(7, 60).factor) == 7
+
+    def test_verifier_checks_the_size_before_the_kernel(self, monkeypatch):
+        # H's edge (0, 1) joins the isolated vertex 0 to the path, a kernel
+        # violation; the path's blocks do not fit, and that is what is reported
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
+        g = paths(1, 101, skip=1)
+        with pytest.raises(MemoryError, match=re.escape("the component of vertex 1 (101 vertices) needs 408040 bytes")):
+            verify_epsilon(g, WeightedGraph(g.n, ((0, 1, 1.0),)))
 
     def test_vertex_count_guard(self, monkeypatch):
         # refused before any per-vertex array exists
@@ -168,7 +176,7 @@ class TestLaplacian:
         # would take 12.8 GB, but every block is 2 x 2
         monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
         g = WeightedGraph(20_000, [(2 * i, 2 * i + 1, 1.0 + i % 7) for i in range(10_000)])
-        assert len(g.factor[1]) == 10_000
+        assert len(g.factor) == 10_000
         np.testing.assert_allclose(g.resistances, 1.0 / g.w, rtol=1e-15)
         res = sparsify_er(g, 0.5, seed=1, constant=0.1)
         # each block's eigenvalue is w_H / w_G, and 0 where the edge was not drawn

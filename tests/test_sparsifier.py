@@ -48,6 +48,12 @@ def reference_pinv(g):
     return Lp
 
 
+def free_vertices(g):
+    """The free vertices of each block of `g.factor`, in block order: every
+    component of at least two vertices less its smallest member."""
+    return [comp[1:] for comp in connected_components(g) if len(comp) > 1]
+
+
 def reference_epsilon(g, h):
     """Oracle for the verifier from the same per-component `eigh`: +inf when
     an H edge crosses components of G, else the extreme eigenvalues of L_H
@@ -334,18 +340,18 @@ class TestComponentFactor:
     def test_one_block_per_component(self):
         # components {0, 3, 5} and {1, 4, 6}; 2 and 7 are isolated
         g = WeightedGraph(8, ((0, 3, 1.0), (3, 5, 2.0), (1, 4, 1.0), (4, 6, 3.0), (1, 6, 0.5)))
-        component, blocks = g.factor
-        assert [free.tolist() for free, _ in blocks] == [[3, 5], [4, 6]]
-        assert component.tolist() == [0, 1, 2, 0, 1, 0, 1, 3]
+        blocks = g.factor
+        assert free_vertices(g) == [[3, 5], [4, 6]] and len(blocks) == 2
+        assert g._components[2].tolist() == [0, 1, 2, 0, 1, 0, 1, 3]
         L = laplacian(g)
-        for free, cinv in blocks:
+        for free, cinv in zip(free_vertices(g), blocks):
             assert cinv.shape == (len(free), len(free))
             C = np.linalg.inv(cinv)
             assert np.allclose(C @ C.T, L[np.ix_(free, free)])
 
     def test_edgeless_graph_has_no_blocks(self):
-        component, blocks = WeightedGraph(3, ()).factor
-        assert component.tolist() == [0, 1, 2] and blocks == ()
+        g = WeightedGraph(3, ())
+        assert g._components[2].tolist() == [0, 1, 2] and g.factor == ()
 
     def test_interleaved_components(self):
         # evens and odds form two components, one at weight 1e8 and one at
@@ -361,8 +367,7 @@ class TestComponentFactor:
                 if a != b:
                     edges[(min(a, b), max(a, b))] = scale * rng.uniform(0.5, 2)
         g = WeightedGraph(n, tuple((a, b, w) for (a, b), w in edges.items()))
-        _, blocks = g.factor
-        assert [free.tolist() for free, _ in blocks] == [list(range(2, n, 2)), list(range(3, n, 2))]
+        assert free_vertices(g) == [list(range(2, n, 2)), list(range(3, n, 2))] and len(g.factor) == 2
         Lp = reference_pinv(g)
         u, v = g.u, g.v
         np.testing.assert_allclose(g.resistances, Lp[u, u] + Lp[v, v] - 2 * Lp[u, v], rtol=1e-9)
@@ -378,8 +383,7 @@ class TestComponentFactor:
         rng = np.random.default_rng(6)
         w = 10.0 ** rng.uniform(-3, 8, size=300)
         g = WeightedGraph(700, tuple((2 * i, 2 * i + 1, float(w[i])) for i in range(300)))
-        _, blocks = g.factor
-        assert [free.tolist() for free, _ in blocks] == [[2 * i + 1] for i in range(300)]
+        assert free_vertices(g) == [[2 * i + 1] for i in range(300)] and len(g.factor) == 300
         np.testing.assert_allclose(g.resistances, 1 / w, rtol=1e-12)
         ratio = rng.uniform(0.5, 1.8, size=300)
         h = WeightedGraph(700, tuple((2 * i, 2 * i + 1, float(w[i] * ratio[i])) for i in range(300)))
@@ -435,9 +439,9 @@ class TestTriangularInverse:
         rng = np.random.default_rng(13)
         g = components_graph(rng, self.SIZES, [1.0] * len(self.SIZES))
         L = laplacian(g)
-        _, blocks = g.factor
-        assert sorted(len(free) for free, _ in blocks) == [s - 1 for s in self.SIZES if s > 1]
-        for free, cinv in blocks:
+        blocks = g.factor
+        assert sorted(map(len, blocks)) == [s - 1 for s in self.SIZES if s > 1]
+        for free, cinv in zip(free_vertices(g), blocks):
             expected = np.linalg.inv(np.linalg.cholesky(L[np.ix_(free, free)]))
             assert not np.triu(cinv, 1).any()
             assert np.linalg.norm(cinv - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -449,7 +453,7 @@ class TestTriangularInverse:
         # scale, next to an isolated vertex
         rng = np.random.default_rng(14)
         g = components_graph(rng, (150, 40, 1), (1e3, 1e-3, 1.0))
-        assert sorted(len(free) for free, _ in g.factor[1]) == [39, 149]
+        assert sorted(map(len, g.factor)) == [39, 149]
         Lp = reference_pinv(g)
         u, v = g.u, g.v
         np.testing.assert_allclose(g.resistances, Lp[u, u] + Lp[v, v] - 2 * Lp[u, v], rtol=1e-9)
