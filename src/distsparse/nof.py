@@ -9,7 +9,13 @@ leaves every site with a spectral sparsifier of the full graph.
 Every edge-set write is one `_edge_write(site, round, h)` of a graph h, an
 induced subgraph or a sparsifier: its sorted (u, v, w) edges, at
 `bits_per_edge(h.n)` = 2 ceil(log2 n) + 64 bits per edge. A bit write's
-payload is the bit.
+payload is the bit, the int 0 or 1. A write is a named tuple.
+
+Whether each site's view is a sunflower is decided for all s sites at once
+(`_view_is_sunflower`), in a few array passes over the family's one
+occurrence count; the verification protocol's bits and the lemma checks
+read these verdicts, and a view's kernel is built only for a site that
+asks for it (`_view_kernels`).
 
 Broadcast and exchange split the family at site j the same way
 (`_star_split`): in a sunflower E_j is site j's private edges plus the
@@ -37,7 +43,8 @@ of computing every site on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +57,7 @@ BIT = "bit"
 WEIGHTED_EDGE_SET = "weighted-edge-set"
 
 
-@dataclass(frozen=True)
-class Write:
+class Write(NamedTuple):
     site: int
     round: int
     kind: str
@@ -182,28 +188,39 @@ def is_delta_system(sets) -> DeltaSystemReport:
     )
 
 
-def _view_kernels(f: EdgeFamily) -> list[frozenset[Edge] | None]:
-    """Kernel of every site's view (site j at index j-1), None where that
-    view is not a sunflower.
+def _view_is_sunflower(f: EdgeFamily) -> np.ndarray:
+    """Whether each site's view is a sunflower (site j at index j-1), from
+    the family's one occurrence count in a few array passes.
 
     Site j sees every set but E_j, so element x occurs count(x) - [x in E_j]
     times in its s-1 sets, and the view is a sunflower exactly when that is
-    0, 1 or s-1 for every x: every element outside E_j occurs once or s-1
-    times, and every element of E_j once, twice or s times.
+    0, 1 or s-1 for every x: E_j holds every element whose count is neither
+    1 nor s-1, and no element of E_j has a count outside {1, 2, s}.
     """
     s, counts = f.t, f.occurrences
     if s < 3:
         raise PreconditionError("delta-system check needs at least two sets")
-    # the elements that occur neither once nor s-1 times: a sunflower view
-    # leaves out a set that holds them all
-    outside = frozenset(x for x, c in counts.items() if c != 1 and c != s - 1)
+    sizes = np.fromiter(map(len, f.sets), dtype=np.intp, count=s)
+    # every entry's count, grouped by site
+    c = np.fromiter(map(counts.__getitem__, chain.from_iterable(f.sets)), dtype=np.int64, count=int(sizes.sum()))
+    site = np.repeat(np.arange(s), sizes)
+    every = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    need = np.count_nonzero((every != 1) & (every != s - 1))
+    held = np.bincount(site[(c != 1) & (c != s - 1)], minlength=s)
+    stray = np.bincount(site[(c != 1) & (c != 2) & (c != s)], minlength=s)
+    return (held == need) & (stray == 0)
+
+
+def _view_kernels(f: EdgeFamily, sites) -> list[frozenset[Edge]]:
+    """Kernel of the view of each of these sites, each view a sunflower
+    (`_view_is_sunflower`): the elements of E_j that occur s times and the
+    others that occur s-1 times, those it sees in all its s-1 sets."""
+    s, counts = f.t, f.occurrences
     full_elsewhere = frozenset(x for x, c in counts.items() if c == s - 1)
     kernels = []
-    for own in f.sets:
-        if outside <= own and all(counts[x] in (1, 2, s) for x in own):
-            kernels.append(frozenset(x for x in own if counts[x] == s) | (full_elsewhere - own))
-        else:
-            kernels.append(None)
+    for j in sites:
+        own = f.sets[j - 1]
+        kernels.append(frozenset(x for x in own if counts[x] == s) | (full_elsewhere - own))
     return kernels
 
 
@@ -222,10 +239,9 @@ def symmetric_difference_on_site(f: EdgeFamily, j: int) -> frozenset[Edge]:
     |union| = |petals| + kernel size.
     """
     _check_site(f, j)
-    kernel = _view_kernels(f)[j - 1]
-    if kernel is None:
+    if not _view_is_sunflower(f)[j - 1]:
         raise PreconditionError(f"the sets visible to site {j} are not a delta-system")
-    return f.union() - {x for x in f.sets[j - 1] if f.occurrences[x] == 1} - kernel
+    return f.union() - {x for x in f.sets[j - 1] if f.occurrences[x] == 1} - _view_kernels(f, [j])[0]
 
 
 def lemma2_check(f: EdgeFamily) -> bool:
@@ -236,7 +252,7 @@ def lemma2_check(f: EdgeFamily) -> bool:
     kernel = _sunflower_kernel(f.occurrences, f.t)
     if kernel is None:
         raise PreconditionError("family is not a delta-system")
-    return all(k == kernel for k in _view_kernels(f))
+    return bool(_view_is_sunflower(f).all()) and all(k == kernel for k in _view_kernels(f, range(1, f.t + 1)))
 
 
 def lemma3_check(f: EdgeFamily) -> bool:
@@ -244,7 +260,7 @@ def lemma3_check(f: EdgeFamily) -> bool:
     whole family. Evaluates the implication concretely."""
     if f.t < 4:
         raise PreconditionError("need at least four sites")
-    if any(k is None for k in _view_kernels(f)):
+    if not _view_is_sunflower(f).all():
         return True
     return _sunflower_kernel(f.occurrences, f.t) is not None
 
@@ -254,8 +270,8 @@ def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
     sunflower; the family is a sunflower iff all bits are 1. Cost s-1 bits."""
     if f.t < 4:
         raise PreconditionError("need at least four sites")
-    bits = [int(k is not None) for k in _view_kernels(f)[:-1]]
-    writes = tuple(Write(site=j, round=1, kind=BIT, payload=b, bit_cost=1, edge_cost=0) for j, b in enumerate(bits, 1))
+    bits = _view_is_sunflower(f)[:-1].astype(int).tolist()  # Python ints: JSON 0 and 1
+    writes = tuple(map(Write, range(1, f.t), repeat(1), repeat(BIT), bits, repeat(1), repeat(0)))
     return Transcript(writes), all(bits)
 
 

@@ -554,23 +554,78 @@ class TestLoadGraph:
             load_graph(path.read_bytes())
         assert str(info.value) == "invalid edge list: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
 
-    def test_plain_valid_file_is_read_by_path(self, tmp_path, monkeypatch):
+    @given(text=edge_list_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_file_read_by_path_gives_what_its_text_gives(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("el") / "g.el"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "_BY_PATH_BYTES", 0)
+            got = outcome(lambda: as_pair(load_graph_file(path)))
+        assert got == outcome(lambda: as_pair(load_graph(text)))
+
+    @staticmethod
+    def spy_loads(monkeypatch):
+        """The sources `np.loadtxt` is given and the files `open` opens, with
+        the line rules refused."""
+
         def refuse(text):
             raise AssertionError("line rules used on a plain valid file")
 
-        sources = []
-        loadtxt = np.loadtxt
+        sources, opened = [], []
+        loadtxt, builtin_open = np.loadtxt, open
 
         def spy(source, *args, **kwargs):
             sources.append(source)
             return loadtxt(source, *args, **kwargs)
 
+        def spy_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtin_open(file, *args, **kwargs)
+
         monkeypatch.setattr(graph_mod, "_load_lines", refuse)
         monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr("builtins.open", spy_open)
+        return sources, opened
+
+    @staticmethod
+    def star_file(path, size):
+        """A plain edge list of exactly `size` bytes, a comment line then a
+        star on vertex 0, and the (n, edges) it holds."""
+        lines = []
+        room = size - 2  # the comment line is at least "#\n"
+        while len(line := f"0 {len(lines) + 1} 1.5\n") <= room:
+            lines.append(line)
+            room -= len(line)
+        path.write_text("#" + "x" * room + "\n" + "".join(lines))
+        assert path.stat().st_size == size
+        return len(lines) + 1, tuple((0, k, 1.5) for k in range(1, len(lines) + 1))
+
+    @pytest.mark.parametrize("delta", [-1, -graph_mod._BY_PATH_BYTES + 40])
+    def test_small_plain_file_is_parsed_from_memory(self, tmp_path, monkeypatch, delta):
         path = tmp_path / "g.el"
-        path.write_text("# header\nn 4\n\n0 1 0.5\n3\t2 1e-3\n  1 2 7\n")
-        assert as_pair(load_graph_file(path)) == (4, ((0, 1, 0.5), (1, 2, 7.0), (2, 3, 1e-3)))
-        assert len(sources) == 1 and type(sources[0]) is str
+        expected = self.star_file(path, graph_mod._BY_PATH_BYTES + delta)
+        sources, opened = self.spy_loads(monkeypatch)
+        assert as_pair(load_graph_file(path)) == expected
+        assert len(sources) == 1 and not isinstance(sources[0], str)
+        assert opened == [path]
+
+    def test_plain_valid_file_is_read_by_path(self, tmp_path, monkeypatch):
+        sources, _ = self.spy_loads(monkeypatch)
+        for delta in (0, 1):
+            path = tmp_path / f"g{delta}.el"
+            expected = self.star_file(path, graph_mod._BY_PATH_BYTES + delta)
+            assert as_pair(load_graph_file(path)) == expected
+            assert sources.pop() == str(path) and not sources
+
+    @pytest.mark.parametrize("delta", [-1, 0])
+    def test_file_that_is_not_utf8_either_side_of_the_size_rule(self, tmp_path, delta):
+        path = tmp_path / "g.el"
+        self.star_file(path, graph_mod._BY_PATH_BYTES + delta)
+        data = path.read_bytes()
+        path.write_bytes(data[:2] + b"\xff" + data[3:])
+        with pytest.raises(ParseError, match=f"^invalid edge list in {path}: 'utf-8' codec can't decode byte 0xff"):
+            load_graph_file(path)
 
 
 # --- k-means invariant ----------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from distsparse import (
     symmetric_difference_on_site,
     verify_epsilon,
 )
-from distsparse.nof import bits_per_edge
+from distsparse.nof import Write, _view_is_sunflower, _view_kernels, bits_per_edge
 from distsparse.sparsify import _sparsify_each
 from conftest import (
     elem_edge,
@@ -88,6 +89,75 @@ def index_families(draw):
         union = sorted(set().union(*sets))
         sets[draw(st.integers(0, s - 1))].add(draw(st.sampled_from(union)))
     return sets
+
+
+@st.composite
+def view_families(draw):
+    """Families of 3..9 nonempty index sets built to give elements every
+    count the view decision tells apart: random ones; near-sunflower twins;
+    and sunflowers (counts 1 and s) with new elements put in 1, 2, s-1, s
+    or any number of the sets, and optionally an existing element added to
+    one more set."""
+    s = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(("random", "twin", "sunflower")))
+    if kind == "random":
+        return draw(st.lists(small_sets, min_size=s, max_size=s))
+    if kind == "twin":
+        ell = draw(st.integers(1, 3))
+        return near_sunflower_index_sets(s, ell, draw(st.integers(0, ell - 1)))
+    kernel = set(range(100, 100 + draw(st.integers(0, 2))))
+    sets, nxt = [], 1
+    for _ in range(s):
+        k = draw(st.integers(0 if kernel else 1, 2))
+        sets.append(kernel | set(range(nxt, nxt + k)))
+        nxt += k
+    for x in range(200, 200 + draw(st.integers(0, 3))):
+        count = draw(st.sampled_from((1, 2, s - 1, s)) | st.integers(1, s))
+        for i in draw(st.permutations(range(s)))[:count]:
+            sets[i].add(x)
+    if draw(st.booleans()):
+        union = sorted(set().union(*sets))
+        sets[draw(st.integers(0, s - 1))].add(draw(st.sampled_from(union)))
+    return sets
+
+
+class TestViewDecision:
+    @given(view_families())
+    @settings(max_examples=500, deadline=None)
+    def test_bits_and_kernels_match_each_view(self, sets):
+        f = family_from_index_sets(sets)
+        bits = _view_is_sunflower(f)
+        assert bits.dtype == bool and bits.shape == (f.t,)
+        reports = [is_delta_system(site_view(f, j)) for j in range(1, f.t + 1)]
+        assert bits.tolist() == [r.is_delta for r in reports]
+        sites = [j for j in range(1, f.t + 1) if bits[j - 1]]
+        assert _view_kernels(f, sites) == [reports[j - 1].kernel for j in sites]
+
+    @pytest.mark.parametrize(
+        "s, extra, expected",
+        [
+            # a star: kernel {0}, count s, and private petals, count 1
+            (5, [], [True] * 5),
+            # 9 in all sets but the last, count s-1: only the last site sees
+            # it in all of its sets; every other site holds it
+            (5, [1, 2, 3, 4], [False, False, False, False, True]),
+            # 9 in two sets, count 2: a petal to each of the two that hold it
+            (5, [1, 2], [True, True, False, False, False]),
+            # count 2 is s-1 at s = 3, and every view of two sets is a sunflower
+            (3, [1, 2], [True, True, True]),
+        ],
+        ids=["star", "count-s-minus-1", "count-2", "count-2-is-s-minus-1"],
+    )
+    def test_counts_one_two_s_minus_one_and_s(self, s, extra, expected):
+        sets = [{0, i} | ({9} if i in extra else set()) for i in range(1, s + 1)]
+        f = family_from_index_sets(sets)
+        assert _view_is_sunflower(f).tolist() == expected
+        assert expected == [is_delta_system(site_view(f, j)).is_delta for j in range(1, s + 1)]
+
+    def test_two_sites_refused(self):
+        f = family_from_index_sets([{1, 2}, {1, 3}])
+        with pytest.raises(PreconditionError, match="delta-system check needs at least two sets"):
+            _view_is_sunflower(f)
 
 
 class TestSiteView:
@@ -294,6 +364,27 @@ class TestVerifySunflowerProtocol:
         f = family_from_index_sets([{1}, {2}, {3}])
         with pytest.raises(PreconditionError):
             protocol_verify_sunflower(f)
+
+    def test_bit_payloads_are_json_integers(self):
+        f = family_from_index_sets(near_sunflower_index_sets(6, 3, 1))
+        transcript, verdict = protocol_verify_sunflower(f)
+        payloads = [w.payload for w in transcript.writes]
+        assert verdict is False
+        assert set(map(type, payloads)) == {int} and set(payloads) == {0, 1}
+        text = json.dumps(transcript.to_dict())
+        assert '"payload": 0' in text and '"payload": 1' in text
+        assert "true" not in text and "false" not in text
+
+
+def test_write_is_an_immutable_record_of_six_fields():
+    assert Write._fields == ("site", "round", "kind", "payload", "bit_cost", "edge_cost")
+    w = Write(3, 1, "bit", 1, 1, 0)
+    assert tuple(w) == (3, 1, "bit", 1, 1, 0)
+    assert (w.site, w.round, w.kind, w.payload, w.bit_cost, w.edge_cost) == (3, 1, "bit", 1, 1, 0)
+    with pytest.raises(AttributeError):
+        w.payload = 0
+    with pytest.raises(AttributeError):
+        del w.site
 
 
 class TestOverlappingCoefficient:
