@@ -169,15 +169,7 @@ class WeightedGraph:
         return self.n == other.n and np.array_equal(self.records, other.records)
 
     def __hash__(self):
-        """Computed on first use and kept, as `pairs()` is: the records are
-        read-only."""
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.n, self.records.tobytes()))
-        return self.__dict__["_hash"]
-
-    def __getstate__(self):
-        # a bytes hash holds only within one process: a pickle leaves it out
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return hash((self.n, self.records.tobytes()))
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n!r}, edges={self.edges!r})"
@@ -210,9 +202,6 @@ class WeightedGraph:
         if "_pairs" not in self.__dict__:
             self.__dict__["_pairs"] = frozenset(zip(self.u.tolist(), self.v.tolist()))
         return self.__dict__["_pairs"]
-
-    def weights(self) -> dict[Edge, float]:
-        return dict(zip(zip(self.u.tolist(), self.v.tolist()), self.w.tolist()))
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees. Every vertex x sums its edges' weights in edge

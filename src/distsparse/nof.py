@@ -13,9 +13,10 @@ payload is the bit, the int 0 or 1. A write is a named tuple.
 
 Whether each site's view is a sunflower is decided for all s sites at once
 (`_view_is_sunflower`), in a few array passes over the family's one
-occurrence count; the verification protocol's bits and the lemma checks
-read these verdicts, and a view's kernel is built only for a site that
-asks for it (`_view_kernels`).
+occurrence count; the verification protocol's bits and Lemma 3's check read
+these verdicts. A view's kernel comes from classifying that view
+(`is_delta_system(site_view(f, j))`), as the petal union and Lemma 2's
+check do.
 
 Broadcast and exchange split the family at site j the same way
 (`_star_split`): in a sunflower E_j is site j's private edges plus the
@@ -31,11 +32,12 @@ vector draw, bitwise the s scalar draws of one per site. The site draws
 share one generator, reset before each draw to the state
 `np.random.default_rng(seed)` would start from; these states are computed
 for all sites in one array pass, so each draw is bitwise a fresh
-generator's. Each distinct local part is unioned with the shared part
-once, found by one lookup of its graph, whose hash is computed once. In
-the broadcast every site rebuilds the whole union (the family is a
-sunflower), so all sites hold the family's one union object, which the
-CLI's emit path renders once however many sites the report lists.
+generator's. Each distinct local part object is unioned with the shared
+part once: every draw that keeps all of E_j returns the one result holding
+(V, E_j) itself, so those sites share one union. In the broadcast every
+site rebuilds the whole union (the family is a sunflower), so all sites
+hold the family's one union object, which the CLI's emit path renders once
+however many sites the report lists.
 Transcripts, bit and edge costs, per-site results and reports are those
 of computing every site on its own.
 """
@@ -196,6 +198,8 @@ def _view_is_sunflower(f: EdgeFamily) -> np.ndarray:
     times in its s-1 sets, and the view is a sunflower exactly when that is
     0, 1 or s-1 for every x: E_j holds every element whose count is neither
     1 nor s-1, and no element of E_j has a count outside {1, 2, s}.
+    These verdicts are the verification protocol's bits and Lemma 3's
+    premise; a view's kernel is `is_delta_system(site_view(f, j)).kernel`.
     """
     s, counts = f.t, f.occurrences
     if s < 3:
@@ -209,19 +213,6 @@ def _view_is_sunflower(f: EdgeFamily) -> np.ndarray:
     held = np.bincount(site[(c != 1) & (c != s - 1)], minlength=s)
     stray = np.bincount(site[(c != 1) & (c != 2) & (c != s)], minlength=s)
     return (held == need) & (stray == 0)
-
-
-def _view_kernels(f: EdgeFamily, sites) -> list[frozenset[Edge]]:
-    """Kernel of the view of each of these sites, each view a sunflower
-    (`_view_is_sunflower`): the elements of E_j that occur s times and the
-    others that occur s-1 times, those it sees in all its s-1 sets."""
-    s, counts = f.t, f.occurrences
-    full_elsewhere = frozenset(x for x, c in counts.items() if c == s - 1)
-    kernels = []
-    for j in sites:
-        own = f.sets[j - 1]
-        kernels.append(frozenset(x for x in own if counts[x] == s) | (full_elsewhere - own))
-    return kernels
 
 
 def deza_threshold(ell: int) -> int:
@@ -238,10 +229,11 @@ def symmetric_difference_on_site(f: EdgeFamily, j: int) -> frozenset[Edge]:
     Requires the visible family to be a sunflower; matches the accounting
     |union| = |petals| + kernel size.
     """
-    _check_site(f, j)
-    if not _view_is_sunflower(f)[j - 1]:
+    view = site_view(f, j)
+    report = is_delta_system(view)
+    if not report.is_delta:
         raise PreconditionError(f"the sets visible to site {j} are not a delta-system")
-    return f.union() - {x for x in f.sets[j - 1] if f.occurrences[x] == 1} - _view_kernels(f, [j])[0]
+    return frozenset.union(*view) - report.kernel
 
 
 def lemma2_check(f: EdgeFamily) -> bool:
@@ -252,7 +244,7 @@ def lemma2_check(f: EdgeFamily) -> bool:
     kernel = _sunflower_kernel(f.occurrences, f.t)
     if kernel is None:
         raise PreconditionError("family is not a delta-system")
-    return bool(_view_is_sunflower(f).all()) and all(k == kernel for k in _view_kernels(f, range(1, f.t + 1)))
+    return all(is_delta_system(site_view(f, j)).kernel == kernel for j in range(1, f.t + 1))
 
 
 def lemma3_check(f: EdgeFamily) -> bool:
@@ -289,9 +281,9 @@ def greatest_overlapping_coefficient(f: EdgeFamily) -> float:
 def _star_split(f: EdgeFamily, j: int) -> tuple[WeightedGraph, WeightedGraph, int]:
     """The subgraph (V, δ_j) on site j's petal union, the subgraph
     (V, E_j), and the site that writes in round 2, the lowest-numbered
-    site other than j; once the broadcast and exchange preconditions hold:
-    uniform set sizes, a weak delta-system past the Deza threshold, a site
-    in range.
+    site other than j; once the broadcast and exchange preconditions hold,
+    checked in this order: at least two sites and j in range, uniform set
+    sizes, a weak delta-system past the Deza threshold.
 
     Sunflowers are recognised first, from the occurrence counts; pairs are
     intersected only to word the error for a family that is not one. By
@@ -300,6 +292,7 @@ def _star_split(f: EdgeFamily, j: int) -> tuple[WeightedGraph, WeightedGraph, in
     sunflower every edge lies in one set or in all, so E_j is site j's
     private edges plus the kernel, and δ_j = union - E_j.
     """
+    _check_site(f, j)
     sizes = {len(s) for s in f.sets}
     if len(sizes) != 1:
         raise PreconditionError(f"set sizes are not uniform: {sorted(sizes)}")
@@ -310,7 +303,6 @@ def _star_split(f: EdgeFamily, j: int) -> tuple[WeightedGraph, WeightedGraph, in
     need = deza_threshold(ell) + 1
     if not sunflower or f.t < need:
         raise PreconditionError(f"need at least {need} sites for set size {ell}, got {f.t}")
-    _check_site(f, j)
     e_j = f.sets[j - 1]
     return induced_subgraph(f.base, f.union() - e_j), induced_subgraph(f.base, e_j), 2 if j == 1 else 1
 
@@ -357,14 +349,7 @@ def protocol_sparsifier_exchange(
     local[j] = local[writer]
 
     writes = (_edge_write(j, 1, shared[0].h if shared else g_delta), _edge_write(writer, 2, local[writer].h))
-    # every local part is drawn from g_ej and certified against it, so its
-    # graph fixes its certificate too: sites whose local parts have equal
-    # graphs hold one union, formed once
-    unions = {}
-    results = {}
-    for i, part in local.items():
-        union = unions.get(part.h)
-        if union is None:
-            union = unions[part.h] = union_sparsifiers([*shared, part], two_part)
-        results[i] = union
-    return Transcript(writes), results
+    # sites holding one local part object hold one union, formed once
+    parts = {id(part): part for part in local.values()}
+    unions = {key: union_sparsifiers([*shared, part], two_part) for key, part in parts.items()}
+    return Transcript(writes), {i: unions[id(part)] for i, part in local.items()}

@@ -83,8 +83,9 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.
     with the per-graph setup done once: the checks on eps, C and the edge
     count, the distribution (`g.sampling_probs`) and q. Each seed then pays
     only its own draw, and, when its support misses an edge, its reweighting
-    and certificate; the draws that cover every edge share one result, g
-    itself certified 0.0.
+    and certificate; the draws that cover every edge share one result
+    object, `whole` (g itself certified 0.0), so the NOF exchange, which
+    shares unions by part object, forms one union for all of them.
 
     The draws share one generator, `np.random.default_rng(seeds[0])`; before
     each later draw it is set to the state `default_rng(seed)` would start

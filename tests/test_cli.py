@@ -721,6 +721,16 @@ class TestErrorContract:
         args = [str(d / a) if a == "g.el" else a for a in cmd]
         check_contract(invoke([*args, "--family", str(d / "fam.json")]))
 
+    @pytest.mark.parametrize("cmd", [["broadcast"], ["exchange", "--epsilon", "0.3"]])
+    def test_family_without_sets_is_refused_for_its_sites(self, tmp_path, cmd):
+        # the site check comes before the checks on the sets' structure
+        (tmp_path / "one.el").write_text("n 1\n")
+        (tmp_path / "fam.json").write_text(json.dumps({"graph": "one.el", "sets": []}))
+        result = invoke(["nof", *cmd, "--family", str(tmp_path / "fam.json"), "--site", "1"])
+        check_contract(result)
+        assert result.exit_code == 1
+        assert json.loads(result.stdout) == {"error": "precondition", "detail": "the NOF model needs at least two sites"}
+
     @CONTRACT
     @given(doc=_labels_doc)
     @example(doc=DEEP)

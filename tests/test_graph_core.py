@@ -41,7 +41,7 @@ class TestLoadGraph:
     def test_basic_parse(self):
         g = load_graph("0 1 1.0\n1 2 2.0")
         assert g.n == 3 and g.m == 2
-        assert g.weights() == {(0, 1): 1.0, (1, 2): 2.0}
+        assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
 
     def test_header_fixes_n(self):
         g = load_graph("n 5\n0 1 1.0")

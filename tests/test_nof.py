@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distsparse.nof as nof_mod
 import distsparse.overlap as overlap_mod
 from distsparse import (
     EdgeFamily,
@@ -30,8 +31,8 @@ from distsparse import (
     symmetric_difference_on_site,
     verify_epsilon,
 )
-from distsparse.nof import Write, _view_is_sunflower, _view_kernels, bits_per_edge
-from distsparse.sparsify import _sparsify_each
+from distsparse.nof import Write, _view_is_sunflower, bits_per_edge
+from distsparse.sparsify import _sparsify_each, union_sparsifiers
 from conftest import (
     elem_edge,
     family_from_index_sets,
@@ -130,8 +131,6 @@ class TestViewDecision:
         assert bits.dtype == bool and bits.shape == (f.t,)
         reports = [is_delta_system(site_view(f, j)) for j in range(1, f.t + 1)]
         assert bits.tolist() == [r.is_delta for r in reports]
-        sites = [j for j in range(1, f.t + 1) if bits[j - 1]]
-        assert _view_kernels(f, sites) == [reports[j - 1].kernel for j in sites]
 
     @pytest.mark.parametrize(
         "s, extra, expected",
@@ -233,6 +232,13 @@ class TestOccurrenceCountsAgainstPairwiseReference:
                 else:
                     with pytest.raises(PreconditionError, match="not a delta-system"):
                         symmetric_difference_on_site(f, j)
+            is_delta, kernel, *_ = reference_delta(f.sets)
+            if is_delta:
+                # Lemma 2: every view is a sunflower with the family's kernel
+                assert lemma2_check(f) is all(reference_delta(v)[:2] == (True, kernel) for v in views) is True
+            else:
+                with pytest.raises(PreconditionError, match="family is not a delta-system"):
+                    lemma2_check(f)
         if f.t >= 4:
             transcript, verdict = protocol_verify_sunflower(f)
             bits = [w.payload for w in transcript.writes]
@@ -577,6 +583,44 @@ class TestExchangeProtocol:
             bits_per_edge(1)
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "family, j, epsilon, unions",
+    [
+        ("star", 5, 0.3, 1),
+        ("same", 1, 0.3, 1),
+        ("star-sparse", 5, 0.3, 1),
+        ("triangles", 5, 0.3, 8),
+        ("triangles", 5, 0.05, 6),
+        ("triangles-sparse", 5, 0.05, 4),
+    ],
+)
+def test_exchange_forms_one_union_per_distinct_part(monkeypatch, family, j, epsilon, unions):
+    """The exchange shares a union among the sites holding one local part
+    object. Every draw that keeps all of E_j is the one `whole` result of
+    `_sparsify_each`, so on the golden exchanges (seed 3) the unions formed
+    are as many as the distinct part graphs."""
+    f = load_family(GOLDEN / f"{family}.fam.json")
+    e_j = f.sets[j - 1]
+    g_ej = induced_subgraph(f.base, e_j)
+    parts = _sparsify_each(g_ej, epsilon, np.random.default_rng(3).integers(2**63, size=f.t).tolist()[1:])
+    whole = [p for p in parts if p.h.m == len(e_j)]
+    assert all(p is whole[0] and p.h is g_ej and p.epsilon_certified == 0.0 for p in whole)
+    assert len({id(p) for p in parts}) == len({p.h for p in parts}) == unions
+
+    formed = []
+
+    def counting(parts, two_part):
+        formed.append(parts)
+        return union_sparsifiers(parts, two_part)
+
+    monkeypatch.setattr(nof_mod, "union_sparsifiers", counting)
+    _, results = protocol_sparsifier_exchange(f, j, epsilon=epsilon, seed=3)
+    assert len(formed) == len({id(u) for u in results.values()}) == unions
+
+
 def test_one_occurrence_count_per_family(monkeypatch):
     """Building a family counts its occurrences once, for the cover check;
     the partition and every NOF command read that count. The exchange
@@ -594,7 +638,7 @@ def test_one_occurrence_count_per_family(monkeypatch):
 
     monkeypatch.setattr(EdgeFamily, "__post_init__", building)
     monkeypatch.setattr(overlap_mod, "occurrence_counts", counting)
-    f = load_family(Path(__file__).parent / "data" / "golden" / "star.fam.json")
+    f = load_family(GOLDEN / "star.fam.json")
     assert len(built) == len(counted) == 1
     overlapping_cardinality_partition(f)
     protocol_verify_sunflower(f)

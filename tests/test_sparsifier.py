@@ -595,8 +595,9 @@ class TestUnionSparsifiers:
         f = EdgeFamily(g, (g.pairs(), g.pairs()))
         u = union_sparsifiers(exact_parts(f), f)
         assert u.c1 == u.ck == 2
+        weights = {(u_, v_): w for u_, v_, w in g.edges}
         for u_, v_, w in u.h.edges:
-            assert w == pytest.approx(g.weights()[(u_, v_)] / 2)
+            assert w == pytest.approx(weights[(u_, v_)] / 2)
         assert verify_epsilon(g, u.h) == pytest.approx(0.5, abs=1e-9)
         assert u.epsilon_prime == pytest.approx(0.5)
 
