@@ -94,6 +94,16 @@ def _report(doc: dict) -> dict:
     return report
 
 
+def _write_edge_list(doc: dict, g, output: str) -> list[str]:
+    """Render the report of `doc`, then write the edge list of `g` to
+    `output`; the rendered pieces are returned. A report that is not JSON
+    raises before the file is opened, so it leaves no edge list."""
+    pieces = _json_line(_report(doc))
+    with open(output, "w", encoding="utf-8") as fh:
+        dump_graph(g, fh)
+    return pieces
+
+
 def _command(fn):
     """A command with `--out` that emits the report `fn` returns (nothing
     when it returns None) or the error object of its failure."""
@@ -170,10 +180,7 @@ def sparsify_cmd(graph_path, epsilon, seed, constant, output):
         "seed": seed,
     }
     if output:
-        sidecar = _json_line(_report(doc))  # a report that is not JSON writes no file
-        with open(output, "w", encoding="utf-8") as fh:
-            dump_graph(res.h, fh)
-        _emit(sidecar, output + ".json")
+        _emit(_write_edge_list(doc, res.h, output), output + ".json")
     return doc
 
 
@@ -202,10 +209,10 @@ def union_cmd(family_path, part_paths, output):
         cert = verify_epsilon(induced_subgraph(f.base, edges), h)
         parts.append(SparsifierResult(h=h, epsilon_certified=cert))
     u = union_sparsifiers(parts, f)
+    doc = {"c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            dump_graph(u.h, fh)
-    return {"c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
+        _write_edge_list(doc, u.h, output)
+    return doc
 
 
 @main.group("nof")

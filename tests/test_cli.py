@@ -362,6 +362,7 @@ class TestSparsifyVerifyCmds:
             result = invoke(args)
             check_contract(result)
             assert json.loads(result.stdout)["error"] == "invalid-value"
+        assert not out.exists()
         assert not (tmp_path / "h.el.json").exists()
 
     @pytest.mark.parametrize("constant", ["-1", "0", "inf", "nan", "1e300"])
@@ -410,6 +411,19 @@ class TestUnionCmd:
         assert strict_json(result.stdout) == {
             "schema": 1, "c1": 1, "ck": 1, "epsilon_prime": None, "edges": 2, "kernel_violation": True
         }
+
+    def test_non_finite_report_writes_no_edge_list(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "verify_epsilon", lambda g, h: math.nan)
+        (tmp_path / "g.el").write_text(VALID_GRAPH)
+        (tmp_path / "p1.el").write_text("n 4\n0 1 1.0\n1 2 2.0\n")
+        (tmp_path / "p2.el").write_text("n 4\n2 3 0.5\n0 3 1.5\n")
+        (tmp_path / "fam.json").write_text(json.dumps(CYCLE_FAMILY))
+        out = tmp_path / "u.el"
+        result = invoke(["union", "--family", str(tmp_path / "fam.json"), "--part", str(tmp_path / "p1.el"),
+                         "--part", str(tmp_path / "p2.el"), "--output", str(out)])
+        check_contract(result)
+        assert json.loads(result.stdout)["error"] == "invalid-value"
+        assert not out.exists()
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Fixed-seed reports stay byte-identical.
 
 `data/golden/g.el` is a planted 3-block graph (n=60, 20 vertices per block,
-p_in=0.5, p_out=0.05, weights uniform in [0.1, 3), numpy seed 7). The other
+p_in=0.5, p_out=0.05, weights uniform in [0.1, 3), numpy seed 7: with
+`rng = default_rng(7)`, each pair i < j in order keeps its edge when
+`rng.random() < p` and then draws its weight `rng.uniform(0.1, 3)`). The other
 `.el` and report files for it are what the commands below wrote for it with
 the per-edge implementation that preceded the array-backed graph: the
 sparsifier edge list `h.el` and the `sparsify`, `verify` and `cluster`
@@ -56,51 +58,72 @@ rather than eigensolver roundoff. `union-exact.el` is the edge list that
 row writes with `--output`: the 4-cycle itself, since c1 = ck = 1 leaves
 the parts' weights unscaled, in `dump_graph`'s sorted form.
 
-Each command is rerun here and its output and exit status compared byte for
-byte. These runs go through `CliRunner`, which swaps `sys.stdout`; one
-report is also written by a fresh `python -m distsparse.cli` process, to a
-pipe and to `--out`.
+`planted.el` is the same generator at n=90 (30 vertices per block, the
+same p_in, p_out, weights and seed): 20 278 bytes, at least `_BY_PATH_BYTES`,
+so numpy reads it by path, where every other golden edge list is parsed
+from memory. Its `sparsify` report (eps 0.5, seed 3, C 0.5), whose sample
+and certified factor move with any edge or weight the reader gets wrong,
+was written by the implementation that shared exchange unions by part
+identity.
+
+Each command runs in a fresh interpreter through the body of the console
+script that `pyproject.toml` declares, `sys.exit(main())` after
+`from distsparse.cli import main`, with `src` on `PYTHONPATH`. Its exit
+status, its stdout and every file it writes are compared byte for byte with
+the golden files, and its stderr must be empty. So a new report is pinned
+by one row of `test_report`. One report is also written by
+`python -m distsparse.cli`, to a pipe and to `--out`.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from distsparse.cli import main
-
-DATA = Path(__file__).parent / "data" / "golden"
+ROOT = Path(__file__).parents[1]
+DATA = ROOT / "tests" / "data" / "golden"
 G, H = str(DATA / "g.el"), str(DATA / "h.el")
 STAR, TWIN, SAME, CYCLE, TRIANGLES, STAR_SPARSE, TRIANGLES_SPARSE = (
     str(DATA / f"{name}.fam.json")
     for name in ("star", "twin", "same", "cycle", "triangles", "star-sparse", "triangles-sparse")
 )
-STAR_EL, LOOP, P1, P2, JOIN = (str(DATA / f"{name}.el") for name in ("star", "loop", "cycle-p1", "cycle-p2", "cycle-join"))
+STAR_EL, LOOP, P1, P2, JOIN, PLANTED = (
+    str(DATA / f"{name}.el") for name in ("star", "loop", "cycle-p1", "cycle-p2", "cycle-join", "planted")
+)
 LABELS_A, LABELS_B, LABELS_SHORT = (str(DATA / f"labels-{name}.json") for name in ("a", "b", "short"))
 
+# the body of the console script that pyproject.toml declares
+_MODULE, _FUNC = re.search(
+    r'^distsparse = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.MULTILINE
+).groups()
+SCRIPT = f"import sys; from {_MODULE} import {_FUNC}; sys.exit({_FUNC}())"
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
-def run(args, status=0) -> bytes:
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == status
-    return result.stdout_bytes
+
+def run(args, golden, status=0, files=()):
+    """Run the console script on `args` in a fresh interpreter: it exits
+    with `status`, writes the golden report `golden` to stdout and nothing
+    to stderr, and each (path, golden) of `files` holds that golden file."""
+    result = subprocess.run([sys.executable, "-c", SCRIPT, *args], env=ENV, capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr.decode()) == (status, "")
+    assert result.stdout == (DATA / golden).read_bytes()
+    for path, name in files:
+        assert path.read_bytes() == (DATA / name).read_bytes()
 
 
 def test_sparsify_report_and_edge_list(tmp_path):
     out = tmp_path / "h.el"
-    report = run(["sparsify", "--graph", G, "--epsilon", "0.5", "--seed", "3", "--constant", "0.5", "--output", str(out)])
-    assert report == (DATA / "sparsify.json").read_bytes()
-    assert out.read_bytes() == (DATA / "h.el").read_bytes()
-    assert (tmp_path / "h.el.json").read_bytes() == (DATA / "sparsify.json").read_bytes()
+    args = ["sparsify", "--graph", G, "--epsilon", "0.5", "--seed", "3", "--constant", "0.5", "--output", str(out)]
+    run(args, "sparsify.json", files=[(out, "h.el"), (tmp_path / "h.el.json", "sparsify.json")])
 
 
 def test_union_report_and_edge_list(tmp_path):
     out = tmp_path / "u.el"
-    report = run(["union", "--family", CYCLE, "--part", P1, "--part", P2, "--output", str(out)])
-    assert report == (DATA / "union-exact.json").read_bytes()
-    assert out.read_bytes() == (DATA / "union-exact.el").read_bytes()
+    run(["union", "--family", CYCLE, "--part", P1, "--part", P2, "--output", str(out)], "union-exact.json",
+        files=[(out, "union-exact.el")])
 
 
 @pytest.mark.parametrize(
@@ -141,22 +164,20 @@ def test_union_report_and_edge_list(tmp_path):
             "exchange-triangles-sparse-eps0.05",
             ["nof", "exchange", "--family", TRIANGLES_SPARSE, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
         ),
+        ("sparsify-planted", ["sparsify", "--graph", PLANTED, "--epsilon", "0.5", "--seed", "3", "--constant", "0.5"]),
     ],
 )
 def test_report(name, args):
-    status = 1 if name.startswith("error-") else 0
-    assert run(args, status) == (DATA / f"{name}.json").read_bytes()
+    run(args, f"{name}.json", status=1 if name.startswith("error-") else 0)
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "out"])
 def test_report_from_a_fresh_process(tmp_path, to_file):
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [sys.executable, "-m", "distsparse.cli", "nof", "broadcast", "--family", STAR, "--site", "5"]
     out = tmp_path / "report.json"
     if to_file:
         args += ["--out", str(out)]
-    result = subprocess.run(args, env=env, stdout=subprocess.PIPE, timeout=120)
+    result = subprocess.run(args, env=ENV, stdout=subprocess.PIPE, timeout=120)
     assert result.returncode == 0
     written = out.read_bytes() if to_file else result.stdout
     assert written == (DATA / "broadcast-site5.json").read_bytes()
