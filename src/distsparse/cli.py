@@ -1,27 +1,29 @@
 """Command-line entry point.
 
 Every subcommand loads its inputs, computes, and returns its report as a
-dict; the `_command` decorator is the one path that emits it. It adds
-``--out``, runs the command with numpy's overflow, divide and invalid-value
-checks raising instead of warning, puts ``"schema": 1`` first and writes one
-line of strict JSON to stdout or ``--out``. A report may hold frozensets of
-edges, each written as its sorted edges; the emit path (`_json_line`)
-renders each distinct set once and writes that one string wherever the set
-appears, piece by piece, never joining the report into one string. So the
-NOF broadcast's report, which holds the one union s times, costs one
-rendering of it. An infinite top-level value (an edge joins two components
+dict, with the files it writes when it has any; the `_command` decorator is
+the one path that emits them. It adds ``--out``, runs the command with
+numpy's overflow, divide and invalid-value checks raising instead of
+warning, puts ``"schema": 1`` first and renders one line of strict JSON.
+Every edge set a report holds is a graph, written as its (u, v) pairs; the
+emit path (`_json_line`) renders each graph object once and writes that one
+string wherever it appears, piece by piece, never joining the report into
+one string. The files (edge list, sidecar, ``--out``) are written all or
+none (`_place`). An infinite top-level value (an edge joins two components
 of the graph it is measured against, so no finite factor exists) is
 reported as null with ``"kernel_violation": true``; any other value that is
 not finite is an ``invalid-value`` error. A failure is one
-``{"error": kind, "detail": ...}`` line on stdout with exit status 1; usage
-errors exit with status 2.
+``{"error": kind, "detail": ...}`` line on stdout with exit status 1, and
+leaves no file; usage errors exit with status 2.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -32,7 +34,7 @@ from click.core import ParameterSource
 from . import cluster as cl
 from . import nof
 from .errors import Error, ParseError
-from .graph import dump_graph, induced_subgraph, laplacian, load_graph_file, normalized_laplacian
+from .graph import WeightedGraph, dump_graph, laplacian, load_graph_file, normalized_laplacian
 from .overlap import load_family, load_json, overlapping_cardinality_partition
 from .sparsify import SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
 
@@ -49,21 +51,22 @@ def _json_line(doc: dict) -> list[str]:
     """`doc` as one line of strict JSON, in pieces that join to the line: a
     NaN or infinite value raises `ValueError`, which the command reports as
     `invalid-value`, and a value of any other type JSON lacks raises
-    `TypeError`. A frozenset of edges is written as its sorted edges. Each
-    distinct set is rendered once, and that one string is the piece wherever
-    the set appears, so a report that holds one edge set many times (every
-    site of the NOF broadcast holds the whole union) costs one rendering of
-    it and is never held as one string."""
-    index: dict[frozenset, int] = {}  # edge set -> its place in `rendered`
+    `TypeError`. A graph is an edge set, written as its (u, v) pairs in
+    stored order, `[[u, v], ...]`. Each graph object is rendered once, and
+    that one string is the piece wherever the object appears, so a report
+    that holds one edge set many times (every site of the NOF broadcast
+    holds the base graph) costs one rendering of it and is never held as
+    one string."""
+    index: dict[int, int] = {}  # id of a graph -> its place in `rendered`
     rendered: list[str] = []
 
     def edge_set(obj):
-        if not isinstance(obj, frozenset):
+        if not isinstance(obj, WeightedGraph):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        if obj not in index:
-            index[obj] = len(rendered)
-            rendered.append(json.dumps(sorted(obj), allow_nan=False))
-        return f"\0{index[obj]}\0"
+        if id(obj) not in index:  # the graph lives in `doc` while it is rendered
+            index[id(obj)] = len(rendered)
+            rendered.append(json.dumps(np.column_stack((obj.u, obj.v)).tolist()))
+        return f"\0{index[id(obj)]}\0"
 
     text = json.dumps(doc, allow_nan=False, default=edge_set) + "\n"
     pieces = _PLACEHOLDER.split(text)
@@ -71,15 +74,48 @@ def _json_line(doc: dict) -> list[str]:
     return pieces
 
 
-def _emit(pieces: list[str], out: str | None):
-    """Write the pieces of a report to `out`, or to stdout and flush it. The
-    report is ASCII JSON, so it holds nothing for `click.echo` to strip."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+def _emit(pieces: list[str]):
+    """Write the pieces of a report to stdout and flush it. The report is
+    ASCII JSON, so it holds nothing for `click.echo` to strip."""
+    sys.stdout.writelines(pieces)
+    sys.stdout.flush()
+
+
+def _place(files: dict, pieces: list[str]) -> None:
+    """Write every file {path: a graph's edge list, or None, the report} to a
+    new temporary beside its target (a link is followed), then move each
+    into place; a device or a pipe, which cannot be replaced, is written
+    last. Any error removes the temporaries and the files placed."""
+    streams = [p for p in files if os.path.exists(p) and not os.path.isfile(p) and not os.path.isdir(p)]
+    targets = {os.path.realpath(p): p for p in files if p not in streams}  # of two paths to a file, the last
+    temps, placed, path = {}, [], None
+    try:
+        for target, path in targets.items():
+            temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps[target] = temp
+                _write(fh, files[path], pieces)
+        for target, path in targets.items():
+            os.replace(temps[target], target)
+            placed.append(target)
+        for path in streams:
+            with open(path, "w", encoding="utf-8") as fh:
+                _write(fh, files[path], pieces)
+    except BaseException as exc:
+        for name in [*temps.values(), *placed]:  # a temporary already moved is gone
+            with contextlib.suppress(OSError):
+                os.unlink(name)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
+def _write(fh, content, pieces: list[str]) -> None:
+    """Write a file's content: a graph as its edge list, None as the report."""
+    if content is None:
+        fh.writelines(pieces)
     else:
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()
+        dump_graph(content, fh)
 
 
 def _report(doc: dict) -> dict:
@@ -94,19 +130,10 @@ def _report(doc: dict) -> dict:
     return report
 
 
-def _write_edge_list(doc: dict, g, output: str) -> list[str]:
-    """Render the report of `doc`, then write the edge list of `g` to
-    `output`; the rendered pieces are returned. A report that is not JSON
-    raises before the file is opened, so it leaves no edge list."""
-    pieces = _json_line(_report(doc))
-    with open(output, "w", encoding="utf-8") as fh:
-        dump_graph(g, fh)
-    return pieces
-
-
 def _command(fn):
-    """A command with `--out` that emits the report `fn` returns (nothing
-    when it returns None) or the error object of its failure."""
+    """A command with `--out` that emits the report `fn` returns, and the
+    files of `_place` when it returns (report, files), or the error object
+    of its failure; nothing when it returns None."""
 
     @click.option("--out", type=click.Path(), default=None, help="Write the JSON report here instead of stdout.")
     @functools.wraps(fn)
@@ -114,9 +141,13 @@ def _command(fn):
         try:
             # overflow, 0/0 and x/0 raise here instead of printing a warning
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                doc = fn(*args, **kwargs)
-                if doc is not None:
-                    _emit(_json_line(_report(doc)), out)
+                result = fn(*args, **kwargs)
+                if result is not None:
+                    doc, files = result if isinstance(result, tuple) else (result, {})
+                    pieces = _json_line(_report(doc))
+                    _place({**files, out: None} if out else files, pieces)
+                    if not out:
+                        _emit(pieces)
                 return
         except Error as exc:
             error = {"error": exc.kind, "detail": str(exc)}
@@ -128,7 +159,7 @@ def _command(fn):
             error = {"error": "io", "detail": str(exc)}
         except MemoryError as exc:
             error = {"error": "memory", "detail": str(exc)}
-        _emit(_json_line(error), None)
+        _emit(_json_line(error))
         sys.exit(1)
 
     return wrapper
@@ -156,10 +187,7 @@ def laplacian_cmd(graph_path, normalized):
 def partition_cmd(family_path):
     """Overlapping-cardinality partition of a family file."""
     classes = overlapping_cardinality_partition(load_family(family_path))
-    return {
-        "cardinalities": [c for c, _ in classes],
-        "classes": [{"cardinality": c, "edges": cls} for c, cls in classes],
-    }
+    return {"cardinalities": [c for c, _ in classes], "classes": [{"cardinality": c, "edges": g} for c, g in classes]}
 
 
 @main.command("sparsify")
@@ -173,15 +201,8 @@ def sparsify_cmd(graph_path, epsilon, seed, constant, output):
     """Effective-resistance sparsifier of an edge-list graph."""
     g = load_graph_file(graph_path)
     res = sparsify_er(g, epsilon, seed, constant=constant)
-    doc = {
-        "epsilon_target": epsilon,
-        "epsilon_certified": res.epsilon_certified,
-        "edges": res.h.m,
-        "seed": seed,
-    }
-    if output:
-        _emit(_write_edge_list(doc, res.h, output), output + ".json")
-    return doc
+    doc = {"epsilon_target": epsilon, "epsilon_certified": res.epsilon_certified, "edges": res.h.m, "seed": seed}
+    return doc, {output: res.h, output + ".json": None} if output else {}
 
 
 @main.command("verify")
@@ -203,16 +224,13 @@ def union_cmd(family_path, part_paths, output):
     f = load_family(family_path)
     if len(part_paths) != f.t:
         raise ValueError(f"got {len(part_paths)} parts for a family of {f.t} sets")
-    parts = []
-    for path, edges in zip(part_paths, f.sets):
-        h = load_graph_file(path)
-        cert = verify_epsilon(induced_subgraph(f.base, edges), h)
-        parts.append(SparsifierResult(h=h, epsilon_certified=cert))
+    parts = [
+        SparsifierResult(h=h, epsilon_certified=verify_epsilon(f.subgraph(f.set_ids(i)), h))
+        for i, h in enumerate(map(load_graph_file, part_paths))
+    ]
     u = union_sparsifiers(parts, f)
     doc = {"c1": u.c1, "ck": u.ck, "epsilon_prime": u.epsilon_prime, "edges": u.h.m}
-    if output:
-        _write_edge_list(doc, u.h, output)
-    return doc
+    return doc, {output: u.h} if output else {}
 
 
 @main.group("nof")
@@ -245,13 +263,8 @@ def nof_broadcast_cmd(family_path, site):
 @_command
 def nof_exchange_cmd(family_path, site, epsilon, seed):
     transcript, results = nof.protocol_sparsifier_exchange(load_family(family_path), site, epsilon, seed)
-    return {
-        **transcript.to_dict(),
-        "epsilon_prime": max(r.epsilon_prime for r in results.values()),
-        "sites": [
-            {"site": i, "epsilon_prime": results[i].epsilon_prime, "edges": results[i].h.m} for i in sorted(results)
-        ],
-    }
+    sites = [{"site": i, "epsilon_prime": results[i].epsilon_prime, "edges": results[i].h.m} for i in sorted(results)]
+    return {**transcript.to_dict(), "epsilon_prime": max(r.epsilon_prime for r in results.values()), "sites": sites}
 
 
 @main.group("cluster", invoke_without_command=True)

@@ -47,15 +47,6 @@ def norm_pair(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def norm_pairs(pairs) -> frozenset[Edge]:
-    """The canonical forms (`norm_pair`) of some unordered pairs, each any
-    2-element iterable, as one frozenset. A frozenset of canonical pairs
-    comes back as the same object."""
-    if isinstance(pairs, frozenset) and not any(u > v for u, v in pairs):
-        return pairs
-    return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
-
-
 def _ids(col) -> np.ndarray:
     """Vertex ids as int64, or as Python ints (object array) when one does
     not fit in 64 bits."""
@@ -197,11 +188,8 @@ class WeightedGraph:
         return len(self.records)
 
     def pairs(self) -> frozenset[Edge]:
-        """The edges as (u, v) pairs, built on first use: every call
-        returns the same frozenset."""
-        if "_pairs" not in self.__dict__:
-            self.__dict__["_pairs"] = frozenset(zip(self.u.tolist(), self.v.tolist()))
-        return self.__dict__["_pairs"]
+        """The edges as a frozenset of (u, v) pairs, for perfbench's checks."""
+        return frozenset(zip(self.u.tolist(), self.v.tolist()))
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees. Every vertex x sums its edges' weights in edge
@@ -464,13 +452,36 @@ def quadratic_form(L: np.ndarray, x) -> float:
     return float(x @ L @ x)
 
 
+def edge_ids(g: WeightedGraph, pairs: list) -> np.ndarray:
+    """The index in `g.records` of each pair in `pairs`, either way round, or
+    -1 for a pair that is no edge: one `searchsorted` of the keys lo * n + hi
+    on those of the sorted records, exact while n * n fits in int64; beyond
+    that n, ids are first ranked among g's own vertices."""
+    uv = _ids(list(chain.from_iterable(pairs)))
+    if uv.dtype == object:  # an id past int64 is no vertex of g
+        uv = np.where((uv >= 0) & (uv < g.n), uv, -1).astype(np.int64)
+    ends, n, top = [uv[0::2], uv[1::2], g.u, g.v], g.n, np.iinfo(np.int64).max
+    if n * n > top:  # top closes the vertices, so every id has a place among them
+        vertices = np.unique(np.concatenate((*ends[2:], [top])))
+        at = [np.searchsorted(vertices, x) for x in ends]
+        ends, n = [np.where(vertices[i] == x, i, -1) for i, x in zip(at, ends)], len(vertices)
+    a, b, bu, bv = ends
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    inside = (lo >= 0) & (hi < n)
+    key = np.where(inside, lo * n + hi, -1)  # a product out of range may wrap; it is discarded
+    keys = np.append(bu * n + bv, top)  # top: a last key, above every pair's
+    at = np.searchsorted(keys, key)
+    return np.where(inside & (keys[at] == key), at, -1)
+
+
 def induced_subgraph(g: WeightedGraph, pairs) -> WeightedGraph:
-    """Subgraph on the full vertex set with edge set restricted to `pairs`."""
-    wanted = norm_pairs(pairs)
-    keep = np.fromiter(map(wanted.__contains__, zip(g.u.tolist(), g.v.tolist())), dtype=bool, count=g.m)
-    if keep.sum() < len(wanted):
-        raise ValueError(f"edges not present in graph: {sorted(wanted - g.pairs())}")
-    return WeightedGraph._trusted(g.n, g.records[keep])
+    """Subgraph on the full vertex set with edges `pairs`, either way round."""
+    pairs = list(pairs)
+    ids = edge_ids(g, pairs)
+    if (ids < 0).any():
+        missing = {norm_pair(*p) for p, i in zip(pairs, ids) if i < 0}
+        raise ValueError(f"edges not present in graph: {sorted(missing)}")
+    return WeightedGraph._trusted(g.n, g.records[np.unique(ids)])
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:

@@ -11,48 +11,32 @@ induced subgraph or a sparsifier: its sorted (u, v, w) edges, at
 `bits_per_edge(h.n)` = 2 ceil(log2 n) + 64 bits per edge. A bit write's
 payload is the bit, the int 0 or 1. A write is a named tuple.
 
-Whether each site's view is a sunflower is decided for all s sites at once
-(`_view_is_sunflower`), in a few array passes over the family's one
-occurrence count; the verification protocol's bits and Lemma 3's check read
-these verdicts. A view's kernel comes from classifying that view
-(`is_delta_system(site_view(f, j))`), as the petal union and Lemma 2's
-check do.
+A family's sets are base-edge ids (`EdgeFamily`), and every decision here
+reads its one occurrence-count array: whether each site's view is a
+sunflower, for all s sites in a few array passes (`_view_is_sunflower`),
+and the split of a sunflower at site j (`_star_split`) into E_j and its
+petal union δ_j, every base edge outside E_j. The lemma functions see a
+view as frozensets of ids (`site_view`), classified by set algebra alone
+(`is_delta_system`).
 
-Broadcast and exchange split the family at site j the same way
-(`_star_split`): in a sunflower E_j is site j's private edges plus the
-kernel, so its petal union is δ_j = union - E_j. The same split names the
-one site that writes in round 2, the lowest-numbered site other than j.
-
-The simulator does once what is the same at every site. Each site's draw
-of its local sparsifier stays its own, from its own seed, but the
-sampler's setup for (V, E_j) (its checks, the distribution
-`WeightedGraph.sampling_probs` and the draw count q) is done once for all
-sites, so each site pays one seeded draw. The s site seeds come from one
-vector draw, bitwise the s scalar draws of one per site. The site draws
-share one generator, reset before each draw to the state
-`np.random.default_rng(seed)` would start from; these states are computed
-for all sites in one array pass, so each draw is bitwise a fresh
-generator's. Each distinct local part object is unioned with the shared
-part once: every draw that keeps all of E_j returns the one result holding
-(V, E_j) itself, so those sites share one union. In the broadcast every
-site rebuilds the whole union (the family is a sunflower), so all sites
-hold the family's one union object, which the CLI's emit path renders once
-however many sites the report lists.
-Transcripts, bit and edge costs, per-site results and reports are those
-of computing every site on its own.
+The simulator does once what is the same at every site: each site pays
+one seeded draw (`_sparsify_each`), each distinct local part is unioned
+with the shared part once, and every broadcast site holds the base graph
+itself, rendered once. Transcripts, bit and edge costs, per-site results
+and reports are those of computing every site on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import Edge, WeightedGraph, induced_subgraph
-from .overlap import EdgeFamily, occurrence_counts
+from .graph import WeightedGraph
+from .overlap import EdgeFamily
 from .sparsify import UnionSparsifier, _sparsify_each, sparsify_er, union_sparsifiers
 
 BIT = "bit"
@@ -88,31 +72,17 @@ class Transcript:
         return sum(w.edge_cost for w in self.writes if w.round == r)
 
     def to_dict(self) -> dict:
-        rounds = []
-        for r in range(1, self.num_rounds + 1):
-            rounds.append(
-                {
-                    "round": r,
-                    "writes": [
-                        {
-                            "site": w.site,
-                            "kind": w.kind,
-                            "payload": w.payload,
-                            "bit_cost": w.bit_cost,
-                            "edge_cost": w.edge_cost,
-                        }
-                        for w in self.writes
-                        if w.round == r
-                    ],
-                }
-            )
+        rounds = [{"round": r, "writes": []} for r in range(1, self.num_rounds + 1)]
+        for site, r, kind, payload, bit_cost, edge_cost in self.writes:
+            write = {"site": site, "kind": kind, "payload": payload, "bit_cost": bit_cost, "edge_cost": edge_cost}
+            rounds[r - 1]["writes"].append(write)
         return {"rounds": rounds, "bit_cost": self.bit_cost, "edge_cost": self.edge_cost}
 
 
 @dataclass(frozen=True)
 class DeltaSystemReport:
     is_delta: bool
-    kernel: frozenset[Edge] | None
+    kernel: frozenset | None
     is_weak_delta: bool
     lam: int | None
     ell: int
@@ -133,30 +103,29 @@ def _edge_write(site: int, round: int, h: WeightedGraph) -> Write:
 
 
 def _check_site(f: EdgeFamily, j: int) -> None:
-    s = f.t
-    if s < 2:
+    if f.t < 2:
         raise PreconditionError("the NOF model needs at least two sites")
-    if not (1 <= j <= s):
-        raise PreconditionError(f"site id {j} out of range 1..{s}")
+    if not (1 <= j <= f.t):
+        raise PreconditionError(f"site id {j} out of range 1..{f.t}")
 
 
-def site_view(f: EdgeFamily, j: int) -> tuple[frozenset[Edge], ...]:
+def _id_sets(f: EdgeFamily) -> list[frozenset[int]]:
+    """The family's sets as frozensets of base-edge ids, in order."""
+    flat, bounds = f.ids.tolist(), f.offsets.tolist()
+    return [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def site_view(f: EdgeFamily, j: int) -> tuple[frozenset[int], ...]:
     """All input sets except site j's own (sites are 1-based), in family
-    order."""
+    order, each a frozenset of base-edge ids."""
     _check_site(f, j)
-    return f.sets[: j - 1] + f.sets[j:]
+    return tuple(s for i, s in enumerate(_id_sets(f), 1) if i != j)
 
 
-def _sunflower_kernel(counts, t: int) -> frozenset | None:
-    """Kernel of a family of t >= 2 sets with these occurrence counts, or
-    None when the family is not a sunflower.
-
-    A family is a sunflower exactly when every element occurs in one set or
-    in all t; its kernel is then the elements that occur in all t.
-    """
-    if any(c != 1 and c != t for c in counts.values()):
-        return None
-    return frozenset(x for x, c in counts.items() if c == t)
+def _is_sunflower(f: EdgeFamily) -> bool:
+    """Whether every base edge occurs in one set or in all t: a sunflower."""
+    counts = f.occurrences
+    return bool(((counts == 1) | (counts == f.t)).all())
 
 
 def is_delta_system(sets) -> DeltaSystemReport:
@@ -164,16 +133,16 @@ def is_delta_system(sets) -> DeltaSystemReport:
     global one), weak sunflower (all pairwise intersection sizes equal),
     neither.
 
-    Sunflowers are recognised from occurrence counts; a sunflower is weak
-    with lam = |kernel|, so pairs are intersected only for the other
+    A sunflower, whose t sets' sizes sum to |union| + (t-1)|kernel|, is
+    weak with lam = |kernel|, so pairs are intersected only for the other
     families, and only until two intersection sizes differ.
     """
     sets = [frozenset(s) for s in sets]
     if len(sets) < 2:
         raise PreconditionError("delta-system check needs at least two sets")
     ell = max(len(s) for s in sets)
-    kernel = _sunflower_kernel(occurrence_counts(sets), len(sets))
-    if kernel is not None:
+    kernel = frozenset.intersection(*sets)
+    if sum(map(len, sets)) == len(frozenset.union(*sets)) + (len(sets) - 1) * len(kernel):
         return DeltaSystemReport(is_delta=True, kernel=kernel, is_weak_delta=True, lam=len(kernel), ell=ell)
     sizes = set()
     for a, b in combinations(sets, 2):
@@ -204,12 +173,9 @@ def _view_is_sunflower(f: EdgeFamily) -> np.ndarray:
     s, counts = f.t, f.occurrences
     if s < 3:
         raise PreconditionError("delta-system check needs at least two sets")
-    sizes = np.fromiter(map(len, f.sets), dtype=np.intp, count=s)
-    # every entry's count, grouped by site
-    c = np.fromiter(map(counts.__getitem__, chain.from_iterable(f.sets)), dtype=np.int64, count=int(sizes.sum()))
-    site = np.repeat(np.arange(s), sizes)
-    every = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    need = np.count_nonzero((every != 1) & (every != s - 1))
+    c = counts[f.ids]  # every entry's count, set after set
+    site = np.repeat(np.arange(s), np.diff(f.offsets))
+    need = np.count_nonzero((counts != 1) & (counts != s - 1))
     held = np.bincount(site[(c != 1) & (c != s - 1)], minlength=s)
     stray = np.bincount(site[(c != 1) & (c != 2) & (c != s)], minlength=s)
     return (held == need) & (stray == 0)
@@ -223,11 +189,11 @@ def deza_threshold(ell: int) -> int:
     return ell * ell - ell + 2
 
 
-def symmetric_difference_on_site(f: EdgeFamily, j: int) -> frozenset[Edge]:
+def symmetric_difference_on_site(f: EdgeFamily, j: int) -> frozenset[int]:
     """Petal union of the sets visible to site j: union minus kernel.
 
     Requires the visible family to be a sunflower; matches the accounting
-    |union| = |petals| + kernel size.
+    |union| = |petals| + kernel size. The petals are base-edge ids.
     """
     view = site_view(f, j)
     report = is_delta_system(view)
@@ -241,9 +207,9 @@ def lemma2_check(f: EdgeFamily) -> bool:
     with the same kernel."""
     if f.t < 3:
         raise PreconditionError("need at least three sites")
-    kernel = _sunflower_kernel(f.occurrences, f.t)
-    if kernel is None:
+    if not _is_sunflower(f):
         raise PreconditionError("family is not a delta-system")
+    kernel = frozenset(np.flatnonzero(f.occurrences == f.t).tolist())
     return all(is_delta_system(site_view(f, j)).kernel == kernel for j in range(1, f.t + 1))
 
 
@@ -252,9 +218,7 @@ def lemma3_check(f: EdgeFamily) -> bool:
     whole family. Evaluates the implication concretely."""
     if f.t < 4:
         raise PreconditionError("need at least four sites")
-    if not _view_is_sunflower(f).all():
-        return True
-    return _sunflower_kernel(f.occurrences, f.t) is not None
+    return not _view_is_sunflower(f).all() or _is_sunflower(f)
 
 
 def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
@@ -278,46 +242,46 @@ def greatest_overlapping_coefficient(f: EdgeFamily) -> float:
     return max(overlapping_coefficient(f, j) for j in range(1, f.t + 1))
 
 
-def _star_split(f: EdgeFamily, j: int) -> tuple[WeightedGraph, WeightedGraph, int]:
-    """The subgraph (V, δ_j) on site j's petal union, the subgraph
-    (V, E_j), and the site that writes in round 2, the lowest-numbered
+def _star_split(f: EdgeFamily, j: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The base-edge ids of site j's petal union δ_j and of E_j, both
+    ascending, and the site that writes in round 2, the lowest-numbered
     site other than j; once the broadcast and exchange preconditions hold,
     checked in this order: at least two sites and j in range, uniform set
     sizes, a weak delta-system past the Deza threshold.
 
-    Sunflowers are recognised first, from the occurrence counts; pairs are
+    Sunflowers are recognised first, from the occurrence counts; sets are
     intersected only to word the error for a family that is not one. By
     Deza's theorem a uniform weak delta-system past the threshold is a
     sunflower, so a weak non-sunflower always fails the size check. In a
     sunflower every edge lies in one set or in all, so E_j is site j's
-    private edges plus the kernel, and δ_j = union - E_j.
+    private edges plus the kernel, and δ_j is every base edge outside E_j.
     """
     _check_site(f, j)
-    sizes = {len(s) for s in f.sets}
-    if len(sizes) != 1:
-        raise PreconditionError(f"set sizes are not uniform: {sorted(sizes)}")
-    ell = sizes.pop()
-    sunflower = _sunflower_kernel(f.occurrences, f.t) is not None
-    if not sunflower and not is_delta_system(f.sets).is_weak_delta:
+    sizes = np.diff(f.offsets)
+    ell = int(sizes[0])
+    if (sizes != ell).any():
+        raise PreconditionError(f"set sizes are not uniform: {np.unique(sizes).tolist()}")
+    sunflower = _is_sunflower(f)
+    if not sunflower and not is_delta_system(_id_sets(f)).is_weak_delta:
         raise PreconditionError("family is not a weak delta-system")
     need = deza_threshold(ell) + 1
     if not sunflower or f.t < need:
         raise PreconditionError(f"need at least {need} sites for set size {ell}, got {f.t}")
-    e_j = f.sets[j - 1]
-    return induced_subgraph(f.base, f.union() - e_j), induced_subgraph(f.base, e_j), 2 if j == 1 else 1
+    e_j = f.set_ids(j - 1)
+    return np.delete(np.arange(f.base.m), e_j), e_j, 2 if j == 1 else 1
 
 
-def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[int, frozenset[Edge]]]:
+def protocol_broadcast_graph(f: EdgeFamily, j: int) -> tuple[Transcript, dict[int, WeightedGraph]]:
     """Two-round broadcast: site j writes its petal union, everyone else
     reconstructs the full edge set from it plus the kernel and their own
     view; then the lowest-numbered other site writes E_j so site j can
     finish too."""
-    g_delta, g_ej, writer = _star_split(f, j)
+    delta, e_j, writer = _star_split(f, j)
     # in a sunflower every edge outside the kernel lies in exactly one set,
     # so site i's private edges E_i - kernel lie in delta_j for every i != j,
-    # and site j's are E_j: every site rebuilds the whole union
-    reconstructions = dict.fromkeys(range(1, f.t + 1), f.union())
-    writes = (_edge_write(j, 1, g_delta), _edge_write(writer, 2, g_ej))
+    # and site j's are E_j: every site rebuilds the whole union, the base
+    reconstructions = dict.fromkeys(range(1, f.t + 1), f.base)
+    writes = (_edge_write(j, 1, f.subgraph(delta)), _edge_write(writer, 2, f.subgraph(e_j)))
     return Transcript(writes), reconstructions
 
 
@@ -336,14 +300,16 @@ def protocol_sparsifier_exchange(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    g_delta, g_ej, writer = _star_split(f, j)
+    delta, e_j, writer = _star_split(f, j)
+    g_delta, g_ej = f.subgraph(delta), f.subgraph(e_j)
     others = [i for i in range(1, f.t + 1) if i != j]
     # site j's seed, then the others' in order: bitwise the draws of one
     # scalar `integers(2**63)` per site
     seeds = np.random.default_rng(seed).integers(2**63, size=f.t).tolist()
 
     # the two-part allocation the union theorem is applied to
-    two_part = EdgeFamily(f.base, (g_delta.pairs(), g_ej.pairs()) if g_delta.m else (g_ej.pairs(),))
+    bounds = [0, len(delta), f.base.m] if len(delta) else [0, f.base.m]
+    two_part = EdgeFamily(f.base, np.concatenate((delta, e_j)), np.array(bounds))
     shared = [sparsify_er(g_delta, epsilon, seeds[0])] if g_delta.m else []
     local = dict(zip(others, _sparsify_each(g_ej, epsilon, seeds[1:])))
     local[j] = local[writer]

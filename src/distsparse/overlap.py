@@ -4,70 +4,80 @@ A family of edge subsets over a shared base graph is grouped by how many
 sets each edge appears in; the resulting partition lets the sum of the
 per-set Laplacians be rewritten as an integer combination of the partition
 classes' Laplacians (checked numerically by `combined_laplacian_residual`).
-The family's cover check, occurrence numbers, cardinalities and the
-partition all read one occurrence count per family, taken once when the
-family is built (`EdgeFamily.occurrences`).
+A family's sets are base-edge ids, mapped from pairs by one lookup
+(`edge_ids`); its cover check, occurrence numbers, cardinalities and the
+partition (of subgraphs of the base) read one occurrence-count array.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError
-from .graph import Edge, WeightedGraph, induced_subgraph, laplacian, load_graph_file, norm_pair, norm_pairs
+from .graph import WeightedGraph, edge_ids, laplacian, load_graph_file, norm_pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeFamily:
-    """Ordered collection of nonempty edge subsets covering E(base)."""
+    """Ordered collection of nonempty edge subsets covering E(base): set i
+    is the base edges at `ids[offsets[i]:offsets[i + 1]]`, ascending, and
+    `occurrences[e]` counts the sets that hold base edge e."""
 
     base: WeightedGraph
-    sets: tuple[frozenset[Edge], ...]
+    ids: np.ndarray
+    offsets: np.ndarray
+    occurrences: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        base_pairs = self.base.pairs()
-        norm_sets = []
-        for i, s in enumerate(self.sets):
-            pairs = norm_pairs(s)
-            if not pairs:
+        counts = np.bincount(self.ids, minlength=self.base.m)
+        missing = np.flatnonzero(counts == 0)
+        if len(missing):
+            pairs = list(zip(self.base.u[missing].tolist(), self.base.v[missing].tolist()))
+            raise ValueError(f"family does not cover the base edge set; missing {pairs}")
+        counts.flags.writeable = False
+        object.__setattr__(self, "occurrences", counts)
+
+    @classmethod
+    def from_pairs(cls, base: WeightedGraph, sets) -> EdgeFamily:
+        """The family of these sets of [u, v] pairs over `base`, either way
+        round, a repeat counted once; the first set that is empty or holds a
+        pair that is no base edge is refused. One sort orders every set."""
+        t, m = len(sets), base.m
+        flat = list(chain.from_iterable(sets))
+        ids, which = edge_ids(base, flat), np.repeat(np.arange(t), list(map(len, sets)))
+        bad = np.flatnonzero((np.bincount(which, minlength=t) == 0) | (np.bincount(which[ids < 0], minlength=t) > 0))
+        if len(bad):
+            i = int(bad[0])
+            if not sets[i]:
                 raise ValueError(f"set {i} is empty")
-            if not pairs <= base_pairs:
-                raise ValueError(f"set {i} contains edges not in the base graph: {sorted(pairs - base_pairs)}")
-            norm_sets.append(pairs)
-        object.__setattr__(self, "sets", tuple(norm_sets))
-        if self.occurrences.keys() != base_pairs:
-            missing = sorted(base_pairs.difference(self.occurrences))
-            raise ValueError(f"family does not cover the base edge set; missing {missing}")
+            outside = {norm_pair(*flat[k]) for k in np.flatnonzero((which == i) & (ids < 0))}
+            raise ValueError(f"set {i} contains edges not in the base graph: {sorted(outside)}")
+        key = np.sort(which * m + ids)  # set i's ids as i * m + id
+        key = key[np.diff(key, prepend=-1) != 0]
+        return cls(base, key % max(m, 1), np.searchsorted(key, np.arange(t + 1) * m))
 
     @property
     def t(self) -> int:
-        return len(self.sets)
+        return len(self.offsets) - 1
 
-    def union(self) -> frozenset[Edge]:
-        return self.base.pairs()
+    def set_ids(self, i: int) -> np.ndarray:
+        """The base-edge ids of set i (0-based)."""
+        return self.ids[self.offsets[i] : self.offsets[i + 1]]
 
-    @cached_property
-    def occurrences(self) -> Counter[Edge]:
-        """Occurrence number of every edge of the union, counted once; the
-        cover check reads it first, as the family is built."""
-        return occurrence_counts(self.sets)
-
-
-def occurrence_counts(sets) -> Counter:
-    """How many of the sets contain each element of their union."""
-    return Counter(chain.from_iterable(sets))
+    def subgraph(self, ids) -> WeightedGraph:
+        """The base's subgraph on the edges at these ascending ids, or a mask."""
+        return WeightedGraph._trusted(self.base.n, self.base.records[ids])
 
 
 def occurrence_number(f: EdgeFamily, edge) -> int:
     """Number of family sets containing the edge (0 if in none)."""
-    return f.occurrences.get(norm_pair(*edge), 0)
+    i = int(edge_ids(f.base, [edge])[0])
+    return int(f.occurrences[i]) if i >= 0 else 0
 
 
 def overlapping_cardinality(f: EdgeFamily, subset) -> int:
@@ -75,26 +85,26 @@ def overlapping_cardinality(f: EdgeFamily, subset) -> int:
 
     Undefined (and rejected) for the empty set.
     """
-    pairs = [norm_pair(u, v) for u, v in subset]
+    pairs = list(subset)
     if not pairs:
         raise ValueError("overlapping cardinality is undefined for the empty set")
-    counts = f.occurrences
-    outside = [p for p in pairs if p not in counts]
-    if outside:
+    ids = edge_ids(f.base, pairs)
+    if (ids < 0).any():
+        outside = [norm_pair(u, v) for (u, v), i in zip(pairs, ids.tolist()) if i < 0]
         raise ValueError(f"edges outside the family union: {sorted(outside)}")
-    values = {counts[p] for p in pairs}
-    if len(values) == 1:
-        return values.pop()
-    return 0
+    counts = np.unique(f.occurrences[ids])
+    return int(counts[0]) if len(counts) == 1 else 0
 
 
-def overlapping_cardinality_partition(f: EdgeFamily) -> tuple[tuple[int, frozenset[Edge]], ...]:
+def overlapping_cardinality_partition(f: EdgeFamily) -> tuple[tuple[int, WeightedGraph], ...]:
     """The (cardinality, edge set) classes of edges grouped by occurrence
-    number, in increasing order of cardinality."""
-    by_count: dict[int, set[Edge]] = {}
-    for p, c in f.occurrences.items():
-        by_count.setdefault(c, set()).add(p)
-    return tuple((c, frozenset(by_count[c])) for c in sorted(by_count))
+    number, in increasing order of cardinality; each edge set is the base's
+    subgraph on the class. A stable sort by count keeps each class's ids
+    ascending, so its edges stay in (u, v) order."""
+    order = np.argsort(f.occurrences, kind="stable")
+    counts = f.occurrences[order]
+    bounds = [*np.flatnonzero(np.diff(counts, prepend=-1)).tolist(), len(order)]
+    return tuple((int(counts[a]), f.subgraph(order[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
 def combined_laplacian_residual(f: EdgeFamily) -> float:
@@ -104,11 +114,11 @@ def combined_laplacian_residual(f: EdgeFamily) -> float:
     Zero (up to roundoff) for every valid family.
     """
     lhs = np.zeros((f.base.n, f.base.n))
-    for s in f.sets:
-        lhs += laplacian(induced_subgraph(f.base, s))
+    for i in range(f.t):
+        lhs += laplacian(f.subgraph(f.set_ids(i)))
     rhs = np.zeros_like(lhs)
     for c, cls in overlapping_cardinality_partition(f):
-        rhs += c * laplacian(induced_subgraph(f.base, cls))
+        rhs += c * laplacian(cls)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -136,7 +146,7 @@ def family_from_dict(doc: dict, base_dir=".") -> EdgeFamily:
         raise ParseError("malformed 'sets' entry: every edge must be a [u, v] pair of integers")
     base = load_graph_file(os.path.join(base_dir, doc["graph"]))
     try:
-        return EdgeFamily(base, tuple(sets))
+        return EdgeFamily.from_pairs(base, sets)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

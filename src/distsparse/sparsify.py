@@ -238,8 +238,7 @@ def union_sparsifiers(parts, f: EdgeFamily) -> UnionSparsifier:
         if p.h.n != n:
             raise DimensionMismatch(f"part {i} has n={p.h.n}, base has n={n}")
 
-    counts = f.occurrences.values()
-    c1, ck = min(counts), max(counts)
+    c1, ck = int(f.occurrences.min()), int(f.occurrences.max())
 
     # a stable sort keeps each pair's copies part after part, each part in
     # edge order, and np.bincount adds them in that order

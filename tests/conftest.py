@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,17 @@ def elem_edge(e: int) -> tuple[int, int]:
     return (e, e + 1)
 
 
+def edge_pairs(x, ids=None):
+    """Edge sets as frozensets of (u, v) pairs, the form the reference
+    checks read: a graph's edges (with `ids`, only those at these indices
+    into its records, such as a family's base-edge ids), or a family's sets,
+    one frozenset each, in order."""
+    if isinstance(x, EdgeFamily):
+        return tuple(edge_pairs(x.base, x.set_ids(i)) for i in range(x.t))
+    records = x.records if ids is None else x.records[sorted(ids)]
+    return frozenset(zip(records["u"].tolist(), records["v"].tolist()))
+
+
 def family_from_index_sets(index_sets) -> EdgeFamily:
     """Realize abstract element sets as path edges over a base graph whose
     edge set is exactly the union."""
@@ -36,12 +50,37 @@ def family_from_index_sets(index_sets) -> EdgeFamily:
     n = max(union) + 2
     base = WeightedGraph(n, tuple((e, e + 1, 1.0) for e in union))
     sets = tuple(frozenset(elem_edge(e) for e in s) for s in index_sets)
-    return EdgeFamily(base, sets)
+    return EdgeFamily.from_pairs(base, sets)
 
 
 @pytest.fixture
 def example1_family() -> EdgeFamily:
     return family_from_index_sets(EXAMPLE1_SETS)
+
+
+def reference_partition(base: WeightedGraph, sets) -> dict:
+    """The `partition` report of a family document's `sets` over `base`,
+    computed the way the family was once held, as frozensets of canonical
+    (u, v) pairs counted by a `Counter`; or the `ValueError` whose message
+    the command reports as its parse error."""
+    base_pairs = edge_pairs(base)
+    canonical = []
+    for i, s in enumerate(sets):
+        pairs = frozenset((u, v) if u < v else (v, u) for u, v in s)
+        if not pairs:
+            raise ValueError(f"set {i} is empty")
+        if not pairs <= base_pairs:
+            raise ValueError(f"set {i} contains edges not in the base graph: {sorted(pairs - base_pairs)}")
+        canonical.append(pairs)
+    counts = Counter(chain.from_iterable(canonical))
+    if counts.keys() != base_pairs:
+        raise ValueError(f"family does not cover the base edge set; missing {sorted(base_pairs - counts.keys())}")
+    cards = sorted(set(counts.values()))
+    return {
+        "schema": 1,
+        "cardinalities": cards,
+        "classes": [{"cardinality": c, "edges": sorted(p for p in counts if counts[p] == c)} for c in cards],
+    }
 
 
 # --- random graphs and coverings ----------------------------------------
@@ -72,7 +111,7 @@ def dense_random_graph(rng, n, p) -> WeightedGraph:
 
 def random_covering_family(rng, g: WeightedGraph, t: int) -> EdgeFamily:
     """Random family of t nonempty subsets whose union is E(g)."""
-    pairs = sorted(g.pairs())
+    pairs = sorted(edge_pairs(g))
     members = [set() for _ in range(t)]
     for p in pairs:
         home = int(rng.integers(t))
@@ -83,7 +122,7 @@ def random_covering_family(rng, g: WeightedGraph, t: int) -> EdgeFamily:
     for i, s in enumerate(members):
         if not s:
             s.add(pairs[int(rng.integers(len(pairs)))])
-    return EdgeFamily(g, tuple(frozenset(s) for s in members))
+    return EdgeFamily.from_pairs(g, tuple(frozenset(s) for s in members))
 
 
 # --- sunflower-shaped families ------------------------------------------
@@ -157,11 +196,11 @@ def planted_three_block_graph(rng, n=30, p_in=0.9, p_out=0.05) -> tuple[Weighted
 def star_family_over_graph(g: WeightedGraph) -> EdgeFamily:
     """Allocate a graph's edges as a sunflower with kernel one edge and one
     private petal edge per site (set size 2, s = m - 1 sites)."""
-    pairs = sorted(g.pairs())
+    pairs = sorted(edge_pairs(g))
     kernel = pairs[0]
     petals = pairs[1:]
     sets = tuple(frozenset({kernel, p}) for p in petals)
-    return EdgeFamily(g, sets)
+    return EdgeFamily.from_pairs(g, sets)
 
 
 def block_star_family(rng, n=30, s=9, ell=3) -> tuple[EdgeFamily, list[int]]:
@@ -190,7 +229,7 @@ def block_star_family(rng, n=30, s=9, ell=3) -> tuple[EdgeFamily, list[int]]:
     for i in range(s):
         mine = petals[i * (ell - 1) : (i + 1) * (ell - 1)]
         sets.append(frozenset({kernel, *mine}))
-    return EdgeFamily(g, tuple(sets)), labels
+    return EdgeFamily.from_pairs(g, tuple(sets)), labels
 
 
 @pytest.fixture
@@ -205,7 +244,7 @@ def planted_blocks():
 def _view_petals(f: EdgeFamily, j: int) -> frozenset:
     """Union minus intersection of the sets site j sees: its petal union
     when that view is a sunflower."""
-    view = [s for k, s in enumerate(f.sets, 1) if k != j]
+    view = [s for k, s in enumerate(edge_pairs(f), 1) if k != j]
     return frozenset.union(*view) - frozenset.intersection(*view)
 
 
@@ -214,11 +253,12 @@ def reference_broadcast(f: EdgeFamily, j: int) -> dict[int, frozenset]:
     site i != j joins the petals site j writes, the kernel and the union
     less the edges only E_i holds; site j joins the petals, the kernel and
     E_j."""
-    known = _view_petals(f, j) | frozenset.intersection(*f.sets)
-    union = frozenset.union(*f.sets)
+    sets = edge_pairs(f)
+    known = _view_petals(f, j) | frozenset.intersection(*sets)
+    union = frozenset.union(*sets)
     recon = {}
-    for i, own in enumerate(f.sets, 1):
-        others = [s for k, s in enumerate(f.sets, 1) if k != i]
+    for i, own in enumerate(sets, 1):
+        others = [s for k, s in enumerate(sets, 1) if k != i]
         recon[i] = known | own if i == j else known | (union - (own - frozenset.union(*others)))
     return recon
 
@@ -229,11 +269,11 @@ def reference_exchange(f: EdgeFamily, j: int, epsilon: float, seed: int) -> dict
     site's own sparsifier of (V, E_j), drawn from the seeds the protocol
     draws (site j first, then the others in order); site j takes the part
     of the lowest-numbered other site."""
-    delta_j, e_j = _view_petals(f, j), f.sets[j - 1]
+    delta_j, e_j = _view_petals(f, j), edge_pairs(f)[j - 1]
     others = [i for i in range(1, f.t + 1) if i != j]
     rng = np.random.default_rng(seed)
     seeds = {i: int(rng.integers(2**63)) for i in [j, *others]}
-    two_part = EdgeFamily(f.base, (delta_j, e_j) if delta_j else (e_j,))
+    two_part = EdgeFamily.from_pairs(f.base, (delta_j, e_j) if delta_j else (e_j,))
     shared = [sparsify_er(induced_subgraph(f.base, delta_j), epsilon, seeds[j])] if delta_j else []
     results = {}
     for i in [*others, j]:

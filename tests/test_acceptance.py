@@ -37,6 +37,7 @@ from distsparse import (
 )
 from distsparse.errors import PreconditionError
 from conftest import (
+    edge_pairs,
     EXAMPLE1_SETS,
     block_star_family,
     elem_edge,
@@ -58,7 +59,7 @@ def report(num, name):
 def exact_parts(f):
     return [
         SparsifierResult(h=induced_subgraph(f.base, s), epsilon_certified=0.0)
-        for s in f.sets
+        for s in edge_pairs(f)
     ]
 
 
@@ -77,7 +78,7 @@ def test_criterion_1_worked_examples():
         4: frozenset({elem_edge(1), elem_edge(4)}),
         5: frozenset({elem_edge(2), elem_edge(3)}),
     }
-    assert dict(part) == expected_classes
+    assert {c: edge_pairs(cls) for c, cls in part} == expected_classes
     report(1, "worked examples")
 
 
@@ -106,7 +107,7 @@ def test_criterion_3_union_bound_soundness():
 
         er_parts = [
             sparsify_er(induced_subgraph(g, s), 0.5, seed=int(rng.integers(2**31)))
-            for s in f.sets
+            for s in edge_pairs(f)
         ]
         u2 = union_sparsifiers(er_parts, f)
         assert verify_epsilon(g, u2.h) <= u2.epsilon_prime + 1e-9, f"sampled trial {trial}"
@@ -115,7 +116,7 @@ def test_criterion_3_union_bound_soundness():
     g = random_graph(np.random.default_rng(5), 12, p=0.5)
     from distsparse import EdgeFamily
 
-    f = EdgeFamily(g, (g.pairs(), g.pairs()))
+    f = EdgeFamily.from_pairs(g, (edge_pairs(g), edge_pairs(g)))
     u = union_sparsifiers(exact_parts(f), f)
     assert abs(verify_epsilon(g, u.h) - 0.5) <= 1e-9
     assert abs(u.epsilon_prime - epsilon_prime(0.0, 2, 2)) <= 1e-9
@@ -133,7 +134,7 @@ def test_criterion_4_verifier_exactness():
 
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(4, 16)), p=0.6)
-        pairs = sorted(g.pairs())
+        pairs = sorted(edge_pairs(g))
         keep = [p for p in pairs if rng.random() < 0.8] or pairs[:1]
         h = induced_subgraph(g, keep)
         eps = verify_epsilon(g, h)
@@ -181,7 +182,7 @@ def test_criterion_6_sunflower_verification_protocol():
             f = family_from_index_sets([{e + 1 for e in st} for st in sets])
         transcript, verdict = protocol_verify_sunflower(f)
         assert transcript.bit_cost == f.t - 1
-        assert verdict == is_delta_system(f.sets).is_delta, f"trial {trial}"
+        assert verdict == is_delta_system(edge_pairs(f)).is_delta, f"trial {trial}"
     report(6, "sunflower verification protocol")
 
 
@@ -201,7 +202,7 @@ def test_criterion_7_broadcast_cost_formula():
         assert abs(r1 - len(union) * (1 - delta)) < 1e-9
         assert transcript.edge_cost == r1 + ell
         for i, edges in recon.items():
-            assert edges == f.base.pairs(), f"site {i} reconstruction, trial {trial}"
+            assert edge_pairs(edges) == edge_pairs(f.base), f"site {i} reconstruction, trial {trial}"
     report(7, "broadcast cost formula")
 
 
@@ -269,7 +270,7 @@ def test_criterion_10_lemma_property_suites():
     # sunflower but the family {1,2},{2,3},{1,3} is not
     f3 = family_from_index_sets([{1, 2}, {2, 3}, {1, 3}])
     assert all(is_delta_system(site_view(f3, j)).is_delta for j in (1, 2, 3))
-    assert not is_delta_system(f3.sets).is_delta
+    assert not is_delta_system(edge_pairs(f3)).is_delta
     with pytest.raises(PreconditionError):
         lemma3_check(f3)
     report(10, "sunflower lemma property suites")

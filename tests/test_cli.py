@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from collections import Counter
@@ -17,6 +19,7 @@ from distsparse import SparsifierResult, WeightedGraph, deza_threshold, dump_gra
 from distsparse import cli, graph, nof
 from distsparse.cli import main
 from conftest import (
+    edge_pairs,
     EXAMPLE1_SETS,
     _view_petals,
     family_from_index_sets,
@@ -39,7 +42,7 @@ def write_graph(path, g):
 
 def write_family(tmp_path, f, name="fam"):
     write_graph(tmp_path / f"{name}.el", f.base)
-    doc = {"graph": f"{name}.el", "sets": [[list(e) for e in sorted(s)] for s in f.sets]}
+    doc = {"graph": f"{name}.el", "sets": [[list(e) for e in sorted(s)] for s in edge_pairs(f)]}
     fpath = tmp_path / f"{name}.json"
     fpath.write_text(json.dumps(doc))
     return str(fpath)
@@ -471,7 +474,7 @@ class TestNofCmds:
         for j in range(1, f.t + 1):
             _, doc = run_json(runner, ["nof", "broadcast", "--family", fam, "--site", str(j)])
             payloads = [w["payload"] for r in doc["rounds"] for w in r["writes"]]
-            assert payloads == [base_weighted(f, _view_petals(f, j)), base_weighted(f, f.sets[j - 1])]
+            assert payloads == [base_weighted(f, _view_petals(f, j)), base_weighted(f, edge_pairs(f)[j - 1])]
             recon = reference_broadcast(f, j)
             assert doc["reconstructions"] == [{"site": i, "edges": [list(e) for e in sorted(recon[i])]} for i in sorted(recon)]
             args = ["nof", "exchange", "--family", fam, "--site", str(j), "--epsilon", str(epsilon), "--seed", str(seed)]
@@ -495,7 +498,7 @@ class TestNofCmds:
         }
         printed = invoke(["nof", "broadcast", "--family", fam, "--site", str(j)])
         assert printed.stdout == json.dumps(expected, allow_nan=False) + "\n"
-        counts = Counter(e for edges in f.sets for e in edges)
+        counts = Counter(e for edges in edge_pairs(f) for e in edges)
         cards = sorted(set(counts.values()))
         expected = {
             "schema": 1,
@@ -757,13 +760,13 @@ class TestErrorContract:
 
 
 
-# --- the emit path: each distinct edge set is rendered once and spliced in
+# --- the emit path: each graph object is rendered once and spliced in
 
 
 def expanded(doc):
-    """`doc` with every frozenset replaced by its sorted edges."""
-    if isinstance(doc, frozenset):
-        return sorted(doc)
+    """`doc` with every graph replaced by its sorted [u, v] pairs."""
+    if isinstance(doc, WeightedGraph):
+        return sorted(edge_pairs(doc))
     if isinstance(doc, dict):
         return {k: expanded(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -771,7 +774,7 @@ def expanded(doc):
     return doc
 
 
-SHARED = frozenset({(0, 1), (1, 2), (0, 5), (3, 4)})
+SHARED = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 0.5), (0, 5, 2.0), (3, 4, 1.0)))
 
 
 class TestJsonLine:
@@ -781,13 +784,16 @@ class TestJsonLine:
             pytest.param(
                 {
                     "sites": [{"site": i, "edges": SHARED} for i in range(40)],
-                    "more": {"petals": frozenset({(7, 9), (2, 8)}), "nested": [[SHARED, frozenset()], {"again": SHARED}]},
+                    "more": {
+                        "petals": WeightedGraph(10, ((7, 9, 1.0), (2, 8, 1.0))),
+                        "nested": [[SHARED, WeightedGraph(3, ())], {"again": SHARED}],
+                    },
                     "payload": [(0, 1, 0.5)],
                 },
                 id="shared-and-distinct",
             ),
-            pytest.param({"a": SHARED, "b": [frozenset(sorted(SHARED)), SHARED]}, id="equal-distinct-objects"),
-            pytest.param({"edges": SHARED, "text": json.dumps(sorted(SHARED))}, id="string-equal-to-fragment"),
+            pytest.param({"a": SHARED, "b": [WeightedGraph(6, SHARED.records), SHARED]}, id="equal-distinct-objects"),
+            pytest.param({"edges": SHARED, "text": json.dumps(sorted(edge_pairs(SHARED)))}, id="string-equal-to-fragment"),
             pytest.param({"none": [], "x": 1.5, "s": "\u0000"}, id="no-edge-set"),
         ],
     )
@@ -798,14 +804,16 @@ class TestJsonLine:
         pieces = cli._json_line({"sites": [{"site": i, "edges": SHARED} for i in range(40)]})
         renderings = pieces[1::2]
         assert len(renderings) == 40
-        assert renderings[0] == json.dumps(sorted(SHARED))
+        assert renderings[0] == json.dumps(sorted(edge_pairs(SHARED)))
         assert all(r is renderings[0] for r in renderings)
 
     def test_nan_still_raises_value_error(self):
         with pytest.raises(ValueError):
             cli._json_line({"edges": SHARED, "x": math.nan})
 
-    @pytest.mark.parametrize("value", [object(), {(0, 1)}], ids=["object", "set"])
+    @pytest.mark.parametrize(
+        "value", [object(), {(0, 1)}, frozenset({(0, 1)})], ids=["object", "set", "frozenset"]
+    )
     def test_unknown_type_still_raises_type_error(self, value):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_line({"edges": SHARED, "x": value})
@@ -855,3 +863,54 @@ def test_out_writes_the_printed_report(tmp_path, report, failure):
     check_contract(failed)
     assert failed.exit_code == 1
     assert not (tmp_path / "failed.json").exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize(
+    "cmd, flag", [*((cmd, "--out") for cmd in OUT_COMMANDS), ("sparsify", "--output"), ("union", "--output")]
+)
+def test_files_are_all_or_nothing(tmp_path, cmd, flag, where):
+    """A file path that cannot be written, a directory or a path in a missing
+    one, is an io error that names it, and the command leaves none of its
+    files: no report, no edge list, no sidecar. Every other path it takes is
+    writable."""
+    (tmp_path / "dir").mkdir()
+    bad = str(tmp_path / "dir") if where == "directory" else str(tmp_path / "missing" / "x.json")
+    paths = {"--out": str(tmp_path / "report.json")}
+    if cmd in ("sparsify", "union"):
+        paths["--output"] = str(tmp_path / "h.el")
+    paths[flag] = bad
+    before = sorted(tmp_path.rglob("*"))
+    result = invoke([*OUT_COMMANDS[cmd][0], *(arg for item in paths.items() for arg in item)])
+    check_contract(result)
+    doc = json.loads(result.stdout)
+    assert (result.exit_code, doc["error"]) == (1, "io")
+    assert doc["detail"].endswith(repr(bad))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_to_a_pipe_is_written_in_place(tmp_path):
+    # a path naming a pipe (or a device, such as /dev/stdout) is written, not
+    # replaced by a file; the other files still go through temporaries
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    report = [*OUT_COMMANDS["sparsify"][0], "--output", str(tmp_path / "h.el")]
+    result = invoke([*report, "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert (result.exit_code, result.stdout) == (0, "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [(tmp_path / "h.el.json").read_bytes()] == [invoke(report).stdout_bytes]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.el", "h.el.json", "pipe"]
+
+
+def test_two_paths_to_one_file_write_it_once(tmp_path):
+    # the sidecar and --out name one file: it holds the report, as when each
+    # was written in turn
+    report = [*OUT_COMMANDS["sparsify"][0], "--output", str(tmp_path / "h.el")]
+    result = invoke([*report, "--out", f"{tmp_path}//h.el.json"])
+    assert (result.exit_code, result.stdout) == (0, "")
+    assert (tmp_path / "h.el.json").read_bytes() == invoke(report).stdout_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.el", "h.el.json"]

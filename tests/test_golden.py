@@ -66,6 +66,16 @@ and certified factor move with any edge or weight the reader gets wrong,
 was written by the implementation that shared exchange unions by part
 identity.
 
+`star-shuffled.fam.json` is `star.fam.json` with every other pair written
+[v, u], each set's pairs rotated (and some reversed in order), the kernel
+pair repeated in set 0 as itself and reversed, and one petal pair repeated
+in set 4. `outside.fam.json` is over `star.el`; its set 1 holds pairs that
+are not base edges ([6, 4], a negative id and an id of 2**64) and a later set
+is empty, so the error names set 1. Their `partition`, site-5 `broadcast`
+and error reports were written by the implementation that kept every family
+set as a frozenset of (u, v) pairs; the first two are byte for byte
+`partition-star.json` and `broadcast-site5.json`.
+
 Each command runs in a fresh interpreter through the body of the console
 script that `pyproject.toml` declares, `sys.exit(main())` after
 `from distsparse.cli import main`, with `src` on `PYTHONPATH`. Its exit
@@ -90,6 +100,7 @@ STAR, TWIN, SAME, CYCLE, TRIANGLES, STAR_SPARSE, TRIANGLES_SPARSE = (
     str(DATA / f"{name}.fam.json")
     for name in ("star", "twin", "same", "cycle", "triangles", "star-sparse", "triangles-sparse")
 )
+STAR_SHUFFLED, OUTSIDE = (str(DATA / f"{name}.fam.json") for name in ("star-shuffled", "outside"))
 STAR_EL, LOOP, P1, P2, JOIN, PLANTED = (
     str(DATA / f"{name}.el") for name in ("star", "loop", "cycle-p1", "cycle-p2", "cycle-join", "planted")
 )
@@ -165,6 +176,9 @@ def test_union_report_and_edge_list(tmp_path):
             ["nof", "exchange", "--family", TRIANGLES_SPARSE, "--site", "5", "--epsilon", "0.05", "--seed", "3"],
         ),
         ("sparsify-planted", ["sparsify", "--graph", PLANTED, "--epsilon", "0.5", "--seed", "3", "--constant", "0.5"]),
+        ("partition-star-shuffled", ["partition", "--family", STAR_SHUFFLED]),
+        ("broadcast-star-shuffled-site5", ["nof", "broadcast", "--family", STAR_SHUFFLED, "--site", "5"]),
+        ("error-parse-family", ["partition", "--family", OUTSIDE]),
     ],
 )
 def test_report(name, args):

@@ -332,6 +332,24 @@ class TestValidation:
         got = outcome(lambda: as_pair(WeightedGraph(n, rec)))
         assert got == outcome(lexsort_reference, n, rec)
 
+    @pytest.mark.parametrize("n", [3_037_000_499, 3_037_000_500, 2**40], ids=["one-key", "ranked", "ranked-2^40"])
+    def test_edge_ids_near_the_largest_one_key_n(self, n):
+        # beyond the one-key n the pairs' ids are ranked among the graph's own
+        # vertices first; an id out of range, or past int64, is no vertex
+        top = n - 1
+        g = WeightedGraph(n, [(top, top - 1, 2.0), (0, 1, 1.0), (top - 2, top, 0.5), (1, top, 3.0), (0, top, 1.5)])
+        index = {p: i for i, p in enumerate(zip(g.u.tolist(), g.v.tolist()))}
+        # (-1, n + 1) is out of range, and its key is that of the edge (0, 1)
+        absent = [(0, top - 1), (top - 1, 1), (top, top), (0, n), (-1, top), (top + 5, -3), (-1, n + 1)]
+        pairs = [*index, *((v, u) for u, v in index), *absent]
+        # with an id past int64 in the batch, every id is first read as a Python int
+        for batch in (pairs, [(2**64, 0), (0, -(2**63) - 1), *pairs]):
+            with np.errstate(all="raise"):
+                got = graph_mod.edge_ids(g, batch).tolist()
+            assert got == [index.get((min(p), max(p)), -1) for p in batch]
+        assert got[2 : 2 + 2 * g.m] == [*range(g.m), *range(g.m)]
+        assert graph_mod.edge_ids(WeightedGraph(n, ()), batch).tolist() == [-1] * len(batch)
+
     @pytest.mark.parametrize("bad", [0.5, "1", True], ids=["float", "str", "bool"])
     def test_ids_that_are_not_integers_are_refused(self, bad):
         # family files refuse these too; an EDGE_DTYPE array is typed already

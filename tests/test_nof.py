@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distsparse.nof as nof_mod
-import distsparse.overlap as overlap_mod
 from distsparse import (
     EdgeFamily,
     PreconditionError,
@@ -34,6 +33,7 @@ from distsparse import (
 from distsparse.nof import Write, _view_is_sunflower, bits_per_edge
 from distsparse.sparsify import _sparsify_each, union_sparsifiers
 from conftest import (
+    edge_pairs,
     elem_edge,
     family_from_index_sets,
     near_sunflower_index_sets,
@@ -163,13 +163,13 @@ class TestSiteView:
     def test_middle_site(self):
         f = family_from_index_sets([{1}, {2}, {3}])
         view = site_view(f, 2)
-        assert view == (edges_of({1}), edges_of({3}))
+        assert tuple(edge_pairs(f.base, s) for s in view) == (edges_of({1}), edges_of({3}))
 
     def test_first_site(self):
         f = family_from_index_sets([{1}, {2}, {3}, {4}])
         view = site_view(f, 1)
         assert len(view) == 3
-        assert edges_of({1}) not in view
+        assert edges_of({1}) not in [edge_pairs(f.base, s) for s in view]
 
     def test_single_site_rejected(self):
         f = family_from_index_sets([{1, 2}])
@@ -203,7 +203,7 @@ class TestDeltaSystem:
         rng = np.random.default_rng(0)
         for _ in range(100):
             f = random_delta_family(rng, int(rng.integers(2, 8)))
-            rep = is_delta_system(f.sets)
+            rep = is_delta_system(edge_pairs(f))
             assert rep.is_delta
             assert rep.is_weak_delta and rep.lam == len(rep.kernel)
 
@@ -223,16 +223,17 @@ class TestOccurrenceCountsAgainstPairwiseReference:
     @settings(max_examples=300, deadline=None)
     def test_site_views(self, sets):
         f = family_from_index_sets(sets)
-        views = [site_view(f, j) for j in range(1, f.t + 1)]
+        views = [[edge_pairs(f.base, s) for s in site_view(f, j)] for j in range(1, f.t + 1)]
         if f.t >= 3:
             for j, visible in enumerate(views, start=1):
                 is_delta, kernel, *_ = reference_delta(visible)
                 if is_delta:
-                    assert symmetric_difference_on_site(f, j) == frozenset.union(*visible) - kernel
+                    petals = symmetric_difference_on_site(f, j)
+                    assert edge_pairs(f.base, petals) == frozenset.union(*visible) - kernel
                 else:
                     with pytest.raises(PreconditionError, match="not a delta-system"):
                         symmetric_difference_on_site(f, j)
-            is_delta, kernel, *_ = reference_delta(f.sets)
+            is_delta, kernel, *_ = reference_delta(edge_pairs(f))
             if is_delta:
                 # Lemma 2: every view is a sunflower with the family's kernel
                 assert lemma2_check(f) is all(reference_delta(v)[:2] == (True, kernel) for v in views) is True
@@ -243,20 +244,20 @@ class TestOccurrenceCountsAgainstPairwiseReference:
             transcript, verdict = protocol_verify_sunflower(f)
             bits = [w.payload for w in transcript.writes]
             assert bits == [int(reference_delta(v)[0]) for v in views[:-1]]
-            assert verdict == reference_delta(f.sets)[0]
+            assert verdict == reference_delta(edge_pairs(f))[0]
             all_views = all(reference_delta(v)[0] for v in views)
-            assert lemma3_check(f) == (not all_views or reference_delta(f.sets)[0])
+            assert lemma3_check(f) == (not all_views or reference_delta(edge_pairs(f))[0])
 
     @given(index_families())
     @settings(max_examples=300, deadline=None)
     def test_partition_and_occurrence_numbers(self, sets):
         f = family_from_index_sets(sets)
-        naive = {p: sum(p in s for s in f.sets) for p in f.union()}
+        naive = {p: sum(p in s for s in edge_pairs(f)) for p in edge_pairs(f.base)}
         by_count = {}
         for p, c in naive.items():
             by_count.setdefault(c, set()).add(p)
         expected = tuple((c, frozenset(by_count[c])) for c in sorted(by_count))
-        assert overlapping_cardinality_partition(f) == expected
+        assert tuple((c, edge_pairs(cls)) for c, cls in overlapping_cardinality_partition(f)) == expected
         assert all(occurrence_number(f, p) == c for p, c in naive.items())
 
 
@@ -274,11 +275,11 @@ class TestSymmetricDifference:
     def test_star(self):
         f = family_from_index_sets([{1, 2}, {1, 3}, {1, 4}, {1, 5}])
         # view of site 4 is the star {1,2},{1,3},{1,4}
-        assert symmetric_difference_on_site(f, 4) == edges_of({2, 3, 4})
+        assert edge_pairs(f.base, symmetric_difference_on_site(f, 4)) == edges_of({2, 3, 4})
 
     def test_pairwise_disjoint(self):
         f = family_from_index_sets([{1}, {2}, {3}])
-        assert symmetric_difference_on_site(f, 3) == edges_of({1, 2})
+        assert edge_pairs(f.base, symmetric_difference_on_site(f, 3)) == edges_of({1, 2})
 
     def test_all_identical(self):
         f = family_from_index_sets([{1, 2}] * 4)
@@ -335,7 +336,7 @@ class TestLemmas:
         assert all(
             is_delta_system(site_view(f, j)).is_delta for j in range(1, 4)
         )
-        assert not is_delta_system(f.sets).is_delta
+        assert not is_delta_system(edge_pairs(f)).is_delta
         with pytest.raises(PreconditionError):
             lemma3_check(f)
 
@@ -363,7 +364,7 @@ class TestVerifySunflowerProtocol:
             else:
                 f = family_from_index_sets(near_sunflower_index_sets(s, 3, 1))
             transcript, verdict = protocol_verify_sunflower(f)
-            assert verdict == is_delta_system(f.sets).is_delta
+            assert verdict == is_delta_system(edge_pairs(f)).is_delta
             assert transcript.bit_cost == f.t - 1
 
     def test_too_few_sites(self):
@@ -438,7 +439,7 @@ class TestBroadcastProtocol:
         for j in (1, 5, 9):
             _, recon = protocol_broadcast_graph(f, j)
             for i, edges in recon.items():
-                assert edges == f.base.pairs(), f"site {i} reconstruction wrong"
+                assert edge_pairs(edges) == edge_pairs(f.base), f"site {i} reconstruction wrong"
 
     def test_threshold_precondition(self):
         f = family_from_index_sets(uniform_star_index_sets(8, 3, 1))
@@ -518,7 +519,7 @@ class TestExchangeProtocol:
         its own draw, and no two draws give the same local part."""
         edges = [e for k in range(0, 27, 3) for e in ((k, k + 1, 1.0), (k + 1, k + 2, 1.0), (k, k + 2, 1e-6))]
         sets = tuple(frozenset({(k, k + 1), (k + 1, k + 2), (k, k + 2)}) for k in range(0, 27, 3))
-        return EdgeFamily(WeightedGraph(27, edges), sets)
+        return EdgeFamily.from_pairs(WeightedGraph(27, edges), sets)
 
     @pytest.mark.parametrize("j, seed", [(1, 0), (5, 3), (9, 11)])
     def test_distinct_local_parts_match_reference(self, j, seed):
@@ -534,7 +535,7 @@ class TestExchangeProtocol:
         # (V, E_j) of the triangles the draws miss edges, so each result is
         # its seed's own reweighting and certificate
         f = self.nine_triangles()
-        for e_j in f.sets:
+        for e_j in edge_pairs(f):
             g_ej = induced_subgraph(f.base, e_j)
             each = _sparsify_each(g_ej, 0.3, seeds)
             assert len(each) == len(seeds)
@@ -553,7 +554,7 @@ class TestExchangeProtocol:
                 return super().multinomial(n, pvals, size)
 
         f = self.nine_triangles()
-        g_ej = induced_subgraph(f.base, f.sets[0])
+        g_ej = induced_subgraph(f.base, edge_pairs(f)[0])
         seeds = [0, 3, 11, 2**62 + 7]
         expected = _sparsify_each(g_ej, 0.3, seeds)
         monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Counting(np.random.PCG64(seed)))
@@ -603,7 +604,7 @@ def test_exchange_forms_one_union_per_distinct_part(monkeypatch, family, j, epsi
     `_sparsify_each`, so on the golden exchanges (seed 3) the unions formed
     are as many as the distinct part graphs."""
     f = load_family(GOLDEN / f"{family}.fam.json")
-    e_j = f.sets[j - 1]
+    e_j = edge_pairs(f)[j - 1]
     g_ej = induced_subgraph(f.base, e_j)
     parts = _sparsify_each(g_ej, epsilon, np.random.default_rng(3).integers(2**63, size=f.t).tolist()[1:])
     whole = [p for p in parts if p.h.m == len(e_j)]
@@ -622,30 +623,36 @@ def test_exchange_forms_one_union_per_distinct_part(monkeypatch, family, j, epsi
 
 
 def test_one_occurrence_count_per_family(monkeypatch):
-    """Building a family counts its occurrences once, for the cover check;
-    the partition and every NOF command read that count. The exchange
-    builds one more family, its two-part allocation, counted once too."""
-    built, counted = [], []
-    post_init, count = EdgeFamily.__post_init__, overlap_mod.occurrence_counts
+    """Building a family counts its occurrences once, in its constructor,
+    into one array; the partition, the sunflower verification and the
+    broadcast each read that one array object. The exchange builds one more
+    family, its two-part allocation, counted once too."""
+    built, read = [], []
+    post_init = EdgeFamily.__post_init__
 
     def building(f):
         built.append(f)
         post_init(f)
 
-    def counting(sets):
-        counted.append(sets)
-        return count(sets)
+    def reading(f):
+        read.append(f.__dict__["occurrences"])
+        return read[-1]
+
+    def storing(f, counts):
+        f.__dict__["occurrences"] = counts
 
     monkeypatch.setattr(EdgeFamily, "__post_init__", building)
-    monkeypatch.setattr(overlap_mod, "occurrence_counts", counting)
+    monkeypatch.setattr(EdgeFamily, "occurrences", property(reading, storing), raising=False)
     f = load_family(GOLDEN / "star.fam.json")
-    assert len(built) == len(counted) == 1
-    overlapping_cardinality_partition(f)
-    protocol_verify_sunflower(f)
-    protocol_broadcast_graph(f, 5)
-    assert len(built) == len(counted) == 1
+    assert len(built) == 1
+    for op in (overlapping_cardinality_partition, protocol_verify_sunflower, lambda f: protocol_broadcast_graph(f, 5)):
+        before = len(read)
+        op(f)
+        assert len(read) > before
+    assert all(counts is f.__dict__["occurrences"] for counts in read)
+    assert len(built) == 1
     protocol_sparsifier_exchange(f, 5, epsilon=0.3, seed=1)
-    assert len(built) == len(counted) == 2
+    assert len(built) == 2 and built[0] is f
 
 
 class TestTranscript:

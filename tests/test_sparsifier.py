@@ -22,7 +22,7 @@ from distsparse import (
     verify_epsilon,
 )
 from distsparse.sparsify import _pcg64_states, _sparsify_each
-from conftest import random_covering_family, random_graph
+from conftest import edge_pairs, random_covering_family, random_graph
 
 
 def scaled(g, alpha):
@@ -176,7 +176,7 @@ class TestEffectiveResistances:
     def test_triangle_series_parallel(self):
         g = complete_graph(3)
         r = effective_resistances(g)
-        for e in g.pairs():
+        for e in edge_pairs(g):
             assert r[e] == pytest.approx(2 / 3)
 
     def test_bridge_edge(self):
@@ -283,7 +283,7 @@ class TestVerifyEpsilon:
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(9)
         g = random_graph(rng, 10)
-        h = induced_subgraph(g, sorted(g.pairs())[: g.m - 2])
+        h = induced_subgraph(g, sorted(edge_pairs(g))[: g.m - 2])
         perm = rng.permutation(10)
         gp = WeightedGraph(10, tuple((perm[u], perm[v], w) for u, v, w in g.edges))
         hp = WeightedGraph(10, tuple((perm[u], perm[v], w) for u, v, w in h.edges))
@@ -577,14 +577,14 @@ class TestEpsilonPrime:
 def exact_parts(f):
     return [
         SparsifierResult(h=induced_subgraph(f.base, s), epsilon_certified=0.0)
-        for s in f.sets
+        for s in edge_pairs(f)
     ]
 
 
 class TestUnionSparsifiers:
     def test_single_set_is_identity(self):
         g = complete_graph(5)
-        f = EdgeFamily(g, (g.pairs(),))
+        f = EdgeFamily.from_pairs(g, (edge_pairs(g),))
         u = union_sparsifiers(exact_parts(f), f)
         assert u.h == g
         assert u.c1 == u.ck == 1
@@ -592,7 +592,7 @@ class TestUnionSparsifiers:
 
     def test_duplicated_family_tight_bound(self):
         g = complete_graph(6)
-        f = EdgeFamily(g, (g.pairs(), g.pairs()))
+        f = EdgeFamily.from_pairs(g, (edge_pairs(g), edge_pairs(g)))
         u = union_sparsifiers(exact_parts(f), f)
         assert u.c1 == u.ck == 2
         weights = {(u_, v_): w for u_, v_, w in g.edges}
@@ -615,8 +615,8 @@ class TestUnionSparsifiers:
         f = random_covering_family(rng, g, 3)
         parts = exact_parts(f)
         u = union_sparsifiers(parts, f)
-        expected = frozenset().union(*(p.h.pairs() for p in parts))
-        assert u.h.pairs() == expected
+        expected = frozenset().union(*(edge_pairs(p.h) for p in parts))
+        assert edge_pairs(u.h) == expected
         assert all(w > 0 for _, _, w in u.h.edges)
 
     def test_copies_summed_part_after_part(self):
@@ -628,7 +628,7 @@ class TestUnionSparsifiers:
             g = random_graph(rng, int(rng.integers(4, 14)), p=0.5)
             f = random_covering_family(rng, g, int(rng.integers(2, 7)))
             parts = []
-            for edges in f.sets:
+            for edges in edge_pairs(f):
                 sub = induced_subgraph(f.base, edges)
                 reweighted = tuple((u, v, w * float(rng.uniform(0.5, 2.0))) for u, v, w in sub.edges)
                 parts.append(SparsifierResult(h=WeightedGraph(g.n, reweighted), epsilon_certified=0.0))
@@ -644,19 +644,19 @@ class TestUnionSparsifiers:
 
     def test_part_count_mismatch(self):
         g = complete_graph(4)
-        f = EdgeFamily(g, (g.pairs(), g.pairs()))
+        f = EdgeFamily.from_pairs(g, (edge_pairs(g), edge_pairs(g)))
         with pytest.raises(ValueError):
             union_sparsifiers(exact_parts(f)[:1], f)
 
     def test_empty_parts(self):
         g = complete_graph(4)
-        f = EdgeFamily(g, (g.pairs(),))
+        f = EdgeFamily.from_pairs(g, (edge_pairs(g),))
         with pytest.raises(ValueError):
             union_sparsifiers([], f)
 
     def test_vertex_mismatch(self):
         g = complete_graph(4)
-        f = EdgeFamily(g, (g.pairs(),))
+        f = EdgeFamily.from_pairs(g, (edge_pairs(g),))
         bad = SparsifierResult(h=complete_graph(5), epsilon_certified=0.0)
         with pytest.raises(DimensionMismatch):
             union_sparsifiers([bad], f)
