@@ -331,7 +331,10 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
 # LAPACK's copy of its grounded block and the Cholesky factor, then the
 # factor, its inverse and the inverse's products; while verifying: L_H[S, S]
 # with C^-1 L_H C^-T written over it, the product C^-1 L_H and eigvalsh's
-# copy; while clustering: L[S, S], eigh's copy and its eigenvectors
+# copy; while clustering: L[S, S], eigh's copy and its eigenvectors, or L[S, S]
+# overwritten by the Lanczos certificate matrix, the Cholesky's copy and its
+# factor, and the (cap + 1) x |S| Lanczos basis, which clustering only uses
+# on a block of at least 4 (cap + 1) vertices (`cluster._kept_pairs`)
 _DENSE_ARRAYS = 4
 # a bound on the bytes per vertex that building the component index
 # (`WeightedGraph._components`) holds: at most eight 8-byte arrays, the

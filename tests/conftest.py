@@ -175,6 +175,12 @@ def near_sunflower_index_sets(s, ell, lam):
     return sets
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # --- planted block graphs -----------------------------------------------
 
 
@@ -191,6 +197,37 @@ def planted_three_block_graph(rng, n=30, p_in=0.9, p_out=0.05) -> tuple[Weighted
             if rng.random() < p:
                 edges.append((u, v, 1.0))
     return WeightedGraph(n, tuple(edges)), labels
+
+
+def planted_components(rng, components, p_in, p_out, weights=(0.1, 3.0)) -> WeightedGraph:
+    """Disjoint planted-partition components, built as one records array.
+    `components` lists each component's block sizes: a pair inside a block
+    is an edge with probability p_in, a pair across two blocks of one
+    component with p_out, and no edge joins two components. The vertices
+    are shuffled and the weights uniform in `weights`."""
+    sizes = [size for blocks in components for size in blocks]
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    comp = np.repeat(np.arange(len(components)), [sum(blocks) for blocks in components])
+    u, v = np.triu_indices(len(block), 1)
+    keep = (rng.random(len(u)) < np.where(block[u] == block[v], p_in, p_out)) & (comp[u] == comp[v])
+    perm = rng.permutation(len(block))
+    a, b = perm[u[keep]], perm[v[keep]]
+    records = np.empty(len(a), EDGE_DTYPE)
+    records["u"], records["v"], records["w"] = np.minimum(a, b), np.maximum(a, b), rng.uniform(*weights, len(a))
+    return WeightedGraph(len(block), np.sort(records, order=["u", "v"]))
+
+
+def rotation_symmetric_graph(rng, size):
+    """Three copies of one random graph on `size` vertices (p = 0.3),
+    copy i joined to copy i + 1 (mod 3) by five unit edges between like
+    vertices. Rotating the copies is an automorphism, so the smallest
+    nonzero eigenvalue, whose eigenvectors separate the copies, is double."""
+    u, v = np.triu_indices(size, 1)
+    keep = rng.random(len(u)) < 0.3
+    u, v, w = u[keep], v[keep], rng.uniform(0.1, 3, int(keep.sum()))
+    edges = [(i * size + a, i * size + b, x) for i in range(3) for a, b, x in zip(u.tolist(), v.tolist(), w.tolist())]
+    joins = [tuple(sorted((i * size + j, (i + 1) % 3 * size + j))) for i in range(3) for j in range(5)]
+    return WeightedGraph(3 * size, edges + [(a, b, 1.0) for a, b in joins])
 
 
 def star_family_over_graph(g: WeightedGraph) -> EdgeFamily:

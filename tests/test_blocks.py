@@ -26,7 +26,7 @@ from distsparse import (
     verify_epsilon,
 )
 from distsparse import graph
-from conftest import dense_random_graph
+from conftest import dense_random_graph, planted_components, rotation_symmetric_graph, same_bits
 
 # --- the n x n computation the blocks replace ----------------------------
 
@@ -111,11 +111,6 @@ def nxn_embedding(g, k, normalized):
         nz = np.nonzero(np.abs(vec) > 1e-12)[0]
         X[comp, col] = -vec if nz.size and vec[nz[0]] < 0 else vec
     return X
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # --- graphs of many components -------------------------------------------
@@ -268,6 +263,29 @@ class TestNoNxNArray:
         for name, path in paths.items():
             fresh = WeightedGraph(g.n, g.records)  # no factor cached yet
             assert self.peak(lambda: path(fresh)) < self.LIMIT, name
+
+
+class TestClusteringBlockPeak:
+    """One 600-vertex component: a block is 2.88 MB. `_DENSE_ARRAYS` counts
+    4 blocks for clustering; LAPACK's working copy (eigh's or the
+    Cholesky's) is allocated outside tracemalloc's view, so the traced peak
+    is the block, one array of its size (eigh's eigenvectors, the
+    certificate's outer product or the Cholesky factor) and the (cap + 1)
+    x 600 Lanczos basis, below 3 blocks, on every path."""
+
+    LIMIT = 3 * 8 * 600 * 600
+
+    def test_every_path_peaks_below_three_blocks(self):
+        planted = planted_components(np.random.default_rng(6), [(200, 200, 200)], 0.5, 0.05)
+        cases = {
+            "certified": (planted, 3),
+            "cap reached": (planted, 12),
+            "too small a block for the cap": (planted, 30),
+            "certificate failed": (rotation_symmetric_graph(np.random.default_rng(6), 200), 2),
+        }
+        for name, (g, k) in cases.items():
+            for normalized in (False, True):
+                assert TestNoNxNArray.peak(lambda: spectral_embedding(g, k, normalized)) < self.LIMIT, (name, normalized)
 
 
 class TestResistancesInChunks:

@@ -19,7 +19,8 @@ from distsparse import (
     spectral_clustering,
     spectral_embedding,
 )
-from conftest import planted_three_block_graph
+from distsparse import cluster, graph
+from conftest import planted_components, planted_three_block_graph, rotation_symmetric_graph, same_bits
 
 
 def two_triangles():
@@ -196,6 +197,143 @@ def test_embedding_drops_each_eigenvector_matrix():
         tracemalloc.stop()
     assert X.shape == (3000, 12)
     assert peak < 4 * 2**20
+
+
+def eigh_embedding(g, k, normalized=False):
+    """`spectral_embedding` as it was before the Lanczos path: one
+    `np.linalg.eigh` of every block of at least two vertices."""
+    members, starts, component, _ = g._components
+    c, sizes = len(starts) - 1, np.diff(starts)
+    X = np.zeros((g.n, k))
+    lead = members[: starts[min(c, k)]]
+    X[lead, component[lead]] = np.sqrt(1.0 / sizes[component[lead]])
+    if normalized:
+        d = g.degrees()
+        for col in np.flatnonzero(sizes[:k] > 1).tolist():
+            comp = members[starts[col] : starts[col + 1]]
+            X[comp, col] = np.sqrt(d[comp] / d[comp].sum())
+    if c >= k:
+        return X
+    values, vectors = [], []
+    for comp, L in graph._laplacian_blocks(g, g, normalized):
+        lam, vecs = np.linalg.eigh(L)
+        kept = min(k - c, len(comp) - 1)
+        values.append(lam[1 : kept + 1])
+        cols = vecs[:, 1 : kept + 1].copy()
+        vectors += [(comp, cols[:, j]) for j in range(kept)]
+    order = np.argsort(np.concatenate(values), kind="stable")[: k - c]
+    for col, (comp, vec) in enumerate((vectors[i] for i in order), start=c):
+        nz = np.nonzero(np.abs(vec) > 1e-12)[0]
+        X[comp, col] = -vec if nz.size and vec[nz[0]] < 0 else vec
+    return X
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The shapes passed to `np.linalg.eigh` and `np.linalg.cholesky`."""
+    seen = {"eigh": [], "cholesky": []}
+    for name in seen:
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, _real=real, _seen=seen[name], **kwargs):
+            _seen.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+# about 55 % of a planted graph with p_in 0.95 and p_out 0.5, reweighted by
+# 1/0.55: the spectrum of the benchmark's er-dense sparsifier (n = 800)
+ER_DENSE_LIKE = dict(components=[(267, 267, 266)], p_in=0.52, p_out=0.275, weights=(0.18, 5.5))
+
+
+class TestLanczosPath:
+    """Two components of 450 and 420 vertices, each three planted blocks,
+    at k = 4: each block's 2 kept pairs are found by certified Lanczos."""
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return planted_components(np.random.default_rng(11), [(150, 150, 150), (140, 140, 140)], 0.5, 0.05)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_kept_values_match_eigh(self, g, normalized):
+        d = g.degrees()
+        for comp, L in graph._laplacian_blocks(g, g, normalized):
+            mass = d[comp] if normalized else np.ones(len(comp))
+            lam, _ = cluster._kept_pairs(L.copy, np.sqrt(mass / mass.sum()), 2)
+            reference = np.linalg.eigvalsh(L)[1:3]
+            np.testing.assert_allclose(lam, reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_columns_match_eigh_without_a_block_eigh(self, g, solves, normalized):
+        X = spectral_embedding(g, 4, normalized)
+        sizes = [(450, 450), (420, 420)]
+        assert sorted(solves["cholesky"]) == sorted(sizes)  # one certificate per block
+        assert not set(solves["eigh"]) & set(sizes)
+        np.testing.assert_allclose(X, eigh_embedding(g, 4, normalized), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_labels_match_eigh(self, g, normalized):
+        reference = eigh_embedding(g, 4, normalized)
+        for seed in range(10):
+            assert spectral_clustering(g, 4, seed, normalized) == kmeans(reference, 4, seed)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_er_dense_like_k3_is_certified(self, solves, normalized):
+        g = planted_components(np.random.default_rng(12), **ER_DENSE_LIKE)
+        X = spectral_embedding(g, 3, normalized)
+        assert solves["cholesky"] == [(800, 800)] and (800, 800) not in solves["eigh"]
+        np.testing.assert_allclose(X, eigh_embedding(g, 3, normalized), rtol=0, atol=1e-10)
+
+
+class TestLanczosFallbacks:
+    """Where Lanczos cannot certify its pairs, the block takes eigh and the
+    embedding is bitwise the per-block eigh loop's."""
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_complete_graph_runs_out_of_krylov_space(self, solves, normalized):
+        # K_300 with unit weights: every vector off the kernel is an
+        # eigenvector, so beta vanishes after the first Lanczos vector
+        g = WeightedGraph(300, [(a, b, 1.0) for a, b in itertools.combinations(range(300), 2)])
+        X = spectral_embedding(g, 3, normalized)
+        assert solves == {"eigh": [(300, 300)], "cholesky": []}
+        assert same_bits(X, eigh_embedding(g, 3, normalized))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_double_eigenvalue_fails_the_certificate(self, solves, normalized):
+        g = rotation_symmetric_graph(np.random.default_rng(13), 100)
+        L = normalized_laplacian(g) if normalized else laplacian(g)
+        lam = np.linalg.eigvalsh(L)
+        np.testing.assert_allclose(lam[1], lam[2], rtol=1e-10)
+        solves["eigh"].clear()
+        X = spectral_embedding(g, 2, normalized)
+        # Lanczos finds one vector of the double eigenvalue; the Cholesky
+        # then sees a second eigenvalue below sigma and fails
+        assert solves["cholesky"] == [(300, 300)] and solves["eigh"][-1] == (300, 300)
+        assert same_bits(X, eigh_embedding(g, 2, normalized))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_weight_scale_keeps_eigh(self, solves, scale):
+        # Lanczos' dot products would overflow (or underflow) at these
+        # scales, where eigh scales the block itself; the CLI raises on
+        # overflow, so such a block skips Lanczos
+        g = planted_components(np.random.default_rng(11), [(150, 150, 150)], 0.5, 0.05, weights=(0.1 * scale, 3 * scale))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            X = spectral_embedding(g, 3)
+        assert solves == {"eigh": [(450, 450)], "cholesky": []}
+        assert same_bits(X, eigh_embedding(g, 3))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_cut_in_the_bulk_reaches_the_cap(self, solves, normalized):
+        # at k = 8 the cut lies inside the flat bulk of the spectrum: 7 pairs
+        # need more than the cap of 85 iterations
+        g = planted_components(np.random.default_rng(12), **ER_DENSE_LIKE)
+        X = spectral_embedding(g, 8, normalized)
+        cap = cluster._lanczos_cap(7)
+        assert cap == 85 and 800 >= 4 * (cap + 1)
+        assert solves["cholesky"] == [] and solves["eigh"][-2:] == [(cap, cap), (800, 800)]
+        assert same_bits(X, eigh_embedding(g, 8, normalized))
 
 
 class TestKmeans:
