@@ -5,21 +5,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import WeightedGraph, _check_block_size, _check_memory, _edges_by_component, _laplacian_block
+from .graph import WeightedGraph, _check_block_size, _check_memory, _laplacian_blocks
 
 _MAX_KMEANS_ITERS = 100
-# `_lanczos` stops once every kept Ritz pair's residual bound is at most
-# this times ||L||_1, checking every `_LANCZOS_CHECK` iterations; the
-# certificate places sigma `_CERTIFICATE_GAP` ||L||_1 above the last pair
+# `_lanczos` stops once every kept Ritz pair's residual bound r is at most
+# `_LANCZOS_TOL` ||L||_1 and r + eps ||L||_1 is at most `_LANCZOS_SEP` times
+# its gap to the rest of the spectrum; it checks every `_LANCZOS_CHECK`
+# iterations, then every m / `_LANCZOS_GROWTH` at iteration m
 _LANCZOS_TOL = 1e-12
+_LANCZOS_SEP = 1e-10
 _LANCZOS_CHECK = 4
-_CERTIFICATE_GAP = 1e-6
+_LANCZOS_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,16 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     definition rather than chosen by LAPACK. When c < k, each component of
     at least two vertices yields the kept = min(k - c, |S| - 1) smallest
     nonzero eigenpairs of its block L[S, S], built from its own edges (no
-    n x n array is made), by `_kept_pairs`: certified Lanczos on a block of
-    at least 4 (cap + 1) vertices, one `np.linalg.eigh` otherwise or when
-    Lanczos cannot certify its pairs. The pairs are merged across
+    n x n array is made), by `_kept_pairs`: certified Lanczos on a block
+    large enough for its iteration cap to cover kept, one `np.linalg.eigh`
+    otherwise or when Lanczos cannot certify its pairs, where the embedding
+    is bitwise the per-block eigh one. The pairs are merged across
     components by (eigenvalue, component order), and the k - c smallest
     fill the remaining columns, each made positive at its first nonzero
     entry. Only the kept columns of each component are held, so each
     |S| x |S| matrix is dropped after its eigensolve."""
     _check_k(g, k)
-    members, starts, component, local = g._components
+    members, starts, component, _ = g._components
     c, sizes = len(starts) - 1, np.diff(starts)
     X = np.zeros((g.n, k))
     lead = members[: starts[min(c, k)]]  # the first min(c, k) components' vertices
@@ -75,11 +77,8 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     if c >= k:
         return X
     _check_block_size(g)
-    if not normalized:
-        d = g.degrees()
     values, vectors = [], []  # nonzero spectra, in component order
-    for comp, e in _edges_by_component(g, g):
-        block = partial(_laplacian_block, d[comp], local[g.u[e]], local[g.v[e]], g.w[e], normalized)
+    for comp, block in _laplacian_blocks(g, g, normalized):
         kernel = np.sqrt(d[comp] / d[comp].sum()) if normalized else np.full(len(comp), np.sqrt(1.0 / len(comp)))
         lam, cols = _kept_pairs(block, kernel, min(k - c, len(comp) - 1))
         values.append(lam)
@@ -91,41 +90,51 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     return X
 
 
-def _lanczos_cap(kept: int) -> int:
-    """The Lanczos iteration cap for `kept` pairs: on er-dense's 800-vertex
-    sparsifier 2 pairs converge in 26-41 iterations, while 7 pairs, whose
-    cut lies in the flat bulk of the spectrum, need more than 100."""
-    return 50 + 5 * kept
+def _lanczos_cap(n: int, kept: int) -> int:
+    """The Lanczos iteration cap for the `kept` smallest pairs of an n x n
+    block, or 0 where the block takes eigh directly.
+
+    Measured on a 2-vCPU host, a run of m iterations that does not converge
+    plus the certificate costs as much as one eigh at m = 0.21 n to 0.35 n
+    (n = 100 to 1200), so the cap is n / 4. Lanczos is tried only when the
+    cap is at least 24 (kept + 2), set from a sweep of planted blocks
+    (n = 120 to 1200, kept = 1 to 12, a clear gap at the cut or a cut in
+    the bulk of the spectrum): 16 (kept + 2) and 20 (kept + 2) let in
+    blocks that ran to the cap, 24 (kept + 2) none. Every block of fewer
+    than 288 vertices takes eigh."""
+    cap = n // 4
+    return cap if cap >= 24 * (kept + 2) else 0
 
 
-def _kept_pairs(block, kernel: np.ndarray, kept: int) -> tuple[np.ndarray, np.ndarray]:
+def _kept_pairs(build, kernel: np.ndarray, kept: int) -> tuple[np.ndarray, np.ndarray]:
     """The `kept` smallest eigenvalues above the kernel of the Laplacian
-    block L = block() and their unit eigenvectors as columns; `kernel` is
+    block L = build() and their unit eigenvectors as columns; `kernel` is
     the block's unit kernel vector, and kept < |S|.
 
-    A block of at least 4 (cap + 1) vertices, with ||L||_1 between 1e-100
-    and 1e100 (so that no dot product overflows or underflows), takes
-    `_lanczos`. The pairs it returns are certified by Sylvester's law of
-    inertia: L is overwritten with M = L - sigma I + gamma (kernel kernel^T
-    + X X^T), X the Ritz vectors, sigma = theta_kept + 1e-6 ||L||_1 and
-    gamma = 2 ||L||_1, and if `np.linalg.cholesky` finds M
-    positive definite then L - sigma I, a rank-(kept + 1) negative update
-    of M, has at most kept + 1 negative eigenvalues: the kernel's 0 and
-    one within its residual of each Ritz value theta_i, so those are the
-    kept smallest, and the next eigenvalue lies at least 1e-6 ||L||_1
-    above theta_kept. When the iteration cap is reached, the Krylov space
-    runs out (as on a complete graph) or the Cholesky fails (as for a kept
-    eigenvalue that is double), the pairs are eigh's, on the untouched or a
-    rebuilt block, bitwise as for a smaller block."""
-    L = block()
-    n = len(L)
+    A block with a nonzero `_lanczos_cap`, and ||L||_1 between 1e-100 and
+    1e100 (so that no dot product overflows or underflows), takes
+    `_lanczos`. Its pairs are certified by Sylvester's law of inertia: L
+    is overwritten with M = L - sigma I + gamma (kernel kernel^T + X X^T),
+    X the Ritz vectors, sigma midway between the last kept Ritz value and
+    the next one and gamma = 2 ||L||_1. If `np.linalg.cholesky` finds M
+    positive definite, L - sigma I, a rank-(kept + 1) negative update of
+    M, has at most kept + 1 negative eigenvalues: the kernel's 0 and one
+    within its residual of each Ritz value, so those are the kept
+    smallest, and every other eigenvalue lies at or above sigma. With
+    `_lanczos`' stopping rule each column is then within about 1e-10 of
+    the true eigenvector. When the iteration cap is reached, the Krylov
+    space runs out (as on a complete graph) or the Cholesky fails (as for
+    a kept eigenvalue that is double), the pairs are eigh's, on the
+    untouched or a rebuilt block, bitwise as for a block without a cap."""
+    L = build()
+    cap = _lanczos_cap(len(L), kept)
     # the off-diagonal entries are <= 0, so column j's absolute sum is 2 L_jj - sum_i L_ij
-    norm1 = float(np.max(2.0 * L.diagonal() - L.sum(axis=0))) if n >= 4 * (_lanczos_cap(kept) + 1) else 0.0
+    norm1 = float(np.max(2.0 * L.diagonal() - L.sum(axis=0))) if cap else 0.0
     if 1e-100 <= norm1 <= 1e100:
-        found = _lanczos(L, kernel, kept, _LANCZOS_TOL * norm1)
+        found = _lanczos(L, kernel, kept, cap, norm1)
         if found is not None:
-            theta, vecs = found
-            np.fill_diagonal(L, L.diagonal() - (theta[-1] + _CERTIFICATE_GAP * norm1))
+            theta, vecs, sigma = found
+            np.fill_diagonal(L, L.diagonal() - sigma)
             Y = np.column_stack([kernel, vecs])
             L += (2.0 * norm1 * Y) @ Y.T
             try:
@@ -133,40 +142,60 @@ def _kept_pairs(block, kernel: np.ndarray, kept: int) -> tuple[np.ndarray, np.nd
                 return theta, vecs
             except np.linalg.LinAlgError:
                 del L
-                L = block()
+                L = build()
     lam, vecs = np.linalg.eigh(L)
     return lam[1 : kept + 1], vecs[:, 1 : kept + 1].copy()
 
 
-def _lanczos(L: np.ndarray, kernel: np.ndarray, kept: int, tol: float):
-    """(Ritz values, Ritz vectors as columns) of the `kept` smallest pairs of
-    the symmetric L on the complement of the unit vector `kernel`, once
-    every pair's residual bound |beta_m s_{m,i}| is at most tol, or None
-    when the cap is reached or the Krylov space runs out (beta <= tol)
-    first. The start vector is fixed; each new vector is orthogonalised
-    twice against `kernel` and every earlier vector (the basis holds
-    cap + 1 rows of len(L)), and convergence is checked every
-    `_LANCZOS_CHECK` iterations and at the cap."""
-    cap = _lanczos_cap(kept)
+def _lanczos(L: np.ndarray, kernel: np.ndarray, kept: int, cap: int, norm1: float):
+    """(Ritz values, Ritz vectors as columns, sigma) for the `kept` smallest
+    pairs of the symmetric L on the complement of the unit vector
+    `kernel`, or None when `cap` iterations pass or the Krylov space runs
+    out (beta <= tol) first; norm1 is ||L||_1.
+
+    The start vector is fixed. Each new vector is the three-term step
+    orthogonalised against `kernel` and every earlier vector, and again
+    if that cancels more than 30 % of its norm; the basis holds cap + 1
+    rows of len(L). At a check the pairs are accepted once every kept
+    pair's residual bound r = |beta_m s_{m,i}| is at most tol and
+    r + eps ||L||_1, which also covers rounding, is at most 1e-10 of the
+    pair's gap: to its kept neighbours, and for the last pair to sigma,
+    midway to the next Ritz value. A pair closer than about 2e-6 ||L||_1
+    to sigma or to a kept neighbour is thus never accepted, and eigh
+    decides such a block."""
+    tol = _LANCZOS_TOL * norm1
+    floor = np.finfo(float).eps * norm1
     Q = np.empty((cap + 1, len(L)))
     Q[0] = kernel
     q = np.random.default_rng(0).standard_normal(len(L))
     q -= kernel * (kernel @ q)
     Q[1] = q / np.linalg.norm(q)
     alpha, beta = np.empty(cap), np.empty(cap)
+    check = kept + 1
     for m in range(1, cap + 1):
         w = L @ Q[m]
         alpha[m - 1] = Q[m] @ w
-        for _ in range(2):
-            w -= Q[: m + 1].T @ (Q[: m + 1] @ w)
+        w -= alpha[m - 1] * Q[m] + (beta[m - 2] * Q[m - 1] if m > 1 else 0.0)
+        before = np.linalg.norm(w)
+        w -= Q[: m + 1].T @ (Q[: m + 1] @ w)
         beta[m - 1] = np.linalg.norm(w)
+        if beta[m - 1] < 0.7 * before:  # cancellation: orthogonalise again
+            w -= Q[: m + 1].T @ (Q[: m + 1] @ w)
+            beta[m - 1] = np.linalg.norm(w)
         if beta[m - 1] <= tol:
             return None
-        if m >= kept and (m % _LANCZOS_CHECK == 0 or m == cap):
+        if m == check or m == cap:
+            check = m + max(_LANCZOS_CHECK, m // _LANCZOS_GROWTH)
             T = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
             theta, S = np.linalg.eigh(T)
-            if np.all(np.abs(beta[m - 1] * S[-1, :kept]) <= tol):
-                return theta[:kept], Q[1 : m + 1].T @ S[:, :kept]
+            # each kept Ritz value's distance to its neighbours, the last
+            # one's to sigma, midway to the next Ritz value
+            gaps = np.diff(theta[: kept + 1])
+            gaps[-1] /= 2
+            delta = np.minimum(gaps, np.append(np.inf, gaps[:-1]))
+            r = np.abs(beta[m - 1] * S[-1, :kept])
+            if np.all((r <= tol) & (r + floor <= _LANCZOS_SEP * delta)):
+                return theta[:kept], Q[1 : m + 1].T @ S[:, :kept], theta[kept - 1] + gaps[-1]
         if m < cap:
             Q[m + 1] = w / beta[m - 1]
     return None

@@ -24,7 +24,7 @@ import os
 import re
 import warnings
 from dataclasses import FrozenInstanceError
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -254,7 +254,8 @@ class WeightedGraph:
         (`_check_block_size`)."""
         _check_block_size(self)
         blocks = []
-        for comp, L in _laplacian_blocks(self, self):
+        for comp, build in _laplacian_blocks(self, self):
+            L = build()
             try:
                 C = np.linalg.cholesky(L[1:, 1:])
             except np.linalg.LinAlgError:
@@ -333,8 +334,8 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
 # with C^-1 L_H C^-T written over it, the product C^-1 L_H and eigvalsh's
 # copy; while clustering: L[S, S], eigh's copy and its eigenvectors, or L[S, S]
 # overwritten by the Lanczos certificate matrix, the Cholesky's copy and its
-# factor, and the (cap + 1) x |S| Lanczos basis, which clustering only uses
-# on a block of at least 4 (cap + 1) vertices (`cluster._kept_pairs`)
+# factor, after the (cap + 1) x |S| Lanczos basis, at most a quarter block
+# (`cluster._kept_pairs`)
 _DENSE_ARRAYS = 4
 # a bound on the bytes per vertex that building the component index
 # (`WeightedGraph._components`) holds: at most eight 8-byte arrays, the
@@ -419,12 +420,18 @@ def _edges_by_component(g: WeightedGraph, parts: WeightedGraph):
 
 
 def _laplacian_blocks(g: WeightedGraph, parts: WeightedGraph, normalized: bool = False):
-    """(S, the block L[S, S] of g's Laplacian) for every component S of
-    `parts` with at least two vertices (`_edges_by_component`), each built
-    by `_laplacian_block` from S's edges and the degrees d[S] of g."""
+    """(S, build) for every component S of `parts` with at least two
+    vertices (`_edges_by_component`): build() makes the block L[S, S] of
+    g's Laplacian by `_laplacian_block` from S's edges and the degrees d[S]
+    of g, a new array on every call. `build` holds only S and its edge
+    indices; the block's edge ends and weights exist while it is built."""
     d, local = g.degrees(), parts._components[3]
+
+    def build(comp, e):
+        return _laplacian_block(d[comp], local[g.u[e]], local[g.v[e]], g.w[e], normalized)
+
     for comp, e in _edges_by_component(g, parts):
-        yield comp, _laplacian_block(d[comp], local[g.u[e]], local[g.v[e]], g.w[e], normalized)
+        yield comp, partial(build, comp, e)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:

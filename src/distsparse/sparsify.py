@@ -202,7 +202,8 @@ def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
     if np.any(component[h.u] != component[h.v]):
         return math.inf
     mu = [[1.0]]
-    for cinv, (_, Lh) in zip(blocks, _laplacian_blocks(h, g)):
+    for cinv, (_, build) in zip(blocks, _laplacian_blocks(h, g)):
+        Lh = build()
         M = Lh[1:, 1:]
         np.matmul(cinv @ M, cinv.T, out=M)  # written over L_H's block, which is read first
         mu.append(np.linalg.eigvalsh(M))

@@ -25,7 +25,7 @@ from distsparse import (
     spectral_embedding,
     verify_epsilon,
 )
-from distsparse import graph
+from distsparse import cluster, graph
 from conftest import dense_random_graph, planted_components, rotation_symmetric_graph, same_bits
 
 # --- the n x n computation the blocks replace ----------------------------
@@ -175,12 +175,12 @@ def check_blocks(g, h):
     for normalized, whole in ((False, L), (True, N)):
         blocks = list(graph._laplacian_blocks(g, g, normalized))
         assert [comp.tolist() for comp, _ in blocks] == comps
-        for comp, block in blocks:
-            assert same_bits(block, whole[np.ix_(comp, comp)])
+        for comp, build in blocks:
+            assert same_bits(build(), whole[np.ix_(comp, comp)])
     if not math.isinf(nxn_verify(g, h)):
         # H's blocks on G's components, as the verifier builds them
-        for comp, block in graph._laplacian_blocks(h, g):
-            assert same_bits(block, Lh[np.ix_(comp, comp)])
+        for comp, build in graph._laplacian_blocks(h, g):
+            assert same_bits(build(), Lh[np.ix_(comp, comp)])
 
 
 def check_dense_paths(g, h):
@@ -211,8 +211,8 @@ class TestBlocksAreTheSlices:
 
     def test_whole_graph_is_one_block(self):
         g = components_graph(np.random.default_rng(1), (30,), chord_p=0.3)
-        ((comp, block),) = graph._laplacian_blocks(g, g)
-        assert comp.tolist() == list(range(30)) and same_bits(block, laplacian(g))
+        ((comp, build),) = graph._laplacian_blocks(g, g)
+        assert comp.tolist() == list(range(30)) and same_bits(build(), laplacian(g))
 
     def test_edgeless_and_single_vertex_graphs_have_no_blocks(self):
         for g in (WeightedGraph(1, ()), WeightedGraph(4, ())):
@@ -271,19 +271,24 @@ class TestClusteringBlockPeak:
     Cholesky's) is allocated outside tracemalloc's view, so the traced peak
     is the block, one array of its size (eigh's eigenvectors, the
     certificate's outer product or the Cholesky factor) and the (cap + 1)
-    x 600 Lanczos basis, below 3 blocks, on every path."""
+    x 600 Lanczos basis, a quarter block, below 3 blocks, on every path."""
 
     LIMIT = 3 * 8 * 600 * 600
 
-    def test_every_path_peaks_below_three_blocks(self):
+    def test_every_path_peaks_below_three_blocks(self, monkeypatch):
         planted = planted_components(np.random.default_rng(6), [(200, 200, 200)], 0.5, 0.05)
         cases = {
-            "certified": (planted, 3),
-            "cap reached": (planted, 12),
-            "too small a block for the cap": (planted, 30),
-            "certificate failed": (rotation_symmetric_graph(np.random.default_rng(6), 200), 2),
+            "certified": (planted, 3, False),
+            "a full basis": (planted, 12, True),
+            "too many pairs for the cap": (planted, 12, False),
+            "certificate failed": (rotation_symmetric_graph(np.random.default_rng(6), 200), 2, False),
         }
-        for name, (g, k) in cases.items():
+        real_cap = cluster._lanczos_cap
+        for name, (g, k, full_cap) in cases.items():
+            # a cap of 150 iterations whatever the kept count: 11 pairs run
+            # to it (plain, then certified) or past it (normalized), so the
+            # largest basis is filled
+            monkeypatch.setattr(cluster, "_lanczos_cap", (lambda n, kept: n // 4) if full_cap else real_cap)
             for normalized in (False, True):
                 assert TestNoNxNArray.peak(lambda: spectral_embedding(g, k, normalized)) < self.LIMIT, (name, normalized)
 

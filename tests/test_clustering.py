@@ -215,8 +215,8 @@ def eigh_embedding(g, k, normalized=False):
     if c >= k:
         return X
     values, vectors = [], []
-    for comp, L in graph._laplacian_blocks(g, g, normalized):
-        lam, vecs = np.linalg.eigh(L)
+    for comp, build in graph._laplacian_blocks(g, g, normalized):
+        lam, vecs = np.linalg.eigh(build())
         kept = min(k - c, len(comp) - 1)
         values.append(lam[1 : kept + 1])
         cols = vecs[:, 1 : kept + 1].copy()
@@ -259,10 +259,10 @@ class TestLanczosPath:
     @pytest.mark.parametrize("normalized", [False, True])
     def test_kept_values_match_eigh(self, g, normalized):
         d = g.degrees()
-        for comp, L in graph._laplacian_blocks(g, g, normalized):
+        for comp, build in graph._laplacian_blocks(g, g, normalized):
             mass = d[comp] if normalized else np.ones(len(comp))
-            lam, _ = cluster._kept_pairs(L.copy, np.sqrt(mass / mass.sum()), 2)
-            reference = np.linalg.eigvalsh(L)[1:3]
+            lam, _ = cluster._kept_pairs(build, np.sqrt(mass / mass.sum()), 2)
+            reference = np.linalg.eigvalsh(build())[1:3]
             np.testing.assert_allclose(lam, reference, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("normalized", [False, True])
@@ -325,15 +325,65 @@ class TestLanczosFallbacks:
         assert same_bits(X, eigh_embedding(g, 3))
 
     @pytest.mark.parametrize("normalized", [False, True])
-    def test_cut_in_the_bulk_reaches_the_cap(self, solves, normalized):
-        # at k = 8 the cut lies inside the flat bulk of the spectrum: 7 pairs
-        # need more than the cap of 85 iterations
+    def test_cap_reached(self, solves, monkeypatch, normalized):
+        # at k = 8 the cut lies inside the flat bulk of the spectrum, where
+        # 7 pairs need far more than 40 iterations
+        monkeypatch.setattr(cluster, "_lanczos_cap", lambda n, kept: 40)
         g = planted_components(np.random.default_rng(12), **ER_DENSE_LIKE)
         X = spectral_embedding(g, 8, normalized)
-        cap = cluster._lanczos_cap(7)
-        assert cap == 85 and 800 >= 4 * (cap + 1)
-        assert solves["cholesky"] == [] and solves["eigh"][-2:] == [(cap, cap), (800, 800)]
+        assert solves["cholesky"] == [] and solves["eigh"][-2:] == [(40, 40), (800, 800)]
         assert same_bits(X, eigh_embedding(g, 8, normalized))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_er_dense_like_k8_takes_eigh_directly(self, solves, normalized):
+        # 7 pairs need a cap of 24 (7 + 2) = 216 iterations; an 800-vertex
+        # block's cap is 200, so no Lanczos iteration runs
+        g = planted_components(np.random.default_rng(12), **ER_DENSE_LIKE)
+        X = spectral_embedding(g, 8, normalized)
+        assert solves == {"eigh": [(800, 800)], "cholesky": []}
+        assert same_bits(X, eigh_embedding(g, 8, normalized))
+
+
+def split_rotation_graph(split):
+    """`rotation_symmetric_graph` on 3 x 100 vertices with one joining edge
+    made heavier by the factor 1 + split: no longer symmetric, its double
+    eigenvalue splits into two close ones."""
+    edges = list(rotation_symmetric_graph(np.random.default_rng(13), 100).edges)
+    i = next(j for j, (u, v, _) in enumerate(edges) if v - u >= 100)  # the first join
+    u, v, w = edges[i]
+    edges[i] = (u, v, w * (1 + split))
+    return WeightedGraph(300, edges)
+
+
+class TestSmallGapAtTheCut:
+    """At k = 2 the cut lies between the two eigenvalues of the split pair."""
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_certified_columns_match_eigh(self, solves, normalized):
+        # the pair lies about 1.4e-5 ||L||_1 apart: certified, and the
+        # column is well within 1e-10 of eigh's
+        g = split_rotation_graph(0.1)
+        X = spectral_embedding(g, 2, normalized)
+        assert solves["cholesky"] == [(300, 300)] and (300, 300) not in solves["eigh"]
+        np.testing.assert_allclose(X, eigh_embedding(g, 2, normalized), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_too_close_a_pair_is_left_to_eigh(self, solves, normalized):
+        # about 1.4e-7 ||L||_1 apart: no residual bound reaches 1e-10 of
+        # that gap, so Lanczos runs to its cap and eigh decides
+        g = split_rotation_graph(1e-3)
+        X = spectral_embedding(g, 2, normalized)
+        assert solves["cholesky"] == [] and solves["eigh"][-2:] == [(75, 75), (300, 300)]
+        assert same_bits(X, eigh_embedding(g, 2, normalized))
+
+
+def test_lanczos_gate():
+    # a cap of |S| / 4 iterations, and Lanczos only where it is at least
+    # 24 (kept + 2): no block below 288 vertices (every golden graph, and
+    # the 65- and 130-vertex pins of tests/test_blocks.py) tries it
+    assert [cluster._lanczos_cap(n, 1) for n in (287, 288)] == [0, 72]
+    assert [cluster._lanczos_cap(800, kept) for kept in (2, 6, 7)] == [200, 200, 0]
+    assert max(cluster._lanczos_cap(n, kept) for n in range(2, 288) for kept in range(1, n)) == 0
 
 
 class TestKmeans:
