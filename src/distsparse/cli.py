@@ -9,7 +9,8 @@ Every edge set a report holds is a graph, written as its (u, v) pairs; the
 emit path (`_json_line`) renders each graph object once and writes that one
 string wherever it appears, piece by piece, never joining the report into
 one string. The files (edge list, sidecar, ``--out``) are written all or
-none (`_place`). An infinite top-level value (an edge joins two components
+none (`_place`), and ``--out`` naming the edge list is refused before any
+is written. An infinite top-level value (an edge joins two components
 of the graph it is measured against, so no finite factor exists) is
 reported as null with ``"kernel_violation": true``; any other value that is
 not finite is an ``invalid-value`` error. A failure is one
@@ -68,7 +69,10 @@ def _json_line(doc: dict) -> list[str]:
             rendered.append(json.dumps(np.column_stack((obj.u, obj.v)).tolist()))
         return f"\0{index[id(obj)]}\0"
 
-    text = json.dumps(doc, allow_nan=False, default=edge_set) + "\n"
+    # a report is a tree the program builds, so no container needs a marker
+    text = json.dumps(doc, allow_nan=False, check_circular=False, default=edge_set) + "\n"
+    if not rendered:
+        return [text]
     pieces = _PLACEHOLDER.split(text)
     pieces[1::2] = [rendered[int(i)] for i in pieces[1::2]]
     return pieces
@@ -81,26 +85,37 @@ def _emit(pieces: list[str]):
     sys.stdout.flush()
 
 
-def _place(files: dict, pieces: list[str]) -> None:
-    """Write every file {path: a graph's edge list, or None, the report} to a
+def _place(files: list[tuple], pieces: list[str]) -> None:
+    """Write every file (path, a graph's edge list, or None, the report) to a
     new temporary beside its target (a link is followed), then move each
     into place; a device or a pipe, which cannot be replaced, is written
-    last. Any error removes the temporaries and the files placed."""
-    streams = [p for p in files if os.path.exists(p) and not os.path.isfile(p) and not os.path.isdir(p)]
-    targets = {os.path.realpath(p): p for p in files if p not in streams}  # of two paths to a file, the last
+    last. Two paths to one file must have one content, written once; two
+    contents for one file are a `ValueError` before anything is written.
+    Any error removes the temporaries and the files placed."""
+    targets = {}  # real path -> (path, content); of two paths to a file, the last
+    for path, content in files:
+        target = os.path.realpath(path)
+        if target in targets and targets[target][1] is not content:
+            raise ValueError(f"one file, {path!r}, is named for both the report and an edge list")
+        targets[target] = path, content
+    streams = [
+        targets.pop(t)
+        for t, (p, _) in list(targets.items())
+        if os.path.exists(p) and not os.path.isfile(p) and not os.path.isdir(p)
+    ]
     temps, placed, path = {}, [], None
     try:
-        for target, path in targets.items():
+        for target, (path, content) in targets.items():
             temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
             with open(temp, "x", encoding="utf-8") as fh:
                 temps[target] = temp
-                _write(fh, files[path], pieces)
-        for target, path in targets.items():
+                _write(fh, content, pieces)
+        for target, (path, _) in targets.items():
             os.replace(temps[target], target)
             placed.append(target)
-        for path in streams:
+        for path, content in streams:
             with open(path, "w", encoding="utf-8") as fh:
-                _write(fh, files[path], pieces)
+                _write(fh, content, pieces)
     except BaseException as exc:
         for name in [*temps.values(), *placed]:  # a temporary already moved is gone
             with contextlib.suppress(OSError):
@@ -145,7 +160,7 @@ def _command(fn):
                 if result is not None:
                     doc, files = result if isinstance(result, tuple) else (result, {})
                     pieces = _json_line(_report(doc))
-                    _place({**files, out: None} if out else files, pieces)
+                    _place([*files.items(), (out, None)] if out else files.items(), pieces)
                     if not out:
                         _emit(pieces)
                 return

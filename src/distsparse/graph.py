@@ -275,16 +275,17 @@ class WeightedGraph:
         grounded Laplacian, filled one component S at a time as an |S| x |S|
         block (X[S', S'] = C_S^-T C_S^-1 on the free vertices S' of S,
         `factor`, and zero on the grounded vertex) and read at S's edges,
-        `_CHUNK_ROWS` edges at a time."""
+        `_CHUNK_ROWS` edges at a time, its diagonal copied out once."""
         local, r = self._components[3], np.empty(self.m)
         # the factor first: it checks the size before any block exists
         for cinv, (comp, e) in zip(self.factor, _edges_by_component(self, self)):
             X = np.zeros((len(comp), len(comp)))
             np.matmul(cinv.T, cinv, out=X[1:, 1:])
+            diag = X.diagonal().copy()
             for start in range(0, len(e), _CHUNK_ROWS):
                 chunk = e[start : start + _CHUNK_ROWS]
                 u, v = local[self.u[chunk]], local[self.v[chunk]]
-                r[chunk] = X[u, u] + X[v, v] - 2.0 * X[u, v]
+                r[chunk] = diag[u] + diag[v] - 2.0 * X[u, v]
         r.flags.writeable = False
         return r
 
@@ -464,10 +465,17 @@ def quadratic_form(L: np.ndarray, x) -> float:
 
 def edge_ids(g: WeightedGraph, pairs: list) -> np.ndarray:
     """The index in `g.records` of each pair in `pairs`, either way round, or
-    -1 for a pair that is no edge: one `searchsorted` of the keys lo * n + hi
-    on those of the sorted records, exact while n * n fits in int64; beyond
-    that n, ids are first ranked among g's own vertices."""
-    uv = _ids(list(chain.from_iterable(pairs)))
+    -1 for a pair that is no edge (`end_ids` of the pairs' ends)."""
+    return end_ids(g, list(chain.from_iterable(pairs)))
+
+
+def end_ids(g: WeightedGraph, ends: list) -> np.ndarray:
+    """The index in `g.records` of each pair (ends[2k], ends[2k + 1]) of a
+    flat list of integer ends, either way round, or -1 for a pair that is no
+    edge: one `searchsorted` of the keys lo * n + hi on those of the sorted
+    records, exact while n * n fits in int64; beyond that n, ids are first
+    ranked among g's own vertices."""
+    uv = _ids(ends)
     if uv.dtype == object:  # an id past int64 is no vertex of g
         uv = np.where((uv >= 0) & (uv < g.n), uv, -1).astype(np.int64)
     ends, n, top = [uv[0::2], uv[1::2], g.u, g.v], g.n, np.iinfo(np.int64).max
@@ -662,14 +670,13 @@ def dump_graph(g: WeightedGraph, fh) -> None:
     `"{} {} {!r}".format(u, v, w)`), each line ending in a newline.
 
     The edges go out in chunks of `_CHUNK_ROWS`, one `fh.write` of one join
-    each, so the text held at once is one chunk's. A chunk's weights take
-    one `repr` of their list, cut at its `", "` separators (no finite
-    float's repr holds one); its ids come from a table of the ids this call
-    has met, never one string per vertex of n."""
+    each, so the text held at once is one chunk's. A chunk's weights are
+    each one `repr`; its ids come from a table of the ids this call has met,
+    never one string per vertex of n."""
     fh.write(f"n {g.n}\n")
     ids = _IdText().__getitem__
     for start in range(0, g.m, _CHUNK_ROWS):
         chunk = g.records[start : start + _CHUNK_ROWS]
-        ws = repr(chunk["w"].tolist())[1:-1].split(", ")
+        ws = map(repr, chunk["w"].tolist())
         us, vs = map(ids, chunk["u"].tolist()), map(ids, chunk["v"].tolist())
         fh.write("".join(chain.from_iterable(zip(us, vs, ws, repeat("\n")))))

@@ -72,11 +72,18 @@ class Transcript:
         return sum(w.edge_cost for w in self.writes if w.round == r)
 
     def to_dict(self) -> dict:
-        rounds = [{"round": r, "writes": []} for r in range(1, self.num_rounds + 1)]
+        """The writes grouped by round, rounds 1 to `num_rounds` listed, an
+        empty one too, and the bit and edge costs: one loop over the writes."""
+        rounds, bits, edges = [], 0, 0
         for site, r, kind, payload, bit_cost, edge_cost in self.writes:
-            write = {"site": site, "kind": kind, "payload": payload, "bit_cost": bit_cost, "edge_cost": edge_cost}
-            rounds[r - 1]["writes"].append(write)
-        return {"rounds": rounds, "bit_cost": self.bit_cost, "edge_cost": self.edge_cost}
+            while len(rounds) < r:
+                rounds.append({"round": len(rounds) + 1, "writes": []})
+            rounds[r - 1]["writes"].append(
+                {"site": site, "kind": kind, "payload": payload, "bit_cost": bit_cost, "edge_cost": edge_cost}
+            )
+            bits += bit_cost
+            edges += edge_cost
+        return {"rounds": rounds, "bit_cost": bits, "edge_cost": edges}
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,9 @@ def protocol_verify_sunflower(f: EdgeFamily) -> tuple[Transcript, bool]:
     if f.t < 4:
         raise PreconditionError("need at least four sites")
     bits = _view_is_sunflower(f)[:-1].astype(int).tolist()  # Python ints: JSON 0 and 1
-    writes = tuple(map(Write, range(1, f.t), repeat(1), repeat(BIT), bits, repeat(1), repeat(0)))
+    # `tuple.__new__` of each write's fields, as `Write._make` builds one
+    fields = zip(range(1, f.t), repeat(1), repeat(BIT), bits, repeat(1), repeat(0))
+    writes = tuple(map(tuple.__new__, repeat(Write), fields))
     return Transcript(writes), all(bits)
 
 

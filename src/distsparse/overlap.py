@@ -4,8 +4,8 @@ A family of edge subsets over a shared base graph is grouped by how many
 sets each edge appears in; the resulting partition lets the sum of the
 per-set Laplacians be rewritten as an integer combination of the partition
 classes' Laplacians (checked numerically by `combined_laplacian_residual`).
-A family's sets are base-edge ids, mapped from pairs by one lookup
-(`edge_ids`); its cover check, occurrence numbers, cardinalities and the
+A family's sets are base-edge ids, mapped from the pairs' flat ends by one
+lookup (`end_ids`); its cover check, occurrence numbers, cardinalities and the
 partition (of subgraphs of the base) read one occurrence-count array.
 """
 
@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError
-from .graph import WeightedGraph, edge_ids, laplacian, load_graph_file, norm_pair
+from .graph import WeightedGraph, edge_ids, end_ids, laplacian, load_graph_file, norm_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,15 +47,21 @@ class EdgeFamily:
         """The family of these sets of [u, v] pairs over `base`, either way
         round, a repeat counted once; the first set that is empty or holds a
         pair that is no base edge is refused. One sort orders every set."""
-        t, m = len(sets), base.m
-        flat = list(chain.from_iterable(sets))
-        ids, which = edge_ids(base, flat), np.repeat(np.arange(t), list(map(len, sets)))
+        return cls._from_ends(base, list(chain.from_iterable(chain.from_iterable(sets))), list(map(len, sets)))
+
+    @classmethod
+    def _from_ends(cls, base: WeightedGraph, ends: list, sizes: list) -> EdgeFamily:
+        """`from_pairs` of the sets whose pairs, set after set, are the flat
+        integer `ends` two at a time, set i holding `sizes[i]` pairs."""
+        t, m = len(sizes), base.m
+        ids, which = end_ids(base, ends), np.repeat(np.arange(t), sizes)
         bad = np.flatnonzero((np.bincount(which, minlength=t) == 0) | (np.bincount(which[ids < 0], minlength=t) > 0))
         if len(bad):
             i = int(bad[0])
-            if not sets[i]:
+            if not sizes[i]:
                 raise ValueError(f"set {i} is empty")
-            outside = {norm_pair(*flat[k]) for k in np.flatnonzero((which == i) & (ids < 0))}
+            at = np.flatnonzero((which == i) & (ids < 0)).tolist()
+            outside = {norm_pair(ends[2 * k], ends[2 * k + 1]) for k in at}
             raise ValueError(f"set {i} contains edges not in the base graph: {sorted(outside)}")
         key = np.sort(which * m + ids)  # set i's ids as i * m + id
         key = key[np.diff(key, prepend=-1) != 0]
@@ -127,7 +133,9 @@ def family_from_dict(doc: dict, base_dir=".") -> EdgeFamily:
     `{"graph": <path>, "sets": [[[u, v], ...], ...]}`.
 
     The graph path is a string resolved relative to `base_dir`; every edge
-    is a [u, v] pair of JSON integers (bool excluded).
+    is a [u, v] pair of JSON integers (bool excluded). The document is
+    checked before the graph file is opened; its edges are flattened once
+    and their ends once, and that flat list of ends is the id lookup's input.
     """
     if not isinstance(doc, dict) or "graph" not in doc or "sets" not in doc:
         raise ParseError("family document must have 'graph' and 'sets' keys")
@@ -136,17 +144,18 @@ def family_from_dict(doc: dict, base_dir=".") -> EdgeFamily:
     sets = doc["sets"]
     if not (isinstance(sets, list) and set(map(type, sets)) <= {list}):
         raise ParseError("'sets' must be a list of edge lists")
-    # sets of types over the whole document, not a loop per edge or per set
+    # sets of types over the whole document, not a loop per edge or per set;
+    # the per-edge lengths are checked, as [[0, 1, 2], [3]] has 2 ends an edge
+    malformed = "malformed 'sets' entry: every edge must be a [u, v] pair of integers"
     edges = list(chain.from_iterable(sets))
-    if not (
-        set(map(type, edges)) <= {list}
-        and set(map(len, edges)) <= {2}
-        and set(map(type, chain.from_iterable(edges))) <= {int}
-    ):
-        raise ParseError("malformed 'sets' entry: every edge must be a [u, v] pair of integers")
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
+        raise ParseError(malformed)
+    ends = list(chain.from_iterable(edges))
+    if not set(map(type, ends)) <= {int}:
+        raise ParseError(malformed)
     base = load_graph_file(os.path.join(base_dir, doc["graph"]))
     try:
-        return EdgeFamily.from_pairs(base, sets)
+        return EdgeFamily._from_ends(base, ends, list(map(len, sets)))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

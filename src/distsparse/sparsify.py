@@ -126,7 +126,7 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.
         if np.count_nonzero(counts) >= g.m:
             out.append(whole)
             continue
-        support = counts > 0
+        support = np.flatnonzero(counts)
         kept = g.records[support]
         kept["w"] = counts[support] * kept["w"] / (q * probs[support])
         h = WeightedGraph(g.n, kept)

@@ -244,6 +244,29 @@ class TestPartitionCmd:
         assert json.loads(result.stdout)["error"] == "parse"
 
 
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            pytest.param([[[0, 1, 2], [3]]], id="2-ends-an-edge"),  # 4 ends for 2 edges: only the lengths tell
+            pytest.param([[[0, 1], [2]]], id="short-edge"),
+            pytest.param([[[0, True]]], id="bool-end"),
+            pytest.param([[5]], id="edge-not-a-list"),
+            pytest.param([[[0, 1]], "x"], id="set-not-a-list"),
+            pytest.param({}, id="sets-not-a-list"),
+        ],
+    )
+    @pytest.mark.parametrize("graph", ["g.el", "missing.el"])
+    def test_malformed_sets_are_refused_before_the_graph_is_read(self, tmp_path, sets, graph):
+        # a missing graph file is not reached: the error is about 'sets'
+        (tmp_path / "g.el").write_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+        (tmp_path / "fam.json").write_text(json.dumps({"graph": graph, "sets": sets}))
+        result = invoke(["partition", "--family", str(tmp_path / "fam.json")])
+        check_contract(result)
+        doc = json.loads(result.stdout)
+        assert (result.exit_code, doc["error"]) == (1, "parse")
+        assert "'sets'" in doc["detail"]
+
+
 class TestSparsifyVerifyCmds:
     def test_sparsify_writes_sidecar(self, runner, tmp_path):
         gp = write_graph(tmp_path / "g.el", TRIANGLE)
@@ -818,6 +841,15 @@ class TestJsonLine:
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_line({"edges": SHARED, "x": value})
 
+    def test_a_report_without_edge_sets_is_one_piece(self):
+        doc = {"verdict": True, "rounds": [{"round": 1, "writes": [{"payload": 1}] * 3}], "s": "\u0000"}
+        assert cli._json_line(doc) == [json.dumps(doc) + "\n"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, object()], ids=["nan", "inf", "-inf", "object"])
+    def test_bad_values_without_edge_sets_still_raise(self, value):
+        with pytest.raises(TypeError if type(value) is object else ValueError):
+            cli._json_line({"x": [value]})
+
 
 # --- --out: every command writes its report there instead of stdout
 
@@ -914,3 +946,21 @@ def test_two_paths_to_one_file_write_it_once(tmp_path):
     assert (result.exit_code, result.stdout) == (0, "")
     assert (tmp_path / "h.el.json").read_bytes() == invoke(report).stdout_bytes
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.el", "h.el.json"]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "link"])
+@pytest.mark.parametrize("cmd", ["sparsify", "union"])
+def test_report_on_the_edge_list_file_is_refused(tmp_path, cmd, spelling):
+    # --out naming the --output file, by one string or through another path,
+    # would put the report in place of the edge list: refused, nothing written
+    edges = str(tmp_path / "h.el")
+    out = {"same": edges, "dot": f"{tmp_path}/./h.el", "link": str(tmp_path / "link.el")}[spelling]
+    if spelling == "link":
+        os.symlink("h.el", out)
+    before = sorted(tmp_path.iterdir())
+    result = invoke([*OUT_COMMANDS[cmd][0], "--output", edges, "--out", out])
+    check_contract(result)
+    assert result.exit_code == 1
+    detail = f"one file, {out!r}, is named for both the report and an edge list"
+    assert json.loads(result.stdout) == {"error": "invalid-value", "detail": detail}
+    assert sorted(tmp_path.iterdir()) == before

@@ -30,7 +30,7 @@ from distsparse import (
     symmetric_difference_on_site,
     verify_epsilon,
 )
-from distsparse.nof import Write, _view_is_sunflower, bits_per_edge
+from distsparse.nof import BIT, WEIGHTED_EDGE_SET, Transcript, Write, _view_is_sunflower, bits_per_edge
 from distsparse.sparsify import _sparsify_each, union_sparsifiers
 from conftest import (
     edge_pairs,
@@ -663,3 +663,36 @@ class TestTranscript:
         assert doc["bit_cost"] == 8
         assert doc["rounds"][0]["round"] == 1
         assert all(w["kind"] == "bit" for w in doc["rounds"][0]["writes"])
+
+    def test_a_round_without_writes_is_listed_and_the_costs_summed(self):
+        # writes only in rounds 3 and 1, out of order: round 2 is listed empty
+        edges = ((0, 1, 2.0), (1, 2, 0.5))
+        writes = (Write(2, 3, BIT, 1, 1, 0), Write(1, 1, WEIGHTED_EDGE_SET, edges, 132, 2), Write(4, 3, BIT, 0, 1, 0))
+        transcript = Transcript(writes)
+        assert transcript.to_dict() == {
+            "rounds": [
+                {
+                    "round": 1,
+                    "writes": [{"site": 1, "kind": WEIGHTED_EDGE_SET, "payload": edges, "bit_cost": 132, "edge_cost": 2}],
+                },
+                {"round": 2, "writes": []},
+                {
+                    "round": 3,
+                    "writes": [
+                        {"site": 2, "kind": BIT, "payload": 1, "bit_cost": 1, "edge_cost": 0},
+                        {"site": 4, "kind": BIT, "payload": 0, "bit_cost": 1, "edge_cost": 0},
+                    ],
+                },
+            ],
+            "bit_cost": 134,
+            "edge_cost": 2,
+        }
+        assert (transcript.bit_cost, transcript.edge_cost, transcript.num_rounds) == (134, 2, 3)
+
+    def test_no_writes(self):
+        assert Transcript(()).to_dict() == {"rounds": [], "bit_cost": 0, "edge_cost": 0}
+
+    def test_bit_writes_are_write_records(self):
+        transcript, _ = protocol_verify_sunflower(family_from_index_sets(uniform_star_index_sets(9, 3, 1)))
+        assert all(type(w) is Write and w == Write(w.site, 1, BIT, 1, 1, 0) for w in transcript.writes)
+        assert [w.site for w in transcript.writes] == list(range(1, 9))
