@@ -20,6 +20,7 @@ from .graph import (
     load_graph_file,
     normalized_laplacian,
     quadratic_form,
+    spectral_bounds,
 )
 from .nof import (
     DeltaSystemReport,

@@ -14,6 +14,14 @@ faster of the two for large files. Any other text, and any file that pass
 or the graph's validation rejects, is decoded and read again by the
 line-by-line rules, which word every parse error with its line number.
 `dump_graph` writes the format back, a chunk of edges at a time.
+
+The spectral core lives here too. L is block-diagonal on the connected
+components, and its kernel is spanned by their indicators, so grounding one
+vertex of every component S (`_grounded`) leaves a positive definite block.
+`WeightedGraph.factor` keeps one inverse Cholesky factor C_S^-1 of each
+grounded block, and the effective resistances (`WeightedGraph.resistances`)
+and the verifier's pencil (`spectral_bounds`, the extreme generalized
+eigenvalues of (L_H, L_G)) read it block by block.
 """
 
 from __future__ import annotations
@@ -245,8 +253,8 @@ class WeightedGraph:
         """C_S^-1 for every component S of at least two vertices, in
         component order, computed once per graph. L is block-diagonal on the
         components and its kernel is spanned by their indicators, so
-        grounding (deleting) the smallest vertex of every S leaves a positive
-        definite block L[S', S'] = C_S C_S^T on the rest S' of S: one
+        grounding (deleting) one vertex of every S (`_grounded`) leaves a
+        positive definite block L[S', S'] = C_S C_S^T on the rest S' of S: one
         Cholesky factor per component, inverted as a triangle (`_tril_inv`),
         about |S|^3 flops in all. Each block L[S, S] is built from S's own
         edges (`_laplacian_blocks`); no n x n array is made. A graph whose
@@ -257,7 +265,7 @@ class WeightedGraph:
         for comp, build in _laplacian_blocks(self, self):
             L = build()
             try:
-                C = np.linalg.cholesky(L[1:, 1:])
+                C = np.linalg.cholesky(_grounded(L))
             except np.linalg.LinAlgError:
                 # the block is positive definite in exact arithmetic, so
                 # only roundoff can make the factorisation fail
@@ -280,7 +288,7 @@ class WeightedGraph:
         # the factor first: it checks the size before any block exists
         for cinv, (comp, e) in zip(self.factor, _edges_by_component(self, self)):
             X = np.zeros((len(comp), len(comp)))
-            np.matmul(cinv.T, cinv, out=X[1:, 1:])
+            np.matmul(cinv.T, cinv, out=_grounded(X))
             diag = X.diagonal().copy()
             for start in range(0, len(e), _CHUNK_ROWS):
                 chunk = e[start : start + _CHUNK_ROWS]
@@ -306,6 +314,14 @@ class WeightedGraph:
         probs = scores / total
         probs.flags.writeable = False
         return probs
+
+
+def _grounded(block: np.ndarray) -> np.ndarray:
+    """The view of a component's |S| x |S| block left when its ground
+    vertex's row and column are deleted. The ground is the component's
+    local index 0, its smallest vertex. `WeightedGraph.factor`,
+    `WeightedGraph.resistances` and `spectral_bounds` all ground here."""
+    return block[1:, 1:]
 
 
 def _tril_inv(C: np.ndarray) -> np.ndarray:
@@ -461,6 +477,46 @@ def quadratic_form(L: np.ndarray, x) -> float:
     if x.shape != (len(L),):
         raise DimensionMismatch(f"vector length {x.shape} does not match n={len(L)}")
     return float(x @ L @ x)
+
+
+def spectral_bounds(g: WeightedGraph, h: WeightedGraph) -> tuple[float, float]:
+    """(mu_min, mu_max): the extreme generalized eigenvalues of the pencil
+    (L_H, L_G), so that mu_min x'L_G x <= x'L_H x <= mu_max x'L_G x for all x.
+
+    The kernel of L_G is spanned by the indicators 1_S of G's components S,
+    and 1_S' L_H 1_S is the H weight crossing S, so an H edge that joins two
+    components of G gives (0.0, inf) with no eigensolve. Otherwise L_H,
+    grounded as L_G is (`_grounded`), is block-diagonal on G's components,
+    and the bounds are the extreme eigenvalues mu of C_S^-1 L_H[S', S']
+    C_S^-T over every block (grounded L_G[S', S'] = C_S C_S^T,
+    `WeightedGraph.factor`). Each block L_H[S, S] is built from H's edges
+    inside S, as G's are, so no n x n array is made. An H equal to G gives
+    exactly (1.0, 1.0) before any factor or eigensolve.
+
+    The bounds are exact up to roundoff of about eps_mach times the
+    condition number of the grounded block L_G[S', S']. Weights whose
+    products leave float64 range can also make them inf or NaN with no edge
+    crossing, under numpy's default error state: H's edges 0-1 and 1-2 at
+    1e306 against G's triangle at 1e-5 give (-inf, inf), and at 1e300
+    against 1e-300 (NaN, NaN). With overflow raising, as the CLI runs, such
+    weights are a `FloatingPointError` instead. A NaN is never dropped.
+
+    The vertex counts are checked first, then G's factor is built, so a
+    graph too large for its blocks is a `MemoryError` before H is read."""
+    if g.n != h.n:
+        raise DimensionMismatch(f"vertex counts differ: {g.n} vs {h.n}")
+    if h == g:
+        return 1.0, 1.0
+    blocks, component = g.factor, g._components[2]
+    if np.any(component[h.u] != component[h.v]):
+        return 0.0, math.inf
+    mu = []
+    for cinv, (_, build) in zip(blocks, _laplacian_blocks(h, g)):
+        M = _grounded(build())
+        np.matmul(cinv @ M, cinv.T, out=M)  # written over L_H's block, which is read first
+        mu.append(np.linalg.eigvalsh(M))
+    mu = np.concatenate(mu)  # a NaN from overflowing weights stays NaN
+    return float(mu.min()), float(mu.max())
 
 
 def edge_ids(g: WeightedGraph, pairs: list) -> np.ndarray:

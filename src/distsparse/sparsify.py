@@ -1,14 +1,13 @@
-"""Spectral sparsifiers: construction, verification, and unions.
+"""Spectral sparsifiers: sampling, the union factor eps', and unions.
 
-The base construction samples edges by effective resistance; the verifier
-computes the approximation factor, exact up to roundoff of about eps_mach
-times the condition number of the grounded block, so nothing downstream
-relies on the sampler's theory. Both read one Cholesky factor per connected
-component, taken with the component's smallest vertex grounded and inverted
-as a triangle by blocks (`WeightedGraph.factor`), so their cost is the sum
-of the cubed component sizes. Unions of per-set sparsifiers are combined with
-explicit weights and an approximation factor driven by the extreme
-overlapping cardinalities of the allocation.
+The base construction samples edges with replacement, in proportion to
+weight times effective resistance (`WeightedGraph.sampling_probs`), one
+seeded multinomial draw per sparsifier, and certifies each result by its
+exact factor (`verify_epsilon`, the extreme eigenvalues of the pencil that
+`graph.spectral_bounds` computes), so nothing downstream relies on the
+sampler's theory. Unions of per-set sparsifiers are combined with explicit
+weights and an approximation factor eps' driven by the extreme overlapping
+cardinalities of the allocation.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import Edge, WeightedGraph, _laplacian_blocks
+from .graph import Edge, WeightedGraph, spectral_bounds
 from .overlap import EdgeFamily
 
 # the most samples `Generator.multinomial` can draw (its count is an int64)
@@ -178,37 +177,22 @@ def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
 
 
 def verify_epsilon(g: WeightedGraph, h: WeightedGraph) -> float:
-    """Smallest eps with (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x.
+    """Smallest eps with (1-eps) x'L_G x <= x'L_H x <= (1+eps) x'L_G x for all x:
+    max(1 - mu_min, mu_max - 1) over the extreme eigenvalues of the pencil
+    (L_H, L_G) (`graph.spectral_bounds`, which grounds and factors G).
 
     Exact up to roundoff of about eps_mach times the condition number of the
     grounded block L_G[S', S']: negligible for weights of similar scale, but
     on a 4-vertex pair with a weight spread of 4e11 it gives 0.99983 where
-    the exact factor is 1. The kernel of L_G is spanned by the indicators
-    1_S of G's components S, and 1_S' L_H 1_S is the H weight crossing S:
-    +inf exactly when an H edge joins two components of G.
-    Otherwise L_H, grounded as in `WeightedGraph.factor`, is block-diagonal
-    on G's components, and the answer is max(1 - mu_min, mu_max - 1, 0) over
-    the eigenvalues mu of C_S^-1 L_H[S', S'] C_S^-T of every block (grounded
-    L_G[S', S'] = C_S C_S'), one Cholesky factor per component. Each block
-    L_H[S, S] is built from H's edges inside S, as G's are, so no n x n
-    array is made. An H equal to G gives exactly 0.0 before any factor or
-    eigensolve, as `sparsify_er` certifies the graph it returns verbatim.
+    the exact factor is 1. An H edge that joins two components of G gives
+    +inf, and an H equal to G exactly 0.0 with no factor built, as
+    `sparsify_er` certifies the graph it returns verbatim. Under numpy's
+    default error state, weights whose products overflow can also give +inf
+    or NaN with no edge crossing (`spectral_bounds`); with overflow raising,
+    as the CLI runs, they are a `FloatingPointError`.
     """
-    if g.n != h.n:
-        raise DimensionMismatch(f"vertex counts differ: {g.n} vs {h.n}")
-    if h == g:
-        return 0.0
-    blocks, component = g.factor, g._components[2]  # the factor first: too large is a memory error
-    if np.any(component[h.u] != component[h.v]):
-        return math.inf
-    mu = [[1.0]]
-    for cinv, (_, build) in zip(blocks, _laplacian_blocks(h, g)):
-        Lh = build()
-        M = Lh[1:, 1:]
-        np.matmul(cinv @ M, cinv.T, out=M)  # written over L_H's block, which is read first
-        mu.append(np.linalg.eigvalsh(M))
-    mu = np.concatenate(mu)  # a NaN from overflowing weights stays NaN
-    return max(1.0 - float(mu.min()), float(mu.max()) - 1.0)
+    mu_min, mu_max = spectral_bounds(g, h)
+    return max(1.0 - mu_min, mu_max - 1.0)
 
 
 def epsilon_prime(epsilon: float, c1: int, ck: int) -> float:

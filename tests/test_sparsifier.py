@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,11 +19,12 @@ from distsparse import (
     induced_subgraph,
     laplacian,
     sparsify_er,
+    spectral_bounds,
     union_sparsifiers,
     verify_epsilon,
 )
 from distsparse.sparsify import _pcg64_states, _sparsify_each
-from conftest import edge_pairs, random_covering_family, random_graph
+from conftest import edge_pairs, random_covering_family, random_graph, same_bits
 
 
 def scaled(g, alpha):
@@ -334,6 +336,82 @@ class TestExactOracle:
         except (ValueError, Error):  # a worded refusal
             return
         assert cert == pytest.approx(1.0, abs=1e-9)
+
+
+def edge_form(g, x):
+    """x'L_G x as the sum of w (x_u - x_v)^2 over G's edges: no cancellation."""
+    return float(np.sum(g.w * (x[g.u] - x[g.v]) ** 2))
+
+
+def overflow_pair(tiny, huge):
+    """G: a triangle at weight `tiny`. H: two of its edges at weight `huge`,
+    so no H edge joins two components of G."""
+    g = WeightedGraph(3, ((0, 1, tiny), (0, 2, tiny), (1, 2, tiny)))
+    return g, WeightedGraph(3, ((0, 1, huge), (1, 2, huge)))
+
+
+class TestSpectralBounds:
+    """`spectral_bounds`, the pencil the verifier reads."""
+
+    def test_equal_graphs_are_one_with_no_factor(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            g = random_split_pair(rng)[0]
+            copy = WeightedGraph(g.n, g.records)
+            assert spectral_bounds(g, g) == (1.0, 1.0) and spectral_bounds(g, copy) == (1.0, 1.0)
+            assert "factor" not in g.__dict__ and "factor" not in copy.__dict__
+
+    def test_crossing_edge_has_no_eigensolve(self, monkeypatch):
+        def no_eigensolve(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)))
+        h = WeightedGraph(5, ((0, 1, 1.0), (2, 3, 1.0)))
+        assert spectral_bounds(g, h) == (0.0, math.inf)
+        assert spectral_bounds(WeightedGraph(3, ()), WeightedGraph(3, ((0, 2, 1.0),))) == (0.0, math.inf)
+
+    @given(graph_and_candidate(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_bracket_rayleigh_quotients(self, pair, seed):
+        g, h = pair
+        mu_min, mu_max = spectral_bounds(g, h)
+        assert mu_min <= mu_max
+        for x in np.random.default_rng(seed).normal(size=(50, g.n)):
+            den = edge_form(g, x)
+            if den > 0:
+                ratio = edge_form(h, x) / den
+                assert mu_min - 1e-9 <= ratio <= mu_max + 1e-9
+
+    def test_uniform_scaling_is_the_scale(self):
+        g = random_graph(np.random.default_rng(14), 12)
+        assert spectral_bounds(g, scaled(g, 2.0)) == pytest.approx((2.0, 2.0), abs=1e-9)
+
+    def test_verify_epsilon_is_the_bounds_bitwise(self):
+        rng = np.random.default_rng(15)
+        pairs = [random_split_pair(rng) for _ in range(200)]
+        pairs += [(ILL_G, ILL_H), (SPLIT, WeightedGraph(4, ((0, 1, 1e8),))), (SPLIT, SPLIT)]
+        for g, h in pairs:
+            mu_min, mu_max = spectral_bounds(g, h)
+            assert same_bits(verify_epsilon(g, h), max(1.0 - mu_min, mu_max - 1.0))
+
+    @pytest.mark.parametrize(
+        "tiny, huge, bounds, eps",
+        [(1e-5, 1e306, (-math.inf, math.inf), math.inf), (1e-300, 1e300, (math.nan, math.nan), math.nan)],
+    )
+    def test_overflow_with_no_crossing_edge(self, tiny, huge, bounds, eps):
+        # under numpy's default error state the products overflow to inf or
+        # NaN; with overflow raising, as the CLI runs, they are an error
+        g, h = overflow_pair(tiny, huge)
+        with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = spectral_bounds(g, h)
+            got_eps = verify_epsilon(g, h)
+        assert any("overflow" in str(w.message) for w in caught)
+        # NaN equals NaN here, whatever its sign bit
+        np.testing.assert_array_equal((*got, got_eps), (*bounds, eps))
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            verify_epsilon(g, h)
 
 
 class TestComponentFactor:
