@@ -37,7 +37,7 @@ from . import nof
 from .errors import Error, ParseError
 from .graph import WeightedGraph, dump_graph, laplacian, load_graph_file, normalized_laplacian
 from .overlap import load_family, load_json, overlapping_cardinality_partition
-from .sparsify import SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
+from .sparsify import DEFAULT_CONSTANT, SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
 
 SCHEMA = 1
 
@@ -209,7 +209,7 @@ def partition_cmd(family_path):
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 @click.option("--epsilon", required=True, type=float)
 @click.option("--seed", type=int, default=0)
-@click.option("--constant", type=float, default=9.0, help="Oversampling constant C in q = ceil(C n ln n / eps^2).")
+@click.option("--constant", type=float, default=DEFAULT_CONSTANT, help="Oversampling constant C in q = ceil(C n ln n / eps^2).")
 @click.option("--output", type=click.Path(), default=None, help="Write the sparsifier edge list here (JSON sidecar alongside).")
 @_command
 def sparsify_cmd(graph_path, epsilon, seed, constant, output):

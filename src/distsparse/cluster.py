@@ -79,8 +79,8 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
     _check_block_size(g)
     values, vectors = [], []  # nonzero spectra, in component order
     for comp, block in _laplacian_blocks(g, g, normalized):
-        kernel = np.sqrt(d[comp] / d[comp].sum()) if normalized else np.full(len(comp), np.sqrt(1.0 / len(comp)))
-        lam, cols = _kept_pairs(block, kernel, min(k - c, len(comp) - 1))
+        # c < k, so each component's kernel vector is its own column of X
+        lam, cols = _kept_pairs(block, X[comp, component[comp[0]]], min(k - c, len(comp) - 1))
         values.append(lam)
         vectors += [(comp, cols[:, j]) for j in range(len(lam))]
     order = np.argsort(np.concatenate(values), kind="stable")[: k - c]

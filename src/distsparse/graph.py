@@ -21,7 +21,8 @@ vertex of every component S (`_grounded`) leaves a positive definite block.
 `WeightedGraph.factor` keeps one inverse Cholesky factor C_S^-1 of each
 grounded block, and the effective resistances (`WeightedGraph.resistances`)
 and the verifier's pencil (`spectral_bounds`, the extreme generalized
-eigenvalues of (L_H, L_G)) read it block by block.
+eigenvalues of (L_H, L_G)) read it block by block. No sampler policy lives
+here: the distribution the resistances feed is sparsify.py's.
 """
 
 from __future__ import annotations
@@ -296,24 +297,6 @@ class WeightedGraph:
                 r[chunk] = diag[u] + diag[v] - 2.0 * X[u, v]
         r.flags.writeable = False
         return r
-
-    @cached_property
-    def sampling_probs(self) -> np.ndarray:
-        """Effective-resistance sampling distribution, in edge order,
-        computed once per graph: p_e proportional to w_e R_e (`resistances`,
-        roundoff below 0 clipped), summing to 1. Only the draw from it
-        depends on the seed (`sparsify_er`). Scores that do not sum to a
-        positive finite number can only come from roundoff in the factor,
-        and are refused."""
-        scores = self.w * np.maximum(self.resistances, 0.0)
-        total = scores.sum()
-        if self.m and not 0.0 < total < math.inf:
-            raise ValueError(
-                f"the graph has a weight range beyond what float64 can sample: its scores w_e R_e sum to {total}"
-            )
-        probs = scores / total
-        probs.flags.writeable = False
-        return probs
 
 
 def _grounded(block: np.ndarray) -> np.ndarray:

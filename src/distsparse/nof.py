@@ -37,7 +37,7 @@ import numpy as np
 from .errors import PreconditionError
 from .graph import WeightedGraph
 from .overlap import EdgeFamily
-from .sparsify import UnionSparsifier, _sparsify_each, sparsify_er, union_sparsifiers
+from .sparsify import UnionSparsifier, _check_epsilon, _sparsify_each, sparsify_er, union_sparsifiers
 
 BIT = "bit"
 WEIGHTED_EDGE_SET = "weighted-edge-set"
@@ -307,8 +307,7 @@ def protocol_sparsifier_exchange(
     union drops out: site j writes no edge, and each site's union has the
     one part E_j.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)  # the sampler's rule, reported before the star's
     delta, e_j, writer = _star_split(f, j)
     g_delta, g_ej = f.subgraph(delta), f.subgraph(e_j)
     others = [i for i in range(1, f.t + 1) if i != j]

@@ -1,13 +1,15 @@
 """Spectral sparsifiers: sampling, the union factor eps', and unions.
 
 The base construction samples edges with replacement, in proportion to
-weight times effective resistance (`WeightedGraph.sampling_probs`), one
+weight times effective resistance (`WeightedGraph.resistances`), one
 seeded multinomial draw per sparsifier, and certifies each result by its
 exact factor (`verify_epsilon`, the extreme eigenvalues of the pencil that
 `graph.spectral_bounds` computes), so nothing downstream relies on the
-sampler's theory. Unions of per-set sparsifiers are combined with explicit
-weights and an approximation factor eps' driven by the extreme overlapping
-cardinalities of the allocation.
+sampler's theory. The sampler's distribution, eps range (which the NOF
+exchange checks too) and default C (which the CLI reads) live here once.
+Unions of per-set sparsifiers are combined with explicit weights and an
+approximation factor eps' driven by the extreme overlapping cardinalities
+of the allocation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .graph import Edge, WeightedGraph, spectral_bounds
 from .overlap import EdgeFamily
+
+DEFAULT_CONSTANT = 9.0  # the oversampling constant C in q = ceil(C n ln(n) / eps^2)
 
 # the most samples `Generator.multinomial` can draw (its count is an int64)
 _MAX_DRAWS = np.iinfo(np.int64).max
@@ -60,8 +64,14 @@ def effective_resistances(g: WeightedGraph) -> dict[Edge, float]:
     return dict(zip(zip(g.u.tolist(), g.v.tolist()), g.resistances.tolist()))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The sampler's eps range, (0, 1): anything else, NaN too, is a ValueError."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def sparsify_er(
-    g: WeightedGraph, epsilon: float, seed: int, constant: float = 9.0
+    g: WeightedGraph, epsilon: float, seed: int, constant: float = DEFAULT_CONSTANT
 ) -> SparsifierResult:
     """Effective-resistance sampling sparsifier.
 
@@ -77,10 +87,12 @@ def sparsify_er(
     return _sparsify_each(g, epsilon, (seed,), constant)[0]
 
 
-def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.0) -> list[SparsifierResult]:
+def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = DEFAULT_CONSTANT) -> list[SparsifierResult]:
     """`sparsify_er(g, epsilon, seed, constant)` for every seed, in order,
     with the per-graph setup done once: the checks on eps, C and the edge
-    count, the distribution (`g.sampling_probs`) and q. Each seed then pays
+    count, the distribution (p_e proportional to w_e R_e, roundoff below 0
+    clipped; scores that do not sum to a positive finite number can only
+    come from roundoff in the factor, and are refused) and q. Each seed pays
     only its own draw, and, when its support misses an edge, its reweighting
     and certificate; the draws that cover every edge share one result
     object, `whole` (g itself certified 0.0), so the NOF exchange, which
@@ -91,14 +103,19 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = 9.
     from, all of them computed in one pass (`_pcg64_states`), so every draw
     is bitwise the one a fresh generator makes. With more than one seed,
     every seed must lie in [0, 2**64)."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     if not (0.0 < constant < math.inf):
         raise ValueError(f"constant must be finite and positive, got {constant}")
     if g.m == 0:
         raise ValueError("cannot sparsify an edgeless graph")
 
-    probs = g.sampling_probs
+    scores = g.w * np.maximum(g.resistances, 0.0)
+    total = scores.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(
+            f"the graph has a weight range beyond what float64 can sample: its scores w_e R_e sum to {total}"
+        )
+    probs = scores / total
 
     try:
         draws = constant * g.n * math.log(g.n) / epsilon**2

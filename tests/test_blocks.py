@@ -3,8 +3,8 @@
 Every dense path builds the block L[S, S] of each connected component S from
 S's own edges (`graph._laplacian_blocks`) instead of slicing an n x n
 Laplacian. These tests pin that each block is bitwise the slice it replaces,
-that the factor, the resistances, the sampling distribution, the verifier and
-the spectral embedding are bitwise those of the n x n computation, and that
+that the factor, the resistances, the sampler's draw, the verifier and the
+spectral embedding are bitwise those of the n x n computation, and that
 none of them allocates an n x n array. The resistances, read a chunk of
 edges at a time, are bitwise those read in one pass, and hold no more than
 one component's X beside one chunk.
@@ -22,6 +22,7 @@ from distsparse import (
     connected_components,
     laplacian,
     normalized_laplacian,
+    sparsify_er,
     spectral_embedding,
     verify_epsilon,
 )
@@ -195,12 +196,32 @@ def check_dense_paths(g, h):
         assert same_bits(free, old_free) and same_bits(cinv, old_cinv)
     assert same_bits(g.resistances, nxn_resistances(g))
     if g.m:
-        assert same_bits(g.sampling_probs, nxn_sampling_probs(g))
+        check_draws(g)
     assert same_bits(verify_epsilon(g, h), nxn_verify(g, h))
     c = len(connected_components(g))
     for k in sorted({1, c, min(c + 2, g.n), g.n}):
         for normalized in (False, True):
             assert same_bits(spectral_embedding(g, k, normalized), nxn_embedding(g, k, normalized))
+
+
+def check_draws(g):
+    """`sparsify_er` at a few seeds is the sparsifier built by hand from one
+    multinomial draw on the n x n distribution, with weights count w / (q p),
+    or g itself when every edge is drawn. At C = 9 a small graph draws
+    every edge; at C = 0.1 and eps = 0.9 it seldom does."""
+    p = nxn_sampling_probs(g)
+    for eps, constant in ((0.5, 9.0), (0.9, 0.1)):
+        q = max(math.ceil(constant * g.n * math.log(g.n) / eps**2), 1)
+        for seed in (0, 1, 7):
+            counts = np.random.default_rng(seed).multinomial(q, p)
+            res = sparsify_er(g, eps, seed, constant)
+            if np.count_nonzero(counts) == g.m:
+                assert res.h is g and res.epsilon_certified == 0.0
+                continue
+            kept = np.flatnonzero(counts)
+            assert same_bits(res.h.u, g.u[kept]) and same_bits(res.h.v, g.v[kept])
+            assert same_bits(res.h.w, counts[kept] * g.w[kept] / (q * p[kept]))
+            assert same_bits(res.epsilon_certified, nxn_verify(g, res.h))
 
 
 class TestBlocksAreTheSlices:

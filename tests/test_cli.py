@@ -534,8 +534,12 @@ class TestNofCmds:
     @pytest.mark.parametrize(
         "epsilon, error, detail",
         [
-            # the exchange checks epsilon before the star preconditions
+            # the exchange checks epsilon by the sampler's rule before the
+            # star preconditions
             ("1.5", "invalid-value", "epsilon must lie in (0, 1), got 1.5"),
+            ("0", "invalid-value", "epsilon must lie in (0, 1), got 0.0"),
+            ("1", "invalid-value", "epsilon must lie in (0, 1), got 1.0"),
+            ("nan", "invalid-value", "epsilon must lie in (0, 1), got nan"),
             ("0.5", "precondition", "family is not a weak delta-system"),
         ],
     )

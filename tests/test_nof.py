@@ -512,6 +512,16 @@ class TestExchangeProtocol:
         with pytest.raises(ValueError):
             protocol_sparsifier_exchange(self.star9(), 1, epsilon=1.5, seed=0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_epsilon_rule_is_the_samplers(self, epsilon):
+        # one rule, worded once: the exchange refuses what the sampler does
+        f = self.star9()
+        with pytest.raises(ValueError) as sampler:
+            sparsify_er(f.base, epsilon, seed=0)
+        with pytest.raises(ValueError) as exchange:
+            protocol_sparsifier_exchange(f, 1, epsilon=epsilon, seed=0)
+        assert str(exchange.value) == str(sampler.value) == f"epsilon must lie in (0, 1), got {epsilon}"
+
     def nine_triangles(self):
         """Nine disjoint triangles on n = 27, one per set, each weighted
         (1, 1, 1e-6): the sampler keeps the light edge so rarely that every
