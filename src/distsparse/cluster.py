@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import WeightedGraph, _check_block_size, _check_memory, _laplacian_blocks
+from .graph import WeightedGraph, _check_memory, _laplacian_blocks
 
 _MAX_KMEANS_ITERS = 100
 # `_lanczos` stops once every kept Ritz pair's residual bound r is at most
@@ -76,7 +76,6 @@ def spectral_embedding(g: WeightedGraph, k: int, normalized: bool = False) -> np
             X[comp, col] = np.sqrt(d[comp] / d[comp].sum())
     if c >= k:
         return X
-    _check_block_size(g)
     values, vectors = [], []  # nonzero spectra, in component order
     for comp, block in _laplacian_blocks(g, g, normalized):
         # c < k, so each component's kernel vector is its own column of X

@@ -258,10 +258,8 @@ class WeightedGraph:
         positive definite block L[S', S'] = C_S C_S^T on the rest S' of S: one
         Cholesky factor per component, inverted as a triangle (`_tril_inv`),
         about |S|^3 flops in all. Each block L[S, S] is built from S's own
-        edges (`_laplacian_blocks`); no n x n array is made. A graph whose
-        blocks would not fit in memory fails before any block exists
-        (`_check_block_size`)."""
-        _check_block_size(self)
+        edges by the block walk (`_laplacian_blocks`), which refuses blocks
+        that would not fit in memory before any exists; no n x n array is made."""
         blocks = []
         for comp, build in _laplacian_blocks(self, self):
             L = build()
@@ -368,9 +366,9 @@ def _check_block_size(g: WeightedGraph) -> None:
     """Refuse a graph whose dense blocks would not fit in physical memory:
     `_DENSE_ARRAYS` blocks of its largest component beside one block of
     every component of at least two vertices, their squared sizes summed as
-    Python ints (no int64 overflow). The factor (and with it the resistances
-    and the verifier) and the clustering eigensolve call this before their
-    blocks."""
+    Python ints (no int64 overflow). The block walk (`_laplacian_blocks`),
+    which the factor, the verifier and the clustering eigensolve all take,
+    calls this before its first block."""
     members, starts = g._components[:2]
     sizes = np.diff(starts)
     s = int(sizes.max())
@@ -421,10 +419,12 @@ def _edges_by_component(g: WeightedGraph, parts: WeightedGraph):
 
 def _laplacian_blocks(g: WeightedGraph, parts: WeightedGraph, normalized: bool = False):
     """(S, build) for every component S of `parts` with at least two
-    vertices (`_edges_by_component`): build() makes the block L[S, S] of
-    g's Laplacian by `_laplacian_block` from S's edges and the degrees d[S]
-    of g, a new array on every call. `build` holds only S and its edge
-    indices; the block's edge ends and weights exist while it is built."""
+    vertices (`_edges_by_component`), once `parts`' blocks are known to fit
+    in memory (`_check_block_size`): build() makes the block L[S, S] of g's
+    Laplacian by `_laplacian_block` from S's edges and the degrees d[S] of
+    g, a new array on every call. `build` holds only S and its edge indices;
+    the block's edge ends and weights exist while it is built."""
+    _check_block_size(parts)
     d, local = g.degrees(), parts._components[3]
 
     def build(comp, e):

@@ -925,6 +925,24 @@ def test_files_are_all_or_nothing(tmp_path, cmd, flag, where):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_failed_write_that_is_no_os_error_leaves_no_file(tmp_path, monkeypatch):
+    # the edge list's write fails after part of a line: the error is
+    # reported as it is, the temporary is removed, no other file is made,
+    # and the edge list already there keeps its bytes
+    def failing(g, fh):
+        fh.write("n 3\n0 1")
+        raise MemoryError("no room for the edge list")
+
+    monkeypatch.setattr(cli, "dump_graph", failing)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.el").write_bytes(b"old bytes\n")
+    result = invoke([*OUT_COMMANDS["sparsify"][0], "--output", "h.el", "--out", "r.json"])
+    check_contract(result)
+    assert (result.exit_code, json.loads(result.stdout)) == (1, {"error": "memory", "detail": "no room for the edge list"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.el"]
+    assert (tmp_path / "h.el").read_bytes() == b"old bytes\n"
+
+
 def test_out_to_a_pipe_is_written_in_place(tmp_path):
     # a path naming a pipe (or a device, such as /dev/stdout) is written, not
     # replaced by a file; the other files still go through temporaries

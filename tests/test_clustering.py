@@ -301,6 +301,17 @@ class TestLanczosFallbacks:
         assert same_bits(X, eigh_embedding(g, 3, normalized))
 
     @pytest.mark.parametrize("normalized", [False, True])
+    def test_star_runs_out_of_krylov_space_after_a_second_pass(self, solves, normalized):
+        # K_1,299 at k = 2: a cap of 75 >= 24 (1 + 2) iterations, but the
+        # spectrum off the kernel has two values ({1, 300}, normalized
+        # {1, 2}), so the third vector cancels to roundoff, is orthogonalised
+        # again and beta vanishes
+        g = WeightedGraph(300, [(0, b, 1.0) for b in range(1, 300)])
+        X = spectral_embedding(g, 2, normalized)
+        assert solves == {"eigh": [(300, 300)], "cholesky": []}
+        assert same_bits(X, eigh_embedding(g, 2, normalized))
+
+    @pytest.mark.parametrize("normalized", [False, True])
     def test_double_eigenvalue_fails_the_certificate(self, solves, normalized):
         g = rotation_symmetric_graph(np.random.default_rng(13), 100)
         L = normalized_laplacian(g) if normalized else laplacian(g)

@@ -1,7 +1,9 @@
+import json
 import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from distsparse import (
     verify_epsilon,
 )
 from distsparse import graph
+from distsparse.cli import main
 from conftest import edge_pairs, random_graph
 
 
@@ -159,6 +162,48 @@ class TestLaplacian:
         with pytest.raises(MemoryError, match=re.escape("the component of vertex 1 (101 vertices) needs 408040 bytes")):
             verify_epsilon(g, WeightedGraph(g.n, ((0, 1, 1.0),)))
 
+    def test_block_walk_checks_before_its_first_block(self, monkeypatch):
+        # the component index of 102 vertices (7 344 bytes) fits in 320 000,
+        # the path's blocks do not: the walk refuses them before it reads a
+        # degree or builds a block
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 320_000)
+        calls = []
+        for owner, name in ((graph, "_laplacian_block"), (WeightedGraph, "degrees")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+        g = paths(1, 101, skip=1)
+        with pytest.raises(MemoryError, match=re.escape("the component of vertex 1 (101 vertices) needs 408040 bytes")):
+            list(graph._laplacian_blocks(g, g))
+        assert calls == []
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
+        assert len(list(graph._laplacian_blocks(g, g))) == 1 and calls == ["degrees"]
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["sparsify", "--epsilon", "0.5"], "memory"),
+            (["verify", "--sparsifier", "half.el"], "memory"),
+            (["cluster", "--k", "2"], "memory"),
+            # the normalized embedding reads the degrees for its kernel
+            # column before it walks the blocks
+            (["cluster", "--k", "2", "--normalized"], "invalid-value"),
+        ],
+    )
+    def test_block_size_before_degree_overflow(self, tmp_path, monkeypatch, args, error):
+        # the path 0-1-2 at 1e308: its index (216 bytes) fits in 300, its
+        # blocks (360 bytes) do not, and vertex 1's degree overflows
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 300)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.el").write_text("0 1 1e308\n1 2 1e308\n")
+        (tmp_path / "half.el").write_text("0 1 5e307\n1 2 5e307\n")
+        result = CliRunner().invoke(main, [args[0], "--graph", "g.el", *args[1:]])
+        detail = {
+            "memory": "the component of vertex 0 (3 vertices) needs 360 bytes for 4 dense 3 x 3 "
+            "float64 blocks beside one block per component; physical memory is 300 bytes",
+            "invalid-value": "the weighted degree of vertex 1 overflows float64",
+        }[error]
+        assert (result.exit_code, json.loads(result.output)) == (1, {"error": error, "detail": detail})
+
     def test_vertex_count_guard(self, monkeypatch):
         # refused before any per-vertex array exists
         monkeypatch.setattr(graph, "_physical_memory", lambda: 2**30)
@@ -292,6 +337,15 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             WeightedGraph(2, ((0, 5, 1.0),))
+
+    def test_pairs_are_the_stored_pairs(self):
+        # from reversed, shuffled triples: the frozenset of stored pairs, u < v
+        rng = np.random.default_rng(7)
+        triples = [(v, u, w) for u, v, w in random_graph(rng, 12).edges]
+        rng.shuffle(triples)
+        g = WeightedGraph(12, triples)
+        assert type(g.pairs()) is frozenset
+        assert g.pairs() == frozenset((u, v) for v, u, _ in triples)
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
