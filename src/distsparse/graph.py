@@ -13,7 +13,9 @@ one is read again by numpy's C reader itself, in chunks, which is the
 faster of the two for large files. Any other text, and any file that pass
 or the graph's validation rejects, is decoded and read again by the
 line-by-line rules, which word every parse error with its line number.
-`dump_graph` writes the format back, a chunk of edges at a time.
+`dump_graph` writes the format back, a chunk of edges at a time, each chunk
+one `orjson.dumps` of its rows; a weight outside [1e-4, 1e16), where
+orjson's float text parts from `repr`'s, goes in as its `repr` string.
 
 The spectral core lives here too. L is block-diagonal on the connected
 components, and its kernel is spanned by their indicators, so grounding one
@@ -34,9 +36,10 @@ import re
 import warnings
 from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import DimensionMismatch, ParseError
 
@@ -694,28 +697,23 @@ def load_graph_file(path) -> WeightedGraph:
     return load_graph(data, path=path)
 
 
-class _IdText(dict):
-    """`"{id} "` for every vertex id looked up, made on its first lookup."""
-
-    def __missing__(self, x):
-        text = self[x] = f"{x} "
-        return text
-
-
 def dump_graph(g: WeightedGraph, fh) -> None:
     """Write g to the text stream `fh` as an edge list that `load_graph`
     reads back as g: the header `n <count>`, then one `u v w` line per edge
     in stored (u, v) order, w in Python's shortest `repr` (the text of
     `"{} {} {!r}".format(u, v, w)`), each line ending in a newline.
 
-    The edges go out in chunks of `_CHUNK_ROWS`, one `fh.write` of one join
-    each, so the text held at once is one chunk's. A chunk's weights are
-    each one `repr`; its ids come from a table of the ids this call has met,
-    never one string per vertex of n."""
+    The edges go out in chunks of `_CHUNK_ROWS`, one `fh.write` each, so the
+    text held at once is one chunk's. A chunk's (u, v, w) rows are rendered
+    by one `orjson.dumps`, whose shortest round-trip floats are `repr`'s
+    text for 1e-4 <= w < 1e16; a weight outside that range goes in as its
+    `repr` string. Three `bytes.replace` calls turn the rows into lines."""
     fh.write(f"n {g.n}\n")
-    ids = _IdText().__getitem__
     for start in range(0, g.m, _CHUNK_ROWS):
         chunk = g.records[start : start + _CHUNK_ROWS]
-        ws = map(repr, chunk["w"].tolist())
-        us, vs = map(ids, chunk["u"].tolist()), map(ids, chunk["v"].tolist())
-        fh.write("".join(chain.from_iterable(zip(us, vs, ws, repeat("\n")))))
+        rows, w = chunk.tolist(), chunk["w"]
+        for i in np.flatnonzero((w < 1e-4) | (w >= 1e16)).tolist():
+            u, v, x = rows[i]
+            rows[i] = u, v, repr(x)
+        text = orjson.dumps(rows)[2:-2].replace(b"],[", b"\n").replace(b",", b" ").replace(b'"', b"")
+        fh.write(text.decode("ascii") + "\n")

@@ -42,8 +42,11 @@ def traced_peak(fn):
 
 
 # positive finite doubles from the smallest subnormal to near the largest,
-# and values whose shortest repr switches notation
-WEIGHTS = st.floats(min_value=5e-324, max_value=1.79e308) | st.sampled_from([3.0, 1e16, 1e-05])
+# values whose shortest repr switches notation, and the edges of the range
+# in which the writer's formatter is repr's text
+WEIGHTS = st.floats(min_value=5e-324, max_value=1.79e308) | st.sampled_from(
+    [3.0, 1e16, 1e-05, 1e-4, np.nextafter(1e-4, 0), 9999999999999998.0]
+)
 
 
 @st.composite
@@ -74,6 +77,26 @@ class TestText:
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_line_rendering_and_round_trip(self, g):
+        text = dumped(g)
+        assert text == line_text(g)
+        assert load_graph(text) == g
+
+    def test_weights_where_orjson_and_repr_part(self):
+        # every power of ten times three mantissas, the neighbours of 1e-4
+        # and 1e16, and the extreme doubles; a first chunk wholly inside
+        # [1e-4, 1e16), then chunks mixing both sides
+        inside = np.geomspace(1e-4, 1e15, ROWS)
+        powers = [m * 10.0**e for e in range(-323, 309) for m in (1, 1.5, 9.999999999999999)]
+        edges = [*np.nextafter([1e-4, 1e16], 0), *np.nextafter([1e-4, 1e16], np.inf), 1e-4, 1e16]
+        extremes = [9999999999999998.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        w = np.concatenate([inside, np.resize([*powers, *edges, *extremes], 2 * ROWS)])
+        records = np.empty(len(w), graph.EDGE_DTYPE)
+        u, v = np.triu_indices(200, 1)
+        records["u"], records["v"], records["w"] = u[: len(w)], v[: len(w)], w
+        g = WeightedGraph(200, records[np.isfinite(w)])
+        outside = [(c < 1e-4) | (c >= 1e16) for c in np.split(g.w, [ROWS, 2 * ROWS])]
+        assert [o.any() for o in outside] == [False, True, True]
+        assert [o.all() for o in outside] == [False, False, False]
         text = dumped(g)
         assert text == line_text(g)
         assert load_graph(text) == g
