@@ -5,15 +5,19 @@ dict, with the files it writes when it has any; the `_command` decorator is
 the one path that emits them. It adds ``--out``, runs the command with
 numpy's overflow, divide and invalid-value checks raising instead of
 warning, puts ``"schema": 1`` first and renders one line of strict JSON.
-Every edge set a report holds is a graph, written as its (u, v) pairs; the
-emit path (`_json_line`) renders each graph object once and writes that one
-string wherever it appears, piece by piece, never joining the report into
-one string. The files (edge list, sidecar, ``--out``) are written all or
-none (`_place`), and ``--out`` naming the edge list is refused before any
-is written. An infinite top-level value (an edge joins two components
-of the graph it is measured against, so no finite factor exists) is
-reported as null with ``"kernel_violation": true``; any other value that is
-not finite is an ``invalid-value`` error. A failure is one
+An edge set a report holds is a graph, written as its (u, v) pairs, or the
+payload of a weighted NOF write, written as its (u, v, w) rows; the emit
+path (`_json_line`) renders each such object once through orjson, its
+weights by the edge-list writer's float rule, and writes that one string
+wherever it appears, piece by piece, never joining the report into one
+string. The `laplacian` matrix is rendered a row at a time, and refused
+when it and its text would not fit in physical memory. The files (edge
+list, sidecar, ``--out``) are written all or none (`_place`), and
+``--out`` naming the edge list is refused before any is written. An
+infinite top-level value (an edge joins two components of the graph it is
+measured against, so no finite factor exists) is reported as null with
+``"kernel_violation": true``; any other value that is not finite is an
+``invalid-value`` error. A failure is one
 ``{"error": kind, "detail": ...}`` line on stdout with exit status 1, and
 leaves no file; usage errors exit with status 2.
 """
@@ -30,47 +34,82 @@ import sys
 
 import click
 import numpy as np
+import orjson
 from click.core import ParameterSource
 
 from . import cluster as cl
 from . import nof
 from .errors import Error, ParseError
-from .graph import WeightedGraph, dump_graph, laplacian, load_graph_file, normalized_laplacian
+from .graph import (
+    WeightedGraph,
+    _check_memory,
+    dump_graph,
+    laplacian,
+    load_graph_file,
+    normalized_laplacian,
+    weighted_rows,
+)
 from .overlap import load_family, load_json, overlapping_cardinality_partition
 from .sparsify import DEFAULT_CONSTANT, SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
 
 SCHEMA = 1
 
+# what the `laplacian` report holds beside its n x n matrix: the text of
+# each entry, at most the longest float `repr`, "-2.2250738585072014e-308",
+# and the ", " after it, and a bound on what each row adds (its string and
+# placeholder, and its list of floats while it is rendered)
+_ENTRY_TEXT, _ROW_BYTES = 26, 512
 
-# how `_json_line` writes the placeholder of its i-th edge set, the string
-# NUL, i, NUL; a report that holds edge sets has no other string with a NUL,
-# as its strings are the program's own keys and write kinds
+
+# how `_json_line` writes the placeholder of its i-th rendered piece, the
+# string NUL, i, NUL; a report that holds one has no other string with a
+# NUL, as its strings are the program's own keys and write kinds
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def _edge_set(obj) -> str:
+    """An edge set as JSON, by one `orjson.dumps` in stored order: a graph
+    as its (u, v) pairs, `[[u, v], ...]`, and a weighted write's payload
+    (`nof.WeightedEdges`) as its rows, `[[u, v, w], ...]`, each w by the
+    edge-list writer's float rule (`weighted_rows`)."""
+    if isinstance(obj, WeightedGraph):
+        text = orjson.dumps(np.column_stack((obj.u, obj.v)), option=orjson.OPT_SERIALIZE_NUMPY)
+    elif isinstance(obj, nof.WeightedEdges):
+        text = weighted_rows(obj.graph.records)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return text.replace(b",", b", ").decode("ascii")
 
 
 def _json_line(doc: dict) -> list[str]:
     """`doc` as one line of strict JSON, in pieces that join to the line: a
     NaN or infinite value raises `ValueError`, which the command reports as
     `invalid-value`, and a value of any other type JSON lacks raises
-    `TypeError`. A graph is an edge set, written as its (u, v) pairs in
-    stored order, `[[u, v], ...]`. Each graph object is rendered once, and
+    `TypeError`. An edge set (`_edge_set`) is rendered once per object, and
     that one string is the piece wherever the object appears, so a report
     that holds one edge set many times (every site of the NOF broadcast
     holds the base graph) costs one rendering of it and is never held as
-    one string."""
-    index: dict[int, int] = {}  # id of a graph -> its place in `rendered`
+    one string. A matrix (a 2-D array, the Laplacian) is rendered a row at
+    a time, one piece a row, so the report holds its text and no list of
+    its floats."""
+    placeholders: dict[int, str | list[str]] = {}  # id of an object -> what it is written as
     rendered: list[str] = []
 
-    def edge_set(obj):
-        if not isinstance(obj, WeightedGraph):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        if id(obj) not in index:  # the graph lives in `doc` while it is rendered
-            index[id(obj)] = len(rendered)
-            rendered.append(json.dumps(np.column_stack((obj.u, obj.v)).tolist()))
-        return f"\0{index[id(obj)]}\0"
+    def piece(text: str) -> str:
+        rendered.append(text)
+        return f"\0{len(rendered) - 1}\0"
+
+    def default(obj):
+        key = id(obj)  # the object lives in `doc` while it is rendered
+        if key not in placeholders:
+            if isinstance(obj, np.ndarray) and obj.ndim == 2:
+                placeholders[key] = [piece(json.dumps(row.tolist(), allow_nan=False)) for row in obj]
+            else:
+                placeholders[key] = piece(_edge_set(obj))
+        return placeholders[key]
 
     # a report is a tree the program builds, so no container needs a marker
-    text = json.dumps(doc, allow_nan=False, check_circular=False, default=edge_set) + "\n"
+    text = json.dumps(doc, allow_nan=False, check_circular=False, default=default) + "\n"
     if not rendered:
         return [text]
     pieces = _PLACEHOLDER.split(text)
@@ -193,7 +232,9 @@ def laplacian_cmd(graph_path, normalized):
     """Print the (optionally normalized) Laplacian of an edge-list graph."""
     g = load_graph_file(graph_path)
     L = normalized_laplacian(g) if normalized else laplacian(g)
-    return {"n": g.n, "normalized": normalized, "matrix": L.tolist()}
+    need = L.nbytes + _ENTRY_TEXT * L.size + _ROW_BYTES * g.n
+    _check_memory(need, f"n={g.n}", "an n x n float64 matrix beside its JSON text")
+    return {"n": g.n, "normalized": normalized, "matrix": L}
 
 
 @main.command("partition")

@@ -14,8 +14,10 @@ faster of the two for large files. Any other text, and any file that pass
 or the graph's validation rejects, is decoded and read again by the
 line-by-line rules, which word every parse error with its line number.
 `dump_graph` writes the format back, a chunk of edges at a time, each chunk
-one `orjson.dumps` of its rows; a weight outside [1e-4, 1e16), where
-orjson's float text parts from `repr`'s, goes in as its `repr` string.
+one `orjson.dumps` of its rows. The float rule has one home,
+`weighted_rows`, which the CLI's reports use too: a weight outside
+[1e-4, 1e16), where orjson's float text parts from `repr`'s, goes in as
+its `repr` string.
 
 The spectral core lives here too. L is block-diagonal on the connected
 components, and its kernel is spanned by their indicators, so grounding one
@@ -704,16 +706,26 @@ def dump_graph(g: WeightedGraph, fh) -> None:
     `"{} {} {!r}".format(u, v, w)`), each line ending in a newline.
 
     The edges go out in chunks of `_CHUNK_ROWS`, one `fh.write` each, so the
-    text held at once is one chunk's. A chunk's (u, v, w) rows are rendered
-    by one `orjson.dumps`, whose shortest round-trip floats are `repr`'s
-    text for 1e-4 <= w < 1e16; a weight outside that range goes in as its
-    `repr` string. Three `bytes.replace` calls turn the rows into lines."""
+    text held at once is one chunk's. A chunk's rows are rendered by
+    `weighted_rows`, the one home of the float rule, and two `bytes.replace`
+    calls turn them into lines."""
     fh.write(f"n {g.n}\n")
     for start in range(0, g.m, _CHUNK_ROWS):
-        chunk = g.records[start : start + _CHUNK_ROWS]
-        rows, w = chunk.tolist(), chunk["w"]
-        for i in np.flatnonzero((w < 1e-4) | (w >= 1e16)).tolist():
-            u, v, x = rows[i]
-            rows[i] = u, v, repr(x)
-        text = orjson.dumps(rows)[2:-2].replace(b"],[", b"\n").replace(b",", b" ").replace(b'"', b"")
-        fh.write(text.decode("ascii") + "\n")
+        rows = weighted_rows(g.records[start : start + _CHUNK_ROWS])
+        fh.write(rows[2:-2].replace(b"],[", b"\n").replace(b",", b" ").decode("ascii") + "\n")
+
+
+def weighted_rows(records: np.ndarray) -> bytes:
+    """`EDGE_DTYPE` records as the compact JSON `[[u,v,w],...]`, each w in
+    Python's shortest `repr` text, by one `orjson.dumps` of their rows.
+    orjson's shortest round-trip floats are `repr`'s text for
+    1e-4 <= w < 1e16; a weight outside that range (`repr`'s `1e-05` and
+    `1e+16` against orjson's `0.00001` and `1e16`) goes in as its `repr`
+    string, whose quotes are then dropped. The edge-list writer
+    (`dump_graph`) and the CLI's report renderer both write weights
+    through this rule."""
+    rows, w = records.tolist(), records["w"]
+    for i in np.flatnonzero((w < 1e-4) | (w >= 1e16)).tolist():
+        u, v, x = rows[i]
+        rows[i] = u, v, repr(x)
+    return orjson.dumps(rows).replace(b'"', b"")

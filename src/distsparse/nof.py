@@ -7,9 +7,11 @@ exploiting the sunflower kernel, and a two-round sparsifier exchange that
 leaves every site with a spectral sparsifier of the full graph.
 
 Every edge-set write is one `_edge_write(site, round, h)` of a graph h, an
-induced subgraph or a sparsifier: its sorted (u, v, w) edges, at
-`bits_per_edge(h.n)` = 2 ceil(log2 n) + 64 bits per edge. A bit write's
-payload is the bit, the int 0 or 1. A write is a named tuple.
+induced subgraph or a sparsifier, at `bits_per_edge(h.n)` bits per edge,
+2 ceil(log2 n) + 64. Its payload is h itself, held as `WeightedEdges(h)`,
+which a report lists as h's sorted [u, v, w] rows; a graph a report holds
+bare is listed as its (u, v) pairs. A bit write's payload is the bit, the
+int 0 or 1. A write is a named tuple.
 
 A family's sets are base-edge ids (`EdgeFamily`), and every decision here
 reads its one occurrence-count array: whether each site's view is a
@@ -43,11 +45,19 @@ BIT = "bit"
 WEIGHTED_EDGE_SET = "weighted-edge-set"
 
 
+@dataclass(frozen=True)
+class WeightedEdges:
+    """The payload of a weighted edge-set write: the written graph, which a
+    report lists as its sorted [u, v, w] rows. Payloads compare by graph."""
+
+    graph: WeightedGraph
+
+
 class Write(NamedTuple):
     site: int
     round: int
     kind: str
-    payload: tuple | int
+    payload: WeightedEdges | int
     bit_cost: int
     edge_cost: int
 
@@ -106,7 +116,7 @@ def bits_per_edge(n: int) -> int:
 def _edge_write(site: int, round: int, h: WeightedGraph) -> Write:
     """A weighted edge-set write of the sorted (u, v, w) edges of `h`:
     `bits_per_edge(h.n)` bits and one unit of edge cost per edge."""
-    return Write(site, round, WEIGHTED_EDGE_SET, h.edges, h.m * bits_per_edge(h.n), h.m)
+    return Write(site, round, WEIGHTED_EDGE_SET, WeightedEdges(h), h.m * bits_per_edge(h.n), h.m)
 
 
 def _check_site(f: EdgeFamily, j: int) -> None:

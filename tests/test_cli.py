@@ -6,10 +6,12 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -52,6 +54,15 @@ def base_weighted(f, edges):
     """`edges` as the sorted [u, v, w] lists of their base-graph weights."""
     weight = {(u, v): w for u, v, w in f.base.edges}
     return [[u, v, weight[u, v]] for u, v in sorted(edges)]
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_json(runner, args):
@@ -166,6 +177,37 @@ class TestLaplacianCmd:
                 "float64 blocks beside one block per component; physical memory is 320000 bytes"
             )
         assert doc == {"error": "memory", "detail": detail}
+
+    @pytest.mark.parametrize("flag", [[], ["--normalized"]])
+    def test_report_beyond_physical_memory_is_memory_error(self, tmp_path, monkeypatch, flag):
+        # 340 000 bytes hold the four 101 x 101 arrays of the Laplacian
+        # (32 bytes an entry, 326 432), but not the matrix beside its text,
+        # which the report holds at once: 8 + 26 bytes an entry and 512 a
+        # row, 398 546
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 340_000)
+        p = tmp_path / "g.el"
+        p.write_text("".join(f"{x} {x + 1} 1.0\n" for x in range(100)))
+        result = invoke(["laplacian", "--graph", str(p), *flag])
+        check_contract(result)
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout) == {
+            "error": "memory",
+            "detail": "n=101 needs 398546 bytes for an n x n float64 matrix beside its JSON text;"
+            " physical memory is 340000 bytes",
+        }
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 398_546)
+        assert invoke(["laplacian", "--graph", str(p), *flag]).exit_code == 0
+
+    def test_matrix_text_is_the_report_bound(self):
+        # a dense matrix whose every entry takes the longest text: the report
+        # holds that text and a few hundred bytes a row, and no list of
+        # Python floats (32 bytes an entry beside it)
+        n = 300
+        L = np.full((n, n), -2.2250738585072014e-308)
+        assert len(repr(float(L[0, 0])) + ", ") == cli._ENTRY_TEXT
+        peak = traced_peak(lambda: cli._json_line({"matrix": L}))
+        assert peak <= cli._ENTRY_TEXT * n * n + cli._ROW_BYTES * n
+        assert "".join(cli._json_line({"matrix": L})) == json.dumps({"matrix": L.tolist()}) + "\n"
 
     @pytest.mark.parametrize(
         "args", [["sparsify", "--epsilon", "0.5", "--constant", "0.1"], ["verify", "--sparsifier", "half.el"]]
@@ -520,7 +562,8 @@ class TestNofCmds:
             "reconstructions": [{"site": i, "edges": sorted(recon[i])} for i in sorted(recon)],
         }
         printed = invoke(["nof", "broadcast", "--family", fam, "--site", str(j)])
-        assert printed.stdout == json.dumps(expected, allow_nan=False) + "\n"
+        # a weighted write's payload holds its graph, written as its (u, v, w) rows
+        assert printed.stdout == json.dumps(expected, allow_nan=False, default=lambda p: p.graph.edges) + "\n"
         counts = Counter(e for edges in edge_pairs(f) for e in edges)
         cards = sorted(set(counts.values()))
         expected = {
@@ -791,9 +834,12 @@ class TestErrorContract:
 
 
 def expanded(doc):
-    """`doc` with every graph replaced by its sorted [u, v] pairs."""
+    """`doc` with every graph replaced by its sorted [u, v] pairs, and every
+    weighted write's payload by its graph's sorted [u, v, w] rows."""
     if isinstance(doc, WeightedGraph):
         return sorted(edge_pairs(doc))
+    if isinstance(doc, nof.WeightedEdges):
+        return [list(e) for e in doc.graph.edges]
     if isinstance(doc, dict):
         return {k: expanded(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -802,6 +848,8 @@ def expanded(doc):
 
 
 SHARED = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 0.5), (0, 5, 2.0), (3, 4, 1.0)))
+# a payload whose weights lie on both sides of [1e-4, 1e16)
+WEIGHTED = nof.WeightedEdges(WeightedGraph(4, ((0, 1, 1e-05), (1, 2, 0.5), (0, 3, 1e16), (2, 3, 3.0))))
 
 
 class TestJsonLine:
@@ -822,6 +870,10 @@ class TestJsonLine:
             pytest.param({"a": SHARED, "b": [WeightedGraph(6, SHARED.records), SHARED]}, id="equal-distinct-objects"),
             pytest.param({"edges": SHARED, "text": json.dumps(sorted(edge_pairs(SHARED)))}, id="string-equal-to-fragment"),
             pytest.param({"none": [], "x": 1.5, "s": "\u0000"}, id="no-edge-set"),
+            pytest.param(
+                {"payloads": [WEIGHTED, WEIGHTED, nof.WeightedEdges(WeightedGraph(3, ()))], "pairs": WEIGHTED.graph},
+                id="weighted-payloads",
+            ),
         ],
     )
     def test_equals_plain_rendering_of_expanded_doc(self, doc):
@@ -853,6 +905,80 @@ class TestJsonLine:
     def test_bad_values_without_edge_sets_still_raise(self, value):
         with pytest.raises(TypeError if type(value) is object else ValueError):
             cli._json_line({"x": [value]})
+
+
+# --- weights on both sides of orjson's float range
+
+# the smallest subnormal, the neighbours of 1e-4 and of 1e16, and the
+# largest double: [1e-4, 1e16) is the range in which orjson's float text is
+# `repr`'s, and a weight outside it is written by `repr`
+BOUNDARY = [5e-324, float(np.nextafter(1e-4, 0)), 1e-4, 9999999999999998.0, 1e16, 1.7976931348623157e308]
+
+
+def boundary_star(tmp_path, weights):
+    """A star of one site per weight on disjoint edges: the kernel (0, 1)
+    weighs 3.0 and site i's petal (2i, 2i + 1) the i-th weight, each edge
+    its own component. Returns the base graph and the family's path."""
+    petals = [(2 * i, 2 * i + 1, w) for i, w in enumerate(weights, 1)]
+    base = WeightedGraph(2 * len(weights) + 2, [(0, 1, 3.0), *petals])
+    write_graph(tmp_path / "star.el", base)
+    sets = [[[0, 1], [u, v]] for u, v, _ in petals]
+    (tmp_path / "star.json").write_text(json.dumps({"graph": "star.el", "sets": sets}))
+    return base, str(tmp_path / "star.json")
+
+
+def replayed(result):
+    """The report that `json.dumps` writes for the rows the printed one holds."""
+    assert result.exit_code == 0, result.output
+    return json.dumps(json.loads(result.stdout)) + "\n"
+
+
+class TestReportsAcrossTheFloatRange:
+    """Every report writes its edge sets as `json.dumps` writes the same
+    rows: weights in `repr`'s text, pairs and rows with `json`'s spacing."""
+
+    @staticmethod
+    def payloads(result):
+        return [w["payload"] for r in json.loads(result.stdout)["rounds"] for w in r["writes"]]
+
+    @staticmethod
+    def written_rows(base, j):
+        """The rows of site j's petal union and of E_j, the kernel and its petal."""
+        rows = [list(e) for e in base.edges]
+        return [rows[1:j] + rows[j + 1 :], [rows[0], rows[j]]]
+
+    def test_broadcast(self, tmp_path):
+        base, fam = boundary_star(tmp_path, BOUNDARY)
+        for j in range(1, len(BOUNDARY) + 1):
+            result = invoke(["nof", "broadcast", "--family", fam, "--site", str(j)])
+            assert result.stdout == replayed(result)
+            assert self.payloads(result) == self.written_rows(base, j)
+
+    def test_exchange(self, tmp_path):
+        # the sampler cannot factor 5e-324 (its resistance overflows
+        # float64), so 1e-300 stands in; every draw keeps every edge, and the
+        # written parts are the parts themselves
+        weights = [1e-300, *BOUNDARY[1:]]
+        base, fam = boundary_star(tmp_path, weights)
+        for j in range(1, len(weights) + 1):
+            result = invoke(["nof", "exchange", "--family", fam, "--site", str(j), "--epsilon", "0.5", "--seed", "1"])
+            assert result.stdout == replayed(result)
+            assert self.payloads(result) == self.written_rows(base, j)
+
+    def test_partition(self, tmp_path):
+        base, fam = boundary_star(tmp_path, BOUNDARY)
+        result = invoke(["partition", "--family", fam])
+        assert result.stdout == replayed(result)
+        pairs = [[u, v] for u, v, _ in base.edges]
+        assert [c["edges"] for c in json.loads(result.stdout)["classes"]] == [pairs[1:], pairs[:1]]
+
+    @pytest.mark.parametrize("cmd", [["broadcast"], ["exchange", "--epsilon", "0.3", "--seed", "3"]])
+    def test_empty_petal_union(self, cmd):
+        # nine copies of one set: site 1's petal union is empty
+        result = invoke(["nof", cmd[0], "--family", str(GOLDEN / "same.fam.json"), "--site", "1", *cmd[1:]])
+        assert result.stdout == replayed(result)
+        assert self.payloads(result)[0] == []
+        assert '"payload": [], ' in result.stdout
 
 
 # --- --out: every command writes its report there instead of stdout
