@@ -4,13 +4,19 @@ Every subcommand loads its inputs, computes, and returns its report as a
 dict, with the files it writes when it has any; the `_command` decorator is
 the one path that emits them. It adds ``--out``, runs the command with
 numpy's overflow, divide and invalid-value checks raising instead of
-warning, puts ``"schema": 1`` first and renders one line of strict JSON.
+warning, puts ``"schema": 1`` first and renders one line of strict JSON,
+the text `json.dumps` gives: one `orjson.dumps` of the report, with
+`json`'s separators put back, unless orjson raises or its bytes show text
+that may part from `json`'s, when `json.dumps` renders it (`_json_line`).
 An edge set a report holds is a graph, written as its (u, v) pairs, or the
 payload of a weighted NOF write, written as its (u, v, w) rows; the emit
-path (`_json_line`) renders each such object once through orjson, its
-weights by the edge-list writer's float rule, and writes that one string
-wherever it appears, piece by piece, never joining the report into one
-string. The `laplacian` matrix is rendered a row at a time, and refused
+path renders each such object once through orjson, its weights by the
+edge-list writer's float rule, and writes that one string wherever it
+appears, piece by piece, never joining the report into one string. Family
+and label documents are read by orjson, and any it refuses, or whose
+checks refuse it, by `json` (`overlap.read_json`), so every document
+taken and every error is `json`'s. The `laplacian` matrix is rendered a
+row at a time, and refused
 when it and its text would not fit in physical memory. The files (edge
 list, sidecar, ``--out``) are written all or none (`_place`), and
 ``--out`` naming the edge list is refused before any is written. An
@@ -18,8 +24,9 @@ infinite top-level value (an edge joins two components of the graph it is
 measured against, so no finite factor exists) is reported as null with
 ``"kernel_violation": true``; any other value that is not finite is an
 ``invalid-value`` error. A failure is one
-``{"error": kind, "detail": ...}`` line on stdout with exit status 1, and
-leaves no file; usage errors exit with status 2.
+``{"error": kind, "detail": ...}`` line on stdout, rendered by
+`json.dumps`, as its detail is free text, with exit status 1, and leaves
+no file; usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 
 import click
@@ -49,7 +55,7 @@ from .graph import (
     normalized_laplacian,
     weighted_rows,
 )
-from .overlap import load_family, load_json, overlapping_cardinality_partition
+from .overlap import load_family, overlapping_cardinality_partition, read_json
 from .sparsify import DEFAULT_CONSTANT, SparsifierResult, sparsify_er, union_sparsifiers, verify_epsilon
 
 SCHEMA = 1
@@ -61,10 +67,38 @@ SCHEMA = 1
 _ENTRY_TEXT, _ROW_BYTES = 26, 512
 
 
-# how `_json_line` writes the placeholder of its i-th rendered piece, the
-# string NUL, i, NUL; a report that holds one has no other string with a
-# NUL, as its strings are the program's own keys and write kinds
-_PLACEHOLDER = re.compile(r'"\\u0000(\d+)\\u0000"')
+# the placeholder `_json_line` writes for an edge set or a matrix row: the
+# string of one NUL, which no other string of a report holds, as its strings
+# are the program's own keys and write kinds; both encoders write it as
+# `_MARK_TEXT`
+_MARK = "\0"
+_MARK_TEXT = '"\\u0000"'
+# orjson's compact text with every digit and sign made 1: there "1e1" is an
+# exponent (orjson's `1e-6`, `1e16` against `repr`'s `1e-06`, `1e+16`); with
+# "0.0000" in the text, a float below 1e-4 written out (`0.00001` against
+# `1e-05`), these are the floats whose text parts from `repr`'s
+_DIGITS = bytes.maketrans(b"0123456789+-", b"111111111111")
+# every byte but a quote, a comma and a colon
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b'",:')))
+
+
+def _is_json_text(data: bytes, marks: int) -> bool:
+    """Whether orjson's compact text `data`, holding `marks` placeholders,
+    is with `json`'s spaces put back after each comma and colon the text
+    `json.dumps` gives of the same value, checked on its bytes: only ASCII
+    (`json` escapes the rest), no backslash but the placeholders' (so no
+    escaped quote, and every quote opens or closes a string), no null
+    (orjson writes a NaN or an infinity as null, where `json` raises), no
+    float whose text parts from `repr`'s (`_DIGITS`), and no string that
+    holds a comma or a colon: of the quotes, commas and colons alone, every
+    string is then an adjacent pair of quotes, and no two strings are
+    adjacent."""
+    if not data.isascii() or data.count(b"\\") != marks or b"null" in data:
+        return False
+    if b"1e1" in data.translate(_DIGITS) or b"0.0000" in data:
+        return False
+    quotes = data.translate(None, _NOT_SEPARATOR)
+    return 2 * quotes.count(b'""') == quotes.count(b'"')
 
 
 def _edge_set(obj) -> str:
@@ -81,40 +115,58 @@ def _edge_set(obj) -> str:
     return text.replace(b",", b", ").decode("ascii")
 
 
-def _json_line(doc: dict) -> list[str]:
-    """`doc` as one line of strict JSON, in pieces that join to the line: a
-    NaN or infinite value raises `ValueError`, which the command reports as
-    `invalid-value`, and a value of any other type JSON lacks raises
-    `TypeError`. An edge set (`_edge_set`) is rendered once per object, and
-    that one string is the piece wherever the object appears, so a report
-    that holds one edge set many times (every site of the NOF broadcast
-    holds the base graph) costs one rendering of it and is never held as
-    one string. A matrix (a 2-D array, the Laplacian) is rendered a row at
-    a time, one piece a row, so the report holds its text and no list of
-    its floats."""
-    placeholders: dict[int, str | list[str]] = {}  # id of an object -> what it is written as
-    rendered: list[str] = []
+def _json_line(doc) -> list[str]:
+    """`doc` as one line of `json.dumps` text, in pieces that join to the
+    line: a NaN or infinite value raises `ValueError`, which the command
+    reports as `invalid-value`, and a value of any other type JSON lacks
+    raises `TypeError`.
 
-    def piece(text: str) -> str:
-        rendered.append(text)
-        return f"\0{len(rendered) - 1}\0"
+    It is rendered by one `orjson.dumps`, whose compact separators then get
+    `json`'s spaces back, when its bytes show that this is `json`'s text
+    (`_is_json_text`); otherwise, or when orjson raises (on an int past 64
+    bits, say), by `json.dumps`. Neither is a walk over the report.
+
+    An edge set (`_edge_set`) is rendered once per object, and that one
+    string is the piece wherever the object appears, so a report that holds
+    one edge set many times (every site of the NOF broadcast holds the base
+    graph) costs one rendering of it and is never held as one string. A
+    matrix (a 2-D array, the Laplacian) is rendered a row at a time, one
+    piece a row, so the report holds its text and no list of its floats.
+    Both encoders call `default` at each such object in document order,
+    the order of the pieces, and write its placeholder (`_MARK`)."""
+    memo: dict[int, str | list[str]] = {}  # id of an object -> its rendering
+    pieces: list[str] = []  # the rendering at each placeholder, in order
 
     def default(obj):
         key = id(obj)  # the object lives in `doc` while it is rendered
-        if key not in placeholders:
+        if key not in memo:
             if isinstance(obj, np.ndarray) and obj.ndim == 2:
-                placeholders[key] = [piece(json.dumps(row.tolist(), allow_nan=False)) for row in obj]
+                memo[key] = [json.dumps(row.tolist(), allow_nan=False) for row in obj]
             else:
-                placeholders[key] = piece(_edge_set(obj))
-        return placeholders[key]
+                memo[key] = _edge_set(obj)
+        text = memo[key]
+        if isinstance(text, list):
+            pieces.extend(text)
+            return [_MARK] * len(text)
+        pieces.append(text)
+        return _MARK
 
-    # a report is a tree the program builds, so no container needs a marker
-    text = json.dumps(doc, allow_nan=False, check_circular=False, default=default) + "\n"
-    if not rendered:
+    try:
+        data = orjson.dumps(doc, default=default, option=orjson.OPT_PASSTHROUGH_DATACLASS)
+    except TypeError:  # orjson.JSONEncodeError
+        data = None
+    if data is not None and _is_json_text(data, len(pieces)):
+        text = data.replace(b",", b", ").replace(b":", b": ").decode("ascii") + "\n"
+    else:
+        pieces.clear()
+        # a report is a tree the program builds, so no container needs a marker
+        text = json.dumps(doc, allow_nan=False, check_circular=False, default=default) + "\n"
+    if not pieces:
         return [text]
-    pieces = _PLACEHOLDER.split(text)
-    pieces[1::2] = [rendered[int(i)] for i in pieces[1::2]]
-    return pieces
+    line = [text] * (2 * len(pieces) + 1)  # filled next
+    line[0::2] = text.split(_MARK_TEXT)
+    line[1::2] = pieces
+    return line
 
 
 def _emit(pieces: list[str]):
@@ -213,7 +265,7 @@ def _command(fn):
             error = {"error": "io", "detail": str(exc)}
         except MemoryError as exc:
             error = {"error": "memory", "detail": str(exc)}
-        _emit(_json_line(error))
+        _emit([json.dumps(error) + "\n"])
         sys.exit(1)
 
     return wrapper
@@ -347,14 +399,20 @@ def cluster_group(ctx, graph_path, k, seed, normalized):
     return {"k": a.k, "labels": list(a.labels)}
 
 
-def _load_labels(path):
-    doc = load_json(path)
+def _labels(path, doc) -> list:
+    """The labels of a label document: a list of JSON integers, or an
+    object whose 'labels' entry is one."""
     labels = doc.get("labels") if isinstance(doc, dict) else doc
     if not isinstance(labels, list):
         raise ParseError(f"{path}: expected a list of labels or an object with a 'labels' list")
     bad = [x for x in labels if type(x) is not int]  # bool is not a label
     if bad:
         raise ParseError(f"{path}: labels must be JSON integers, got {json.dumps(bad[0])}")
+    return labels
+
+
+def _load_labels(path):
+    labels = read_json(path, functools.partial(_labels, path), {"labels"})
     # compact ids so sparse labelings still form a valid assignment;
     # the ARI is invariant under relabeling
     remap = {lab: i for i, lab in enumerate(sorted(set(labels)))}

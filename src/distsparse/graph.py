@@ -10,8 +10,9 @@ it built on first use. An edge list in plain ASCII is parsed by one
 `np.loadtxt` pass. A file's bytes are read once and checked for plain text.
 A file below `_BY_PATH_BYTES` (16 KiB) is parsed from those bytes; a larger
 one is read again by numpy's C reader itself, in chunks, which is the
-faster of the two for large files. Any other text, and any file that pass
-or the graph's validation rejects, is decoded and read again by the
+faster of the two for large files, and its bytes are dropped first, so they
+are not held beside the graph being built. Any other text, and any file
+that pass or the graph's validation rejects, is decoded and read by the
 line-by-line rules, which word every parse error with its line number.
 `dump_graph` writes the format back, a chunk of edges at a time, each chunk
 one `orjson.dumps` of its rows. The float rule has one home,
@@ -568,52 +569,48 @@ def load_graph(text: str | bytes, *, path=None) -> WeightedGraph:
     """Parse the edge-list format: one `u v w` per line, `#` comments,
     optional leading `n <count>` header fixing the vertex count.
 
-    `text` is the edge list as a str or as bytes; with `path`, it holds the
-    bytes of that file (`load_graph_file`), and numpy reads the file itself
-    when it has at least `_BY_PATH_BYTES` bytes. Bytes are decoded, as
-    UTF-8, only for the line rules. Bytes that are not UTF-8 are a
-    `ParseError`."""
-    g = _load_plain(text, path)
-    if g is not None:
-        return g
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid edge list{'' if path is None else f' in {path}'}: {exc}") from None
-    return _load_lines(text)
+    `text` is the edge list as a str or as bytes, parsed from memory;
+    `path`, the file it was read from, is only named in errors. Bytes are
+    decoded, as UTF-8, only for the line rules. Bytes that are not UTF-8
+    are a `ParseError`."""
+    if text.isascii():
+        data = text.encode() if isinstance(text, str) else text
+        header = _plain_header(data)
+        if header is not None:
+            g = _load_plain(data.decode("ascii").splitlines(), *header)
+            if g is not None:
+                return g
+    return _load_text(text, path)
 
 
-def _load_plain(text: str | bytes, path) -> WeightedGraph | None:
-    """The graph of a valid edge list in plain ASCII, read by one
-    `np.loadtxt` pass; None for text that pass or the graph rejects.
+def _plain_header(data: bytes) -> tuple[int | None, int] | None:
+    """(the vertex count of the `n <count>` header or None, the lines
+    before the first edge) of an edge list that the plain pass reads, or
+    None for one only the line rules read.
 
-    The plain gate runs on the bytes: only `_PLAIN` characters, no comment
-    after data on a line, and a well-formed `n <count>` header, which
-    `skiprows` skips with every line before it. Given `path`, whose bytes
-    `text` then holds, and at least `_BY_PATH_BYTES` of them, numpy reads
-    the file itself, in chunks, with its C reader; otherwise it reads the
-    text's lines. `path` is otherwise only named in errors."""
-    if not text.isascii():
-        return None
-    data = text.encode() if isinstance(text, str) else text
-    if data.translate(None, _PLAIN):
+    The plain gate: only `_PLAIN` characters, no comment after data on a
+    line, and a well-formed header, which `skiprows` skips with every line
+    before it."""
+    if not data.isascii() or data.translate(None, _PLAIN):
         return None
     # np.loadtxt drops a comment after data; the line rules reject it
     if b"#" in data and _TRAILING_COMMENT.search(data):
         return None
-    n, skip = None, 0
     first = _DATA_LINE.search(data)
-    if first is not None and first.group(1).split()[0] == b"n":
-        parts = first.group(1).split()
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
-            return None
-        n, skip = int(parts[1]), data.count(b"\n", 0, first.end()) + 1
-    if path is not None and len(data) >= _BY_PATH_BYTES:
-        # absolute: numpy would fetch a str with a scheme and a host as a URL
-        source = os.path.abspath(path)
-    else:
-        source = data.decode("ascii").splitlines()
+    if first is None or first.group(1).split()[0] != b"n":
+        return None, 0
+    parts = first.group(1).split()
+    if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+        return None
+    return int(parts[1]), data.count(b"\n", 0, first.end()) + 1
+
+
+def _load_plain(source, n: int | None, skip: int) -> WeightedGraph | None:
+    """The graph that one `np.loadtxt` pass reads from `source` (the lines
+    of an edge list, or the absolute path of its file, which numpy reads in
+    chunks with its C reader) past its first `skip` lines, with `n`
+    vertices or, for None, one more than its largest id; None for text that
+    pass or the graph rejects."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data" included
         try:
@@ -629,6 +626,16 @@ def _load_plain(text: str | bytes, path) -> WeightedGraph | None:
         return WeightedGraph(n, records)
     except ValueError:
         return None
+
+
+def _load_text(text: str | bytes, path) -> WeightedGraph:
+    """The line rules' reading of an edge list, bytes decoded as UTF-8 first."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid edge list{'' if path is None else f' in {path}'}: {exc}") from None
+    return _load_lines(text)
 
 
 def _load_lines(text: str) -> WeightedGraph:
@@ -688,15 +695,28 @@ def _load_lines(text: str) -> WeightedGraph:
 
 def load_graph_file(path) -> WeightedGraph:
     """The graph in an edge-list file. Its bytes are read once for the
-    plain gate and, should the line rules read it, for decoding. A plain
-    file below `_BY_PATH_BYTES` is parsed from those bytes; a larger one is
-    read again, by path, by numpy's chunked C reader (`load_graph`). A file
-    rewritten between the two reads can only give a graph that passes
-    `WeightedGraph`'s full validation. Text that is not UTF-8 is a
-    `ParseError`."""
+    plain gate. A plain file below `_BY_PATH_BYTES` is parsed from those
+    bytes (`load_graph`); for a larger one the bytes are dropped and numpy's
+    chunked C reader reads the file again by path, so they are not held
+    beside the arrays it builds. A file rewritten between the two reads can
+    only give a graph that passes `WeightedGraph`'s full validation. The
+    line rules read what the plain pass does not; a file that passed the
+    gate is read a third time for them, to word its error. Text that is not
+    UTF-8 is a `ParseError`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return load_graph(data, path=path)
+    if len(data) < _BY_PATH_BYTES:
+        return load_graph(data, path=path)
+    header = _plain_header(data)
+    if header is not None:
+        del data
+        # absolute: numpy would fetch a str with a scheme and a host as a URL
+        g = _load_plain(os.path.abspath(path), *header)
+        if g is not None:
+            return g
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return _load_text(data, path)
 
 
 def dump_graph(g: WeightedGraph, fh) -> None:

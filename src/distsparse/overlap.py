@@ -7,19 +7,32 @@ classes' Laplacians (checked numerically by `combined_laplacian_residual`).
 A family's sets are base-edge ids, mapped from the pairs' flat ends by one
 lookup (`end_ids`); its cover check, occurrence numbers, cardinalities and the
 partition (of subgraphs of the base) read one occurrence-count array.
+A family document is read by orjson, and decided again by `json` whenever
+orjson or the document's checks refuse it (`read_json`).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .graph import WeightedGraph, edge_ids, end_ids, laplacian, load_graph_file, norm_pair
+
+# orjson keeps the buffer its first parse of a nonempty document takes (8 MB
+# in orjson 3.8) for the life of the process. Taken at import, before numpy
+# has allocated and freed large arrays, it added under 1 MB to perfbench's
+# er-split `peak_rss_mb` (79.6 to 80.3 MB, medians of 10 runs); taken by the
+# first document read after a large command in the same process, it kept
+# about its size of freed memory resident (87.7 MB), most likely as malloc
+# then places it on the heap.
+orjson.loads(b"[0]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,17 +67,20 @@ class EdgeFamily:
         """`from_pairs` of the sets whose pairs, set after set, are the flat
         integer `ends` two at a time, set i holding `sizes[i]` pairs."""
         t, m = len(sizes), base.m
-        ids, which = end_ids(base, ends), np.repeat(np.arange(t), sizes)
-        bad = np.flatnonzero((np.bincount(which, minlength=t) == 0) | (np.bincount(which[ids < 0], minlength=t) > 0))
-        if len(bad):
-            i = int(bad[0])
+        ids = end_ids(base, ends)
+        if 0 in sizes or (ids < 0).any():
+            which = np.repeat(np.arange(t), sizes)
+            misses = np.bincount(which[ids < 0], minlength=t)  # each set's pairs that are no base edge
+            i = next(k for k, size in enumerate(sizes) if not size or misses[k])
             if not sizes[i]:
                 raise ValueError(f"set {i} is empty")
             at = np.flatnonzero((which == i) & (ids < 0)).tolist()
             outside = {norm_pair(ends[2 * k], ends[2 * k + 1]) for k in at}
             raise ValueError(f"set {i} contains edges not in the base graph: {sorted(outside)}")
-        key = np.sort(which * m + ids)  # set i's ids as i * m + id
-        key = key[np.diff(key, prepend=-1) != 0]
+        key = np.repeat(np.arange(t) * m, sizes) + ids  # set i's ids as i * m + id
+        key.sort()
+        if (key[1:] == key[:-1]).any():  # a pair repeated in a set counts once
+            key = np.unique(key)
         return cls(base, key % max(m, 1), np.searchsorted(key, np.arange(t + 1) * m))
 
     @property
@@ -134,45 +150,91 @@ def family_from_dict(doc: dict, base_dir=".") -> EdgeFamily:
 
     The graph path is a string resolved relative to `base_dir`; every edge
     is a [u, v] pair of JSON integers (bool excluded). The document is
-    checked before the graph file is opened; its edges are flattened once
-    and their ends once, and that flat list of ends is the id lookup's input.
-    """
+    checked (`_family_document`) before the graph file is opened, and the
+    flat list of its pairs' ends is the id lookup's input."""
+    return _family(*_family_document(doc), base_dir)
+
+
+def _family_document(doc) -> tuple[str, list, list]:
+    """The graph path of a family document, the flat ends of its pairs, set
+    after set, and each set's number of pairs; a document of any other
+    shape is a `ParseError`. The checks take sets of types over the whole
+    document, not a loop per edge or per set: every edge has length 2 and
+    the edges' ends, flattened once, are all int, which only a [u, v] pair
+    of integers gives (a string or an object of length 2 flattens into
+    strings); the lengths are checked, as [[0, 1, 2], [3]] has 2 ends an
+    edge."""
     if not isinstance(doc, dict) or "graph" not in doc or "sets" not in doc:
         raise ParseError("family document must have 'graph' and 'sets' keys")
-    if not isinstance(doc["graph"], str):
-        raise ParseError(f"'graph' must be a path string, got {type(doc['graph']).__name__}")
-    sets = doc["sets"]
+    graph, sets = doc["graph"], doc["sets"]
+    if not isinstance(graph, str):
+        raise ParseError(f"'graph' must be a path string, got {type(graph).__name__}")
     if not (isinstance(sets, list) and set(map(type, sets)) <= {list}):
         raise ParseError("'sets' must be a list of edge lists")
-    # sets of types over the whole document, not a loop per edge or per set;
-    # the per-edge lengths are checked, as [[0, 1, 2], [3]] has 2 ends an edge
-    malformed = "malformed 'sets' entry: every edge must be a [u, v] pair of integers"
     edges = list(chain.from_iterable(sets))
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
-        raise ParseError(malformed)
-    ends = list(chain.from_iterable(edges))
-    if not set(map(type, ends)) <= {int}:
-        raise ParseError(malformed)
-    base = load_graph_file(os.path.join(base_dir, doc["graph"]))
     try:
-        return EdgeFamily._from_ends(base, ends, list(map(len, sets)))
+        pairs = set(map(len, edges)) <= {2}
+    except TypeError:  # a number, a bool or null has no length
+        pairs = False
+    ends = list(chain.from_iterable(edges)) if pairs else []
+    if not (pairs and set(map(type, ends)) <= {int}):
+        raise ParseError("malformed 'sets' entry: every edge must be a [u, v] pair of integers")
+    return graph, ends, list(map(len, sets))
+
+
+def _family(graph: str, ends: list, sizes: list, base_dir) -> EdgeFamily:
+    """The family of a checked document (`_family_document`) over the graph
+    at `graph`, resolved relative to `base_dir`."""
+    base = load_graph_file(os.path.join(base_dir, graph))
+    try:
+        return EdgeFamily._from_ends(base, ends, sizes)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def load_json(path):
-    """The JSON document in a file. Text that is not UTF-8, not JSON, holds
-    an integer past Python's digit limit or nests too deeply is a
-    `ParseError`."""
-    with open(path, encoding="utf-8") as fh:
+def read_json(path, take, keys: set):
+    """`take(doc)` of the JSON document `doc` in a file, as `json` reads it
+    (`load_json`), where `take` checks `doc` and raises `ParseError` on one
+    of a shape it refuses.
+
+    orjson reads the file's bytes first. Its document is taken when it is a
+    list or an object of no keys but `keys`, whose values `take` checks in
+    full, and `take` accepts it: on such a document orjson and `json`
+    agree. Any other is decided by `take` of `json`'s document of the same
+    bytes, so every document taken and every error is `json`'s. orjson
+    refuses what `json` reads (1e400, NaN, a lone surrogate, an integer of
+    more digits than a double spans) and reads as a float an integer past
+    64 bits, which `take` refuses; and a key `take` never reads may hold
+    what `json` refuses (a value nested past its limit)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        doc = None
+    if isinstance(doc, list) or isinstance(doc, dict) and doc.keys() <= keys:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
-        except RecursionError:
-            raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
+            return take(doc)
+        except ParseError:
+            pass
+    return take(load_json(path, data))
+
+
+def load_json(path, data: bytes):
+    """The JSON document in the bytes `data` of the file at `path`, as
+    `json` reads it from that file opened with `encoding="utf-8"`. Text
+    that is not UTF-8, not JSON, holds an integer past Python's digit limit
+    or nests too deeply is a `ParseError`."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def load_family(path) -> EdgeFamily:
-    doc = load_json(path)
-    return family_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    """The family in a family document file (`family_from_dict`), read by
+    `read_json`."""
+    parts = read_json(path, _family_document, {"graph", "sets"})
+    return _family(*parts, os.path.dirname(os.path.abspath(path)))

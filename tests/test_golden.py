@@ -76,6 +76,11 @@ and error reports were written by the implementation that kept every family
 set as a frozenset of (u, v) pairs; the first two are byte for byte
 `partition-star.json` and `broadcast-site5.json`.
 
+The last two `sparsify` rows of `g.el` were written by the implementation
+that rendered every report by `json.dumps`: one prints `1e-05`, a float
+whose shortest text in orjson (`0.00001`) is not `repr`'s, and one a seed
+of 2**64, an int past 64 bits, which orjson refuses to render.
+
 Each command runs in a fresh interpreter through the body of the console
 script that `pyproject.toml` declares, `sys.exit(main())` after
 `from distsparse.cli import main`, with `src` on `PYTHONPATH`. Its exit
@@ -179,6 +184,11 @@ def test_union_report_and_edge_list(tmp_path):
         ("partition-star-shuffled", ["partition", "--family", STAR_SHUFFLED]),
         ("broadcast-star-shuffled-site5", ["nof", "broadcast", "--family", STAR_SHUFFLED, "--site", "5"]),
         ("error-parse-family", ["partition", "--family", OUTSIDE]),
+        ("sparsify-eps1e-05", ["sparsify", "--graph", G, "--epsilon", "1e-05", "--seed", "3"]),
+        (
+            "sparsify-seed-2-64",
+            ["sparsify", "--graph", G, "--epsilon", "0.5", "--seed", "18446744073709551616", "--constant", "0.5"],
+        ),
     ],
 )
 def test_report(name, args):

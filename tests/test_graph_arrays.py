@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -632,6 +633,35 @@ class TestLoadGraph:
             expected = self.star_file(path, graph_mod._BY_PATH_BYTES + delta)
             assert as_pair(load_graph_file(path)) == expected
             assert sources.pop() == str(path) and not sources
+
+    def test_bytes_are_dropped_before_numpy_reads_the_path(self, tmp_path, monkeypatch):
+        """The bytes of a large plain file are not held while numpy reads
+        it again, nor beside the graph it builds."""
+        path, size = tmp_path / "g.el", 1 << 20
+        expected = self.star_file(path, size)
+        held, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert as_pair(load_graph_file(path)) == expected
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] - before < size // 8
+
+    @pytest.mark.parametrize("bad", [b"0 0 1.5\n", b"0 1 -1.5\n"], ids=["self-loop", "weight"])
+    def test_large_plain_file_the_graph_refuses_is_worded_by_line(self, tmp_path, bad):
+        path = tmp_path / "g.el"
+        self.star_file(path, graph_mod._BY_PATH_BYTES + 100)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([*lines[:-1], bad]))
+        with pytest.raises(ParseError, match=f"^line {len(lines)}: "):
+            load_graph_file(path)
 
     @pytest.mark.parametrize("delta", [-1, 0])
     def test_file_that_is_not_utf8_either_side_of_the_size_rule(self, tmp_path, delta):
