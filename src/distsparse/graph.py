@@ -113,10 +113,27 @@ class WeightedGraph:
         if self.n < 1:
             raise ValueError("vertex count must be positive")
         u, v, w = _columns(self.__dict__.pop("edges"))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        dup = np.zeros(len(w), dtype=bool)
-        ordered = ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()
-        if not ordered:
+        # the ends go straight into the new records, smaller first, and are
+        # checked and sorted there; an id past int64 (an object column) keeps
+        # them Python ints until it is refused below
+        ends = np.result_type(u, v)
+        records = np.empty(len(w), dtype=[("u", ends), ("v", ends), ("w", np.float64)])
+        lo, hi = records["u"], records["v"]
+        np.minimum(u, v, out=lo)
+        np.maximum(u, v, out=hi)
+        records["w"] = w
+        # one input-order mask, grown in place: a self-loop, an end out of
+        # range, a weight not positive or not finite; the first offending
+        # edge's reason is read from its own ends and weight below
+        bad = lo == hi
+        bad |= lo < 0
+        bad |= hi >= self.n
+        bad |= ~(w > 0)
+        bad |= np.isinf(w)
+        ordered = lo[1:] == lo[:-1]
+        ordered &= hi[1:] > hi[:-1]
+        ordered |= lo[1:] > lo[:-1]
+        if not ordered.all():
             # stable: a pair's first edge comes first. The key lo * n + hi
             # orders in-range pairs as (lo, hi) does, and is exact for them
             # while n * n fits in int64; only an out-of-range edge can wrap
@@ -126,18 +143,15 @@ class WeightedGraph:
                 order = np.argsort(lo * self.n + hi, kind="stable")
             else:
                 order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-            dup[order[1:][same]] = True
-        loop = u == v
-        out_of_range = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
-        bad = loop | out_of_range | ~(w > 0) | np.isinf(w) | dup
+            records = records.take(order)  # `take`: fancy indexing copies structured records about 8x slower
+            lo, hi = records["u"], records["v"]
+            bad[order[1:][(lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]] = True  # a duplicate
         if bad.any():
             i = int(np.argmax(bad))
             a, b = int(u[i]), int(v[i])
-            if loop[i]:
+            if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            if out_of_range[i]:
+            if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"vertex id out of range: ({a}, {b}) with n={self.n}")
             if not w[i] > 0:
                 raise ValueError(f"non-positive weight {float(w[i])} on edge ({a}, {b})")
@@ -146,9 +160,6 @@ class WeightedGraph:
             raise ValueError(f"duplicate edge {norm_pair(a, b)}")
         if u.dtype == object or v.dtype == object:
             raise ValueError(f"vertex id {max(u.max(), v.max())} does not fit in 64 bits")
-        records = np.empty(len(w), dtype=EDGE_DTYPE)
-        records["u"], records["v"] = lo, hi
-        records["w"] = w if ordered else w[order]
         records.flags.writeable = False
         object.__setattr__(self, "records", records)
 
@@ -339,7 +350,9 @@ def _tril_inv(C: np.ndarray) -> np.ndarray:
 # copy; while clustering: L[S, S], eigh's copy and its eigenvectors, or L[S, S]
 # overwritten by the Lanczos certificate matrix, the Cholesky's copy and its
 # factor, after the (cap + 1) x |S| Lanczos basis, at most a quarter block
-# (`cluster._kept_pairs`)
+# (`cluster._kept_pairs`). Per-edge arrays are not counted: the sampler's
+# (scores, distribution, counts, support and the reweighted records) are
+# all freed before its certificate's blocks exist (`sparsify._sparsify_each`)
 _DENSE_ARRAYS = 4
 # a bound on the bytes per vertex that building the component index
 # (`WeightedGraph._components`) holds: at most eight 8-byte arrays, the

@@ -98,6 +98,14 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = DE
     object, `whole` (g itself certified 0.0), so the NOF exchange, which
     shares unions by part object, forms one union for all of them.
 
+    The sampler's arrays are the scores w_e R_e, divided in place into the
+    distribution, and each draw's counts, their support and the reweighted
+    copy of g's records that h is validated from (`_draw`). None of them
+    survives into a certificate: a draw's arrays are freed when h is built,
+    and the distribution after the last draw, so each `verify_epsilon` holds
+    only G's records, factor and resistances, h and the pencil's arrays, and
+    many seeds hold one uncertified sample at a time.
+
     The draws share one generator, `np.random.default_rng(seeds[0])`; before
     each later draw it is set to the state `default_rng(seed)` would start
     from, all of them computed in one pass (`_pcg64_states`), so every draw
@@ -109,13 +117,13 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = DE
     if g.m == 0:
         raise ValueError("cannot sparsify an edgeless graph")
 
-    scores = g.w * np.maximum(g.resistances, 0.0)
-    total = scores.sum()
+    probs = g.w * np.maximum(g.resistances, 0.0)  # the scores, made the distribution in place
+    total = probs.sum()
     if not 0.0 < total < math.inf:
         raise ValueError(
             f"the graph has a weight range beyond what float64 can sample: its scores w_e R_e sum to {total}"
         )
-    probs = scores / total
+    probs /= total
 
     try:
         draws = constant * g.n * math.log(g.n) / epsilon**2
@@ -138,16 +146,25 @@ def _sparsify_each(g: WeightedGraph, epsilon: float, seeds, constant: float = DE
             rng = np.random.default_rng(seed)
         else:
             rng.bit_generator.state = states[i]
-        counts = rng.multinomial(q, probs)
-        if np.count_nonzero(counts) >= g.m:
-            out.append(whole)
-            continue
-        support = np.flatnonzero(counts)
-        kept = g.records[support]
-        kept["w"] = counts[support] * kept["w"] / (q * probs[support])
-        h = WeightedGraph(g.n, kept)
-        out.append(SparsifierResult(h=h, epsilon_certified=verify_epsilon(g, h)))
+        h = _draw(g, rng, q, probs)
+        if i == len(seeds) - 1:
+            del probs  # the last draw is made: the certificate runs beside none of the sampler's arrays
+        out.append(whole if h is None else SparsifierResult(h=h, epsilon_certified=verify_epsilon(g, h)))
     return out
+
+
+def _draw(g: WeightedGraph, rng: np.random.Generator, q: int, probs: np.ndarray) -> WeightedGraph | None:
+    """One draw of q edges from `probs` by `rng`, reweighted into a graph,
+    or None when it covers every edge of g. Its arrays (the draw's counts,
+    their support and the reweighted copy of g's records that the graph is
+    validated from) are freed when it returns."""
+    counts = rng.multinomial(q, probs)
+    if np.count_nonzero(counts) >= g.m:
+        return None
+    support = np.flatnonzero(counts)
+    kept = g.records[support]
+    kept["w"] = counts[support] * kept["w"] / (q * probs[support])
+    return WeightedGraph(g.n, kept)
 
 
 def _pcg64_states(seeds) -> list[dict]:

@@ -7,7 +7,8 @@ that the factor, the resistances, the sampler's draw, the verifier and the
 spectral embedding are bitwise those of the n x n computation, and that
 none of them allocates an n x n array. The resistances, read a chunk of
 edges at a time, are bitwise those read in one pass, and hold no more than
-one component's X beside one chunk.
+one component's X beside one chunk. The sampler frees its per-edge arrays
+before its certificate's blocks exist.
 """
 
 import math
@@ -331,3 +332,19 @@ class TestResistancesInChunks:
         peak = TestNoNxNArray.peak(lambda: g.resistances)
         assert peak < 8 * 800 * 800 + 2 * 8 * g.m + 2**20
         assert same_bits(g.resistances, unchunked_resistances(g))
+
+
+class TestSamplerPeak:
+    def test_certificate_holds_no_sampler_array(self):
+        # n = 800, m about 200 000 in one component, q < m: the draw's
+        # scores, distribution, counts, support and reweighted copy are
+        # freed before the pencil, whose two 801 x 801 blocks (H's block
+        # and its product, or eigvalsh's copy) sit beside h's records and
+        # edge order, together less than 24 bytes an edge of g
+        g = dense_random_graph(np.random.default_rng(5), 800, 0.625)
+        g.factor, g.resistances
+        res = []
+        peak = TestNoNxNArray.peak(lambda: res.append(sparsify_er(g, 0.5, 1)))
+        assert 0 < res[0].h.m < g.m
+        assert peak < 2 * 8 * 801 * 801 + 24 * g.m + 2**20
+        assert same_bits(res[0].epsilon_certified, verify_epsilon(WeightedGraph(g.n, g.records), res[0].h))

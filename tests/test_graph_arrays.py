@@ -36,6 +36,7 @@ from distsparse import (
     load_graph_file,
     sparsify_er,
 )
+from conftest import dense_random_graph
 
 # --- references: the per-edge loops -------------------------------------
 
@@ -359,6 +360,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="vertex id 'b' is not an integer"):
             WeightedGraph(3, [(0, "b", 1.0), ("a", 1, 1.0)])  # the first in input order
         assert WeightedGraph(3, [(np.int32(1), 2, 1.0)]).edges == ((1, 2, 1.0),)
+
+    def test_ordered_records_validate_beside_a_quarter_of_their_size(self):
+        # the ends are written into the new records and checked there: one
+        # input-order mask and the order check's few masks, a byte an edge
+        # each, are all that validation holds beside the stored copy
+        records = np.array(dense_random_graph(np.random.default_rng(5), 800, 0.625).records)
+        tracemalloc.start()
+        try:
+            g = WeightedGraph(800, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * records.nbytes
+        assert np.array_equal(g.records, records) and g.records.dtype == graph_mod.EDGE_DTYPE
 
     def test_ids_beyond_64_bits_within_range_are_refused(self):
         with pytest.raises(ValueError, match="does not fit in 64 bits"):

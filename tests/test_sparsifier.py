@@ -631,6 +631,20 @@ class TestSeedStates:
         with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\*\*64\), got " + str(bad)):
             _sparsify_each(complete_graph(4), 0.5, seeds)
 
+    def test_many_seeds_are_one_seed_each(self):
+        # C = 1 draws 43 edges from K6's 15: some seeds cover every edge,
+        # the rest are reweighted and certified one after another
+        g = WeightedGraph(6, tuple((u, v, 1.0 + 0.1 * u) for u in range(6) for v in range(u + 1, 6)))
+        seeds = list(range(16))
+        each = _sparsify_each(g, 0.5, seeds, constant=1.0)
+        whole = [part for part in each if part.h is g]
+        assert 0 < len(whole) < len(seeds)
+        assert all(part is whole[0] for part in whole) and whole[0].epsilon_certified == 0.0
+        for part, seed in zip(each, seeds):
+            alone = sparsify_er(g, 0.5, seed, constant=1.0)
+            assert same_bits(part.h.records, alone.h.records) and part.h.n == alone.h.n
+            assert same_bits(part.epsilon_certified, alone.epsilon_certified)
+
 
 class TestEpsilonPrime:
     def test_paper_formula(self):
