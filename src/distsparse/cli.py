@@ -15,9 +15,9 @@ edge-list writer's float rule, and writes that one string wherever it
 appears, piece by piece, never joining the report into one string. Family
 and label documents are read by orjson, and any it refuses, or whose
 checks refuse it, by `json` (`overlap.read_json`), so every document
-taken and every error is `json`'s. The `laplacian` matrix is rendered a
-row at a time, and refused
-when it and its text would not fit in physical memory. The files (edge
+taken and every error is `json`'s. An array is one piece, the text of its
+list; the `laplacian` report holds its matrix's rows, and is refused when
+they and their text would not fit in physical memory. The files (edge
 list, sidecar, ``--out``) are written all or none (`_place`), and
 ``--out`` naming the edge list is refused before any is written. An
 infinite top-level value (an edge joins two components of the graph it is
@@ -36,6 +36,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import click
@@ -62,12 +63,12 @@ SCHEMA = 1
 
 # what the `laplacian` report holds beside its n x n matrix: the text of
 # each entry, at most the longest float `repr`, "-2.2250738585072014e-308",
-# and the ", " after it, and a bound on what each row adds (its string and
-# placeholder, and its list of floats while it is rendered)
+# and the ", " after it, and a bound on what each row adds (its view, string
+# and placeholder, and its list of floats while it is rendered)
 _ENTRY_TEXT, _ROW_BYTES = 26, 512
 
 
-# the placeholder `_json_line` writes for an edge set or a matrix row: the
+# the placeholder `_json_line` writes for an edge set or an array: the
 # string of one NUL, which no other string of a report holds, as its strings
 # are the program's own keys and write kinds; both encoders write it as
 # `_MARK_TEXT`
@@ -129,26 +130,19 @@ def _json_line(doc) -> list[str]:
     An edge set (`_edge_set`) is rendered once per object, and that one
     string is the piece wherever the object appears, so a report that holds
     one edge set many times (every site of the NOF broadcast holds the base
-    graph) costs one rendering of it and is never held as one string. A
-    matrix (a 2-D array, the Laplacian) is rendered a row at a time, one
-    piece a row, so the report holds its text and no list of its floats.
+    graph) costs one rendering of it and is never held as one string. An
+    array is one piece, the `json.dumps` text of its list, so the Laplacian
+    report, which holds its matrix's rows, holds no list of all its floats.
     Both encoders call `default` at each such object in document order,
     the order of the pieces, and write its placeholder (`_MARK`)."""
-    memo: dict[int, str | list[str]] = {}  # id of an object -> its rendering
+    memo: dict[int, str] = {}  # id of an object -> its rendering
     pieces: list[str] = []  # the rendering at each placeholder, in order
 
     def default(obj):
         key = id(obj)  # the object lives in `doc` while it is rendered
         if key not in memo:
-            if isinstance(obj, np.ndarray) and obj.ndim == 2:
-                memo[key] = [json.dumps(row.tolist(), allow_nan=False) for row in obj]
-            else:
-                memo[key] = _edge_set(obj)
-        text = memo[key]
-        if isinstance(text, list):
-            pieces.extend(text)
-            return [_MARK] * len(text)
-        pieces.append(text)
+            memo[key] = json.dumps(obj.tolist(), allow_nan=False) if isinstance(obj, np.ndarray) else _edge_set(obj)
+        pieces.append(memo[key])
         return _MARK
 
     try:
@@ -176,24 +170,37 @@ def _emit(pieces: list[str]):
     sys.stdout.flush()
 
 
+def _in_place(path) -> int | str | None:
+    """What `_place` writes `path` through in place: a device's or a pipe's
+    path, or fd 1 or 2 when it is the regular file stdout or stderr writes
+    to, so what the shell writes there before and after stays; else None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None if stat.S_ISDIR(st.st_mode) else path
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):
+            if os.path.samestat(os.fstat(fd), st):
+                return fd
+    return None
+
+
 def _place(files: list[tuple], pieces: list[str]) -> None:
     """Write every file (path, a graph's edge list, or None, the report) to a
     new temporary beside its target (a link is followed), then move each
-    into place; a device or a pipe, which cannot be replaced, is written
-    last. Two paths to one file must have one content, written once; two
-    contents for one file are a `ValueError` before anything is written.
-    Any error removes the temporaries and the files placed."""
+    into place; a file written in place (`_in_place`) is written last. Two
+    paths to one file must have one content, written once; two contents for
+    one file are a `ValueError` before anything is written. Any error
+    removes the temporaries and the files placed."""
     targets = {}  # real path -> (path, content); of two paths to a file, the last
     for path, content in files:
         target = os.path.realpath(path)
         if target in targets and targets[target][1] is not content:
             raise ValueError(f"one file, {path!r}, is named for both the report and an edge list")
         targets[target] = path, content
-    streams = [
-        targets.pop(t)
-        for t, (p, _) in list(targets.items())
-        if os.path.exists(p) and not os.path.isfile(p) and not os.path.isdir(p)
-    ]
+    streams = [(where, *targets.pop(t)) for t, (p, _) in list(targets.items()) if (where := _in_place(p)) is not None]
     temps, placed, path = {}, [], None
     try:
         for target, (path, content) in targets.items():
@@ -204,8 +211,8 @@ def _place(files: list[tuple], pieces: list[str]) -> None:
         for target, (path, _) in targets.items():
             os.replace(temps[target], target)
             placed.append(target)
-        for path, content in streams:
-            with open(path, "w", encoding="utf-8") as fh:
+        for where, path, content in streams:
+            with open(os.dup(where) if isinstance(where, int) else where, "w", encoding="utf-8") as fh:
                 _write(fh, content, pieces)
     except BaseException as exc:
         for name in [*temps.values(), *placed]:  # a temporary already moved is gone
@@ -286,7 +293,7 @@ def laplacian_cmd(graph_path, normalized):
     L = normalized_laplacian(g) if normalized else laplacian(g)
     need = L.nbytes + _ENTRY_TEXT * L.size + _ROW_BYTES * g.n
     _check_memory(need, f"n={g.n}", "an n x n float64 matrix beside its JSON text")
-    return {"n": g.n, "normalized": normalized, "matrix": L}
+    return {"n": g.n, "normalized": normalized, "matrix": list(L)}
 
 
 @main.command("partition")
@@ -303,14 +310,15 @@ def partition_cmd(family_path):
 @click.option("--epsilon", required=True, type=float)
 @click.option("--seed", type=int, default=0)
 @click.option("--constant", type=float, default=DEFAULT_CONSTANT, help="Oversampling constant C in q = ceil(C n ln n / eps^2).")
-@click.option("--output", type=click.Path(), default=None, help="Write the sparsifier edge list here (JSON sidecar alongside).")
+@click.option("--output", type=click.Path(), default=None, help="Write the sparsifier edge list here (JSON sidecar alongside a file it replaces).")
 @_command
 def sparsify_cmd(graph_path, epsilon, seed, constant, output):
     """Effective-resistance sparsifier of an edge-list graph."""
     g = load_graph_file(graph_path)
     res = sparsify_er(g, epsilon, seed, constant=constant)
     doc = {"epsilon_target": epsilon, "epsilon_certified": res.epsilon_certified, "edges": res.h.m, "seed": seed}
-    return doc, {output: res.h, output + ".json": None} if output else {}
+    sidecar = {output + ".json": None} if output and _in_place(output) is None else {}
+    return doc, {output: res.h, **sidecar} if output else {}
 
 
 @main.command("verify")

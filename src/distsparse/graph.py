@@ -593,7 +593,7 @@ def load_graph(text: str | bytes, *, path=None) -> WeightedGraph:
             g = _load_plain(data.decode("ascii").splitlines(), *header)
             if g is not None:
                 return g
-    return _load_text(text, path)
+    return _load_lines(text, path)
 
 
 def _plain_header(data: bytes) -> tuple[int | None, int] | None:
@@ -641,18 +641,14 @@ def _load_plain(source, n: int | None, skip: int) -> WeightedGraph | None:
         return None
 
 
-def _load_text(text: str | bytes, path) -> WeightedGraph:
-    """The line rules' reading of an edge list, bytes decoded as UTF-8 first."""
+def _load_lines(text: str | bytes, path=None) -> WeightedGraph:
+    """The line-by-line reading of an edge list, bytes decoded as UTF-8
+    first, which words every error; `path` is only named in the decoding's."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid edge list{'' if path is None else f' in {path}'}: {exc}") from None
-    return _load_lines(text)
-
-
-def _load_lines(text: str) -> WeightedGraph:
-    """The line-by-line reading of an edge list, which words every error."""
     n_header = None
     triples: list[tuple[int, int, float]] = []
     seen: dict[Edge, int] = {}
@@ -729,7 +725,7 @@ def load_graph_file(path) -> WeightedGraph:
             return g
         with open(path, "rb") as fh:
             data = fh.read()
-    return _load_text(data, path)
+    return _load_lines(data, path)
 
 
 def dump_graph(g: WeightedGraph, fh) -> None:

@@ -194,8 +194,10 @@ def _family(graph: str, ends: list, sizes: list, base_dir) -> EdgeFamily:
 
 def read_json(path, take, keys: set):
     """`take(doc)` of the JSON document `doc` in a file, as `json` reads it
-    (`load_json`), where `take` checks `doc` and raises `ParseError` on one
-    of a shape it refuses.
+    from that file opened with `encoding="utf-8"`, where `take` checks `doc`
+    and raises `ParseError` on one of a shape it refuses. Text that is not
+    UTF-8, not JSON, holds an integer past Python's digit limit or nests
+    too deeply is a `ParseError`.
 
     orjson reads the file's bytes first. Its document is taken when it is a
     list or an object of no keys but `keys`, whose values `take` checks in
@@ -217,20 +219,13 @@ def read_json(path, take, keys: set):
             return take(doc)
         except ParseError:
             pass
-    return take(load_json(path, data))
-
-
-def load_json(path, data: bytes):
-    """The JSON document in the bytes `data` of the file at `path`, as
-    `json` reads it from that file opened with `encoding="utf-8"`. Text
-    that is not UTF-8, not JSON, holds an integer past Python's digit limit
-    or nests too deeply is a `ParseError`."""
     try:
-        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
+    return take(doc)
 
 
 def load_family(path) -> EdgeFamily:

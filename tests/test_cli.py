@@ -205,9 +205,9 @@ class TestLaplacianCmd:
         n = 300
         L = np.full((n, n), -2.2250738585072014e-308)
         assert len(repr(float(L[0, 0])) + ", ") == cli._ENTRY_TEXT
-        peak = traced_peak(lambda: cli._json_line({"matrix": L}))
+        peak = traced_peak(lambda: cli._json_line({"matrix": list(L)}))
         assert peak <= cli._ENTRY_TEXT * n * n + cli._ROW_BYTES * n
-        assert "".join(cli._json_line({"matrix": L})) == json.dumps({"matrix": L.tolist()}) + "\n"
+        assert "".join(cli._json_line({"matrix": list(L)})) == json.dumps({"matrix": L.tolist()}) + "\n"
 
     @pytest.mark.parametrize(
         "args", [["sparsify", "--epsilon", "0.5", "--constant", "0.1"], ["verify", "--sparsifier", "half.el"]]
@@ -972,6 +972,15 @@ class TestReportsAcrossTheFloatRange:
         pairs = [[u, v] for u, v, _ in base.edges]
         assert [c["edges"] for c in json.loads(result.stdout)["classes"]] == [pairs[1:], pairs[:1]]
 
+    @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+    def test_laplacian(self, tmp_path, normalized):
+        # no degree sums two weights, so every weight is an entry of L
+        base, _ = boundary_star(tmp_path, BOUNDARY)
+        result = invoke(["laplacian", "--graph", str(tmp_path / "star.el"), *(["--normalized"] if normalized else [])])
+        assert result.stdout == replayed(result)
+        L = graph.normalized_laplacian(base) if normalized else graph.laplacian(base)
+        assert json.loads(result.stdout)["matrix"] == L.tolist()
+
     @pytest.mark.parametrize("cmd", [["broadcast"], ["exchange", "--epsilon", "0.3", "--seed", "3"]])
     def test_empty_petal_union(self, cmd):
         # nine copies of one set: site 1's petal union is empty
@@ -1084,6 +1093,42 @@ def test_out_to_a_pipe_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert got == [(tmp_path / "h.el.json").read_bytes()] == [invoke(report).stdout_bytes]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.el", "h.el.json", "pipe"]
+
+
+def test_output_to_a_pipe_has_no_sidecar(tmp_path):
+    # an edge list written in place has no path beside it for a sidecar; the
+    # report still goes to stdout
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    result = invoke([*OUT_COMMANDS["sparsify"][0], "--output", str(fifo)])
+    reader.join(timeout=60)
+    (tmp_path / "ref").mkdir()
+    reference = invoke([*OUT_COMMANDS["sparsify"][0], "--output", str(tmp_path / "ref" / "h.el")])
+    assert (result.exit_code, result.stdout) == (0, reference.stdout)
+    assert got == [(tmp_path / "ref" / "h.el").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "ref"]
+
+
+def test_out_to_redirected_stdout_is_written_in_place(tmp_path):
+    # `{ echo before; distsparse ... --out /dev/stdout; echo after; } > out.txt`:
+    # the report goes between the shell's lines, through the shell's own
+    # descriptor, and the file is not replaced
+    out = tmp_path / "out.txt"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        os.write(fd, b"before\n")
+        args = ["cluster", "compare", "--out", "/dev/stdout", LABELS_A, LABELS_B]
+        done = subprocess.run([sys.executable, "-m", "distsparse.cli", *args], stdout=fd, env=env, timeout=120)
+        os.write(fd, b"after\n")
+    finally:
+        os.close(fd)
+    assert done.returncode == 0
+    assert out.read_bytes() == b"before\n" + (GOLDEN / "cluster-compare.json").read_bytes() + b"after\n"
 
 
 def test_two_paths_to_one_file_write_it_once(tmp_path):
